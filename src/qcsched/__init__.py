@@ -2,7 +2,7 @@
 
 from .instance import (Chip, Edge, Instance, build_grid_chip, build_preset_chip,
                        generate_instance, read_instance, write_instance)
-from .bounds import BoundSet, compute_bounds, horizon_bound
+from .bounds import horizon_bound
 from .schedule import (GateTask, Schedule, ValidationReport, improvement_delta,
                        read_schedule, score, simulate_states, validate,
                        write_schedule)
@@ -16,7 +16,7 @@ from .fixtures import worked_example
 __all__ = [
     "Chip", "Edge", "Instance", "build_grid_chip", "build_preset_chip",
     "generate_instance", "read_instance", "write_instance",
-    "BoundSet", "compute_bounds", "horizon_bound",
+    "horizon_bound",
     "GateTask", "Schedule", "ValidationReport", "improvement_delta",
     "read_schedule", "score", "simulate_states", "validate", "write_schedule",
     "solve_anytime", "solve_greedy", "solve_sequential_baseline",

@@ -5,14 +5,15 @@ and persists a single JSON report, so a rerun of a finished matrix only
 reloads files and reproduces the identical table.  Scores are the ratio of
 the best makespan found by any engine in the matrix to the engine's own
 makespan, averaged per problem class; hybrid rows also report the average
-improvement over their own first stage.
+improvement over their own first stage.  A cell whose engine raised is
+stored with an ``error: ...`` status and counted in the table's error column,
+never scored.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from .hybrid import (ENGINE_HALF, ENGINE_LAST, ENGINES, RunReport,
                      read_report, run_engine, write_report)
 from .instance import Chip, Instance, generate_instance
 from .schedule import score
+
+ERROR = "error"   # status prefix of a cell whose engine raised
 
 
 def goals_from_density(chip: Chip, density: float) -> int:
@@ -102,8 +105,20 @@ class MatrixResult:
         avg_delta = sum(deltas) / len(deltas) if deltas else None
         return avg_score, len(scores), avg_delta, improved, total
 
+    def errors(self, engine: str, cls: tuple[str, int] | None = None) -> int:
+        """Cells of ``engine`` (in class ``cls``, or in any) that raised."""
+        count = 0
+        for instance in self.instances:
+            if cls is not None and (instance.variant, instance.stages) != cls:
+                continue
+            report = self.reports.get((instance.instance_id, engine))
+            if report is not None and report.status.startswith(ERROR):
+                count += 1
+        return count
+
     def table(self) -> str:
-        lines = [f"{'class':<14} {'engine':<8} {'score':<12} {'delta':<12}"]
+        lines = [f"{'class':<14} {'engine':<8} {'score':<12} {'delta':<12} "
+                 f"errors"]
         for cls in self.classes():
             cls_label = f"{cls[0]}/s{cls[1]}"
             for engine in self.engines:
@@ -116,7 +131,7 @@ class MatrixResult:
                 else:
                     delta_s = "-"
                 lines.append(f"{cls_label:<14} {engine:<8} {score_s:<12} "
-                             f"{delta_s:<12}")
+                             f"{delta_s:<12} {self.errors(engine, cls)}")
         return "\n".join(lines) + "\n"
 
 
@@ -131,15 +146,14 @@ def _run_cell(instance: Instance, engine: str, budget_s: float,
                             node_budget=node_budget)
     except Exception as exc:   # a failed cell must not abort the matrix
         report = RunReport(instance.instance_id, engine, budget_s, seed, (),
-                           status=f"error: {exc}")
+                           status=f"{ERROR}: {type(exc).__name__}: {exc}")
     write_report(report, path)
     return report
 
 
 def run_matrix(instances: list[Instance], engines: list[str], budget_s: float,
                out_dir: str | Path, seed: int = 0,
-               node_budget: int | None = None,
-               workers: int = 1) -> MatrixResult:
+               node_budget: int | None = None) -> MatrixResult:
     """Run (or resume) every (instance, engine) cell; reports persist in
     ``out_dir`` as one JSON file each."""
     if not instances:
@@ -150,15 +164,8 @@ def run_matrix(instances: list[Instance], engines: list[str], budget_s: float,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = MatrixResult(instances=list(instances), engines=list(engines))
-    cells = [(instance, engine) for instance in instances for engine in engines]
-    if workers <= 1:
-        done = [_run_cell(i, e, budget_s, seed, out_dir, node_budget)
-                for i, e in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(
-                lambda c: _run_cell(c[0], c[1], budget_s, seed, out_dir,
-                                    node_budget), cells))
-    for (instance, engine), report in zip(cells, done):
-        result.reports[(instance.instance_id, engine)] = report
+    for instance in instances:
+        for engine in engines:
+            result.reports[(instance.instance_id, engine)] = _run_cell(
+                instance, engine, budget_s, seed, out_dir, node_budget)
     return result

@@ -1,26 +1,15 @@
-"""Scheduling-horizon and per-gate task-count upper bounds.
+"""Scheduling-horizon and swap-count upper bounds for the exact model.
 
 The horizon comes from the sequential worst case: each goal is routed with at
 most ``2*side - 3`` swaps and finished with the slowest gate. For two-stage
 problems the stage blocks run back to back with one mixing window in between.
-The swap bound of one task per gate per goal is known to be loose in rare
-cases; ``swap_multiplier`` widens it on demand.
+The cap of one swap task per gate per goal and stage is known to be loose in
+rare cases; ``swap_multiplier`` widens it on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .instance import Instance
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    horizon: int
-    swaps_per_gate: int
-    ps_tasks_per_gate: int
-    max_swap_distance: int
-    max_ps_duration: int
 
 
 def max_swap_distance(instance: Instance) -> int:
@@ -39,20 +28,5 @@ def horizon_bound(instance: Instance) -> int:
 
 
 def swap_task_bound(instance: Instance, multiplier: int = 1) -> int:
-    """Swap tasks allocated per physical swap gate: one per goal per stage."""
+    """Swap tasks allowed per physical swap gate: one per goal per stage."""
     return instance.goal_count * instance.stages * multiplier
-
-
-def ps_task_bound(instance: Instance) -> int:
-    """PS tasks per physical PS gate: one per goal, task n reserved for goal n."""
-    return instance.goal_count * instance.stages
-
-
-def compute_bounds(instance: Instance, swap_multiplier: int = 1) -> BoundSet:
-    return BoundSet(
-        horizon=horizon_bound(instance),
-        swaps_per_gate=swap_task_bound(instance, swap_multiplier),
-        ps_tasks_per_gate=ps_task_bound(instance),
-        max_swap_distance=max_swap_distance(instance),
-        max_ps_duration=instance.chip.max_ps_duration,
-    )

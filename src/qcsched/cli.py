@@ -109,11 +109,15 @@ def cmd_bench(args) -> int:
         instances += gen_suite(chip, args.count, goals, variant, args.stages,
                                seed=args.seed, label=f"{variant}-s{args.stages}")
     result = run_matrix(instances, args.engine, args.budget, args.out_dir,
-                        seed=args.seed, node_budget=args.node_budget,
-                        workers=args.workers)
+                        seed=args.seed, node_budget=args.node_budget)
     table = result.table()
     (Path(args.out_dir) / "table.txt").write_text(table)
     print(table, end="")
+    errors = sum(result.errors(engine) for engine in result.engines)
+    if errors:
+        print(f"{errors} cell(s) raised; see their reports in {args.out_dir}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -173,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--budget", type=float, default=10.0)
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench)
 

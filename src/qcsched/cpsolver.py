@@ -1,12 +1,17 @@
-"""Interval-based scheduling model and exact branch-and-bound search.
+"""The exact solver: a depth-first branch-and-bound over gate start times.
 
-The model mirrors the validator's rules as constraints over optional interval
-variables: per swap gate a pool of replica intervals, per PS gate one
-goal-aligned interval per goal, one mandatory interval per goal, and (for
-two-stage problems) a per-state grid of mixing slots.  ``search`` runs a
-chronological depth-first branch-and-bound over these decisions, emits every
-lexicographically improving schedule, and proves optimality on exhaustion.
-A warm-start schedule can be installed as the initial incumbent.
+The paper's exact engine is an interval model (optional tasks tied together
+by ``alternative`` and ``noOverlap`` constraints). Here the same rules are
+enforced by the search itself, which commits gates event by event, so the
+model it reads is just a spec: the instance, a horizon every gate must end
+by, and a cap on the swaps per gate. ``search`` emits every lexicographically
+improving schedule and proves optimality on exhaustion; a warm-start schedule
+can be installed as the initial incumbent.
+
+``check_assignment`` is a second, independent checker of the same rules: it
+binds each task of a finished schedule to a slot of the spec (a swap gate
+and replica index, an edge and goal, a state and qubit) and checks every
+rule against those slots.
 
 Everything here is written from scratch: no external solver is involved, and
 no code is shared with the independent validator or the brute-force oracle.
@@ -20,15 +25,11 @@ from itertools import permutations
 from math import ceil
 
 from . import instance as inst
-from .bounds import BoundSet, compute_bounds
+from .bounds import horizon_bound, swap_task_bound
 from .instance import Instance
 from .router import all_pairs_distances
 from .schedule import (GateTask, Schedule, init_task, mix_task, ps_task,
                        swap_task)
-
-PRESENT = "present"
-ABSENT = "absent"
-UNDECIDED = "undecided"
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -43,354 +44,58 @@ class ModelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# variables
-
-
-@dataclass
-class OptionalIntervalVar:
-    """A task slot that is absent, or present within a start-time window.
-
-    ``lengths`` is the domain of possible durations; most slots have exactly
-    one.  ``end_max`` is tracked explicitly so a deadline can clamp slots
-    whose duration is still undecided.
-    """
-
-    name: str
-    lengths: tuple[int, ...]
-    presence: str = UNDECIDED
-    start_min: int = 0
-    start_max: int = 0
-    end_max: int = 0
-
-    @property
-    def length(self) -> int:
-        return self.lengths[0]
-
-    @property
-    def length_min(self) -> int:
-        return min(self.lengths)
-
-    @property
-    def length_max(self) -> int:
-        return max(self.lengths)
-
-    @property
-    def end_min(self) -> int:
-        return self.start_min + self.length_min
-
-    def empty(self) -> bool:
-        return (self.start_min > self.start_max
-                or self.start_min + self.length_min > self.end_max
-                or not self.lengths)
-
-    def tighten_start_min(self, value: int) -> bool:
-        if value > self.start_min:
-            self.start_min = value
-            return True
-        return False
-
-    def tighten_start_max(self, value: int) -> bool:
-        if value < self.start_max:
-            self.start_max = value
-            return True
-        return False
-
-    def tighten_end_max(self, value: int) -> bool:
-        changed = False
-        if value < self.end_max:
-            self.end_max = value
-            changed = True
-        changed |= self.tighten_start_max(self.end_max - self.length_min)
-        return changed
-
-    def tighten_end_min(self, value: int) -> bool:
-        return self.tighten_start_min(value - self.length_max)
-
-    def restrict_lengths(self, allowed: set[int]) -> bool:
-        kept = tuple(d for d in self.lengths if d in allowed)
-        if kept != self.lengths:
-            self.lengths = kept
-            return True
-        return False
-
-
-# ---------------------------------------------------------------------------
 # model
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
+    """What the search reads. Tighten a field with ``dataclasses.replace``."""
+
     instance: Instance
-    bounds: BoundSet
-    horizon: int
-    swap_vars: dict[tuple[int, int], list[OptionalIntervalVar]]
-    ps_vars: dict[tuple[int, int], dict[int, OptionalIntervalVar]]
-    goal_vars: dict[int, OptionalIntervalVar]
-    mix_slot_vars: dict[tuple[int, int], OptionalIntervalVar]  # (state, qubit)
-    mix_vars: dict[int, OptionalIntervalVar]                   # per state
-    makespan_min: int
-    makespan_max: int
-    free_placement: bool
-    constraints: tuple[str, ...]
-
-    def ps_candidates(self, goal_index: int) -> list[OptionalIntervalVar]:
-        return [gate[goal_index] for gate in self.ps_vars.values()]
-
-    def mix_candidates(self, state: int) -> list[OptionalIntervalVar]:
-        return [v for (s, _), v in self.mix_slot_vars.items() if s == state]
+    horizon: int      # every gate ends by this time
+    swap_cap: int     # swap tasks allowed per swap gate
 
 
-def build_model(instance: Instance, bounds: BoundSet | None = None,
-                swap_multiplier: int = 1) -> Model:
-    """Instantiate every variable and constraint for the instance's variant."""
-    if bounds is None:
-        bounds = compute_bounds(instance, swap_multiplier)
-    chip = instance.chip
-    horizon = bounds.horizon
-
-    def window(var: OptionalIntervalVar) -> OptionalIntervalVar:
-        var.start_max = horizon - var.length_min
-        var.end_max = horizon
-        return var
-
-    swap_vars = {
-        e.pair: [window(OptionalIntervalVar(f"swap[{e.u},{e.v}]#{m}",
-                                            (chip.swap_duration,)))
-                 for m in range(bounds.swaps_per_gate)]
-        for e in chip.swap_edges
-    }
-    ps_vars = {
-        e.pair: {g: window(OptionalIntervalVar(f"ps[{e.u},{e.v}]@{g}",
-                                               (e.ps_duration,)))
-                 for g in range(1, instance.total_goals + 1)}
-        for e in chip.edges
-    }
-    lengths = tuple(sorted({e.ps_duration for e in chip.edges}))
-    goal_vars = {
-        g: window(OptionalIntervalVar(f"goal#{g}", lengths, presence=PRESENT))
-        for g in range(1, instance.total_goals + 1)
-    }
-    mix_slot_vars: dict[tuple[int, int], OptionalIntervalVar] = {}
-    mix_vars: dict[int, OptionalIntervalVar] = {}
-    if instance.stages == 2:
-        for s in range(1, instance.state_count + 1):
-            for q in chip.qubits:
-                mix_slot_vars[(s, q)] = window(
-                    OptionalIntervalVar(f"mix[{s}]@q{q}", (chip.mix_duration,)))
-            mix_vars[s] = window(OptionalIntervalVar(
-                f"mix[{s}]", (chip.mix_duration,), presence=PRESENT))
-
-    tags = ["objective-lexicographic", "makespan-cover", "no-overlap",
-            "ps-alternative", "swap-exchange", "ps-passthrough",
-            "goal-endpoint-match", "swap-replica-chain"]
-    tags.append("initial-all-different" if instance.variant == inst.QCC_I
-                else "initial-placement-fixed")
-    if instance.variant == inst.QCC_X:
-        tags.append("adjacent-qubit-exclusion")
-    if instance.stages == 2:
-        tags += ["mix-alternative", "mix-separation"]
-
-    return Model(
-        instance=instance,
-        bounds=bounds,
-        horizon=horizon,
-        swap_vars=swap_vars,
-        ps_vars=ps_vars,
-        goal_vars=goal_vars,
-        mix_slot_vars=mix_slot_vars,
-        mix_vars=mix_vars,
-        makespan_min=0,
-        makespan_max=horizon,
-        free_placement=instance.variant == inst.QCC_I,
-        constraints=tuple(tags),
-    )
-
-
-# ---------------------------------------------------------------------------
-# propagation
-
-
-def _sync_alternative(head: OptionalIntervalVar,
-                      candidates: list[OptionalIntervalVar]) -> bool | None:
-    """Exactly-one-of semantics: head runs as whichever candidate is chosen.
-
-    Returns True when a domain changed, None on conflict.
-    """
-    changed = False
-    live = [c for c in candidates if c.presence != ABSENT]
-    if not live:
-        return None
-    if len(live) == 1 and live[0].presence != PRESENT:
-        live[0].presence = PRESENT
-        changed = True
-    for c in live:
-        changed |= c.tighten_start_min(head.start_min)
-        changed |= c.tighten_start_max(head.start_max)
-        changed |= c.tighten_end_max(head.end_max)
-        if c.empty():
-            if c.presence == PRESENT:
-                return None
-            c.presence = ABSENT
-            changed = True
-    live = [c for c in candidates if c.presence != ABSENT]
-    if not live:
-        return None
-    changed |= head.tighten_start_min(min(c.start_min for c in live))
-    changed |= head.tighten_start_max(max(c.start_max for c in live))
-    changed |= head.tighten_end_max(max(c.end_max for c in live))
-    changed |= head.restrict_lengths({c.length for c in live})
-    if head.empty():
-        return None
-    return changed
-
-
-def _resource_sets(model: Model):
-    """Vars claiming each qubit, tagged with whether they occupy it outright.
-
-    Under crosstalk a 2-qubit gate also shadows every neighbor of its
-    endpoints; a shadow claim conflicts with an occupying claim but two
-    shadow claims on the same qubit may coexist."""
-    chip = model.instance.chip
-    crosstalk = model.instance.variant == inst.QCC_X
-    sets: dict[int, list[tuple[OptionalIntervalVar, bool]]] = \
-        {q: [] for q in chip.qubits}
-
-    def claim(var, qubits, pair=None):
-        for q in qubits:
-            sets[q].append((var, True))
-        if crosstalk and pair is not None:
-            for q in chip.crosstalk_zone(*pair):
-                sets[q].append((var, False))
-
-    for pair, replicas in model.swap_vars.items():
-        for var in replicas:
-            claim(var, pair, pair)
-    for pair, per_goal in model.ps_vars.items():
-        for var in per_goal.values():
-            claim(var, pair, pair)
-    for (s, q), var in model.mix_slot_vars.items():
-        claim(var, (q,))
-    return sets
+def build_model(instance: Instance, swap_multiplier: int = 1) -> Model:
+    """The spec for ``instance``: the sequential horizon and the swap cap."""
+    return Model(instance, horizon_bound(instance),
+                 swap_task_bound(instance, swap_multiplier))
 
 
 def propagate(model: Model) -> str:
-    """Run domain filtering to fixpoint; CONFLICT when any domain empties.
+    """Root check of the horizon; CONFLICT when no goal can finish by it.
 
-    Filtering covers: makespan links on the goal intervals, exactly-one
-    synchronization between goals/mixes and their candidate slots, the
-    replica usage chain on each swap gate, the stage-separation precedences,
-    and per-qubit disjunctive reasoning (pairwise ordering plus a whole-set
-    overload check on present tasks).
-    """
-    instance = model.instance
-    resources = _resource_sets(model)
-    while True:
-        changed = False
-        # swap replicas are consumed in order: using slot m+1 implies slot m
-        for replicas in model.swap_vars.values():
-            for earlier, later in zip(replicas, replicas[1:]):
-                if later.presence == PRESENT and earlier.presence != PRESENT:
-                    if earlier.presence == ABSENT:
-                        return CONFLICT
-                    earlier.presence = PRESENT
-                    changed = True
-                if earlier.presence == ABSENT and later.presence != ABSENT:
-                    later.presence = ABSENT
-                    changed = True
-        # each goal runs as exactly one of its per-gate candidates
-        for g, head in model.goal_vars.items():
-            result = _sync_alternative(head, model.ps_candidates(g))
-            if result is None:
-                return CONFLICT
-            changed |= result
-        # each state's mix runs as exactly one of its per-qubit slots
-        for s, head in model.mix_vars.items():
-            result = _sync_alternative(head, model.mix_candidates(s))
-            if result is None:
-                return CONFLICT
-            changed |= result
-        # the makespan covers every goal completion
-        for head in model.goal_vars.values():
-            if head.end_min > model.makespan_min:
-                model.makespan_min = head.end_min
-                changed = True
-            changed |= head.tighten_end_max(model.makespan_max)
-            if head.empty():
-                return CONFLICT
-        # a state's mix sits between its stage-1 and stage-2 goals
-        if instance.stages == 2:
-            for g, head in model.goal_vars.items():
-                pair = instance.goal_pair(g)
-                if instance.goal_stage(g) == 1:
-                    for s in pair:
-                        mix = model.mix_vars[s]
-                        changed |= mix.tighten_start_min(head.end_min)
-                        changed |= head.tighten_end_max(mix.start_max)
-                        if mix.empty() or head.empty():
-                            return CONFLICT
-                else:
-                    for s in pair:
-                        mix = model.mix_vars[s]
-                        changed |= head.tighten_start_min(mix.end_min)
-                        changed |= mix.tighten_end_max(head.start_max)
-                        if mix.empty() or head.empty():
-                            return CONFLICT
-        # disjunctive reasoning per qubit over present tasks
-        for tasks in resources.values():
-            present = [(v, occ) for v, occ in tasks if v.presence == PRESENT]
-            for i, (a, occ_a) in enumerate(present):
-                for b, occ_b in present[i + 1:]:
-                    if not occ_a and not occ_b:
-                        continue   # two shadow claims may coexist
-                    a_first = a.end_min <= b.start_max
-                    b_first = b.end_min <= a.start_max
-                    if not a_first and not b_first:
-                        return CONFLICT
-                    if not a_first:
-                        changed |= a.tighten_start_min(b.end_min)
-                    if not b_first:
-                        changed |= b.tighten_start_min(a.end_min)
-            occupiers = [v for v, occ in present if occ]
-            if len(occupiers) >= 2:
-                lo = min(v.start_min for v in occupiers)
-                hi = max(v.end_max for v in occupiers)
-                if sum(v.length_min for v in occupiers) > hi - lo:
-                    return CONFLICT
-            for v, _ in present:
-                if v.empty():
-                    return CONFLICT
-        if not changed:
-            return FIXPOINT
-
-
-# ---------------------------------------------------------------------------
-# assignments (schedule <-> model mapping)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A complete solution: a start time for every present slot."""
-
-    starts: dict[str, int]           # var name -> start
-    present: frozenset[str]
-    init_placement: tuple[int, ...] | None  # state held by qubit q at index q-1
-    makespan: int
-    swap_count: int
-
-    def objective(self) -> tuple[int, int]:
-        return (self.makespan, self.swap_count)
-
-
-def _map_tasks(model: Model, schedule: Schedule):
-    """Bind each scheduled task to a model slot; returns (bindings, reasons).
-
-    bindings: list of (var, task). Swap tasks consume a gate's replica slots
-    in increasing start order so the usage chain holds by construction.
+    Every goal needs at least the shortest PS gate; with two stages its
+    states also need a mix between the two PS gates.
     """
     instance = model.instance
     chip = instance.chip
+    need = chip.min_ps_duration
+    if instance.stages == 2:
+        need = 2 * chip.min_ps_duration + chip.mix_duration
+    if instance.goals and need > model.horizon:
+        return CONFLICT
+    return FIXPOINT
+
+
+# ---------------------------------------------------------------------------
+# the independent checker (schedule -> spec slots)
+
+
+def _map_tasks(model: Model, schedule: Schedule):
+    """Bind each scheduled task to a slot; returns (bindings, placement,
+    reasons).
+
+    bindings: list of (slot name, slot duration, task). Swap tasks take a
+    gate's replica indices in increasing start order.
+    """
+    instance = model.instance
+    chip = instance.chip
+    free_placement = instance.variant == inst.QCC_I
+    swap_gates = {e.pair for e in chip.swap_edges}
+    ps_gates = {e.pair: e for e in chip.edges}
     reasons: list[str] = []
-    bindings: list[tuple[OptionalIntervalVar, GateTask]] = []
+    bindings: list[tuple[str, int, GateTask]] = []
     init_states: dict[int, int] = {}
 
     swaps_by_gate: dict[tuple[int, int], list[GateTask]] = {}
@@ -400,7 +105,7 @@ def _map_tasks(model: Model, schedule: Schedule):
     for t in schedule.tasks:
         if t.kind == "swap":
             pair = t.location if isinstance(t.location, tuple) else None
-            if pair not in model.swap_vars:
+            if pair not in swap_gates:
                 reasons.append(f"no swap gate at {t.location}")
                 continue
             swaps_by_gate.setdefault(pair, []).append(t)
@@ -420,7 +125,7 @@ def _map_tasks(model: Model, schedule: Schedule):
                 continue
             mixes_by_state.setdefault(s, []).append(t)
         elif t.kind == "init":
-            if not model.free_placement:
+            if not free_placement:
                 reasons.append("init task in a fixed-placement model")
             elif not isinstance(t.location, int) or t.location not in chip.qubits:
                 reasons.append(f"init task on unknown qubit {t.location}")
@@ -432,24 +137,25 @@ def _map_tasks(model: Model, schedule: Schedule):
             reasons.append(f"unknown task kind {t.kind!r}")
 
     for pair, tasks in swaps_by_gate.items():
-        replicas = model.swap_vars[pair]
-        if len(tasks) > len(replicas):
+        if len(tasks) > model.swap_cap:
             reasons.append(f"{len(tasks)} swaps on gate {pair} exceed the "
-                           f"{len(replicas)} replica slots")
+                           f"{model.swap_cap} replica slots")
             continue
-        for var, t in zip(replicas, sorted(tasks, key=lambda t: t.start)):
-            bindings.append((var, t))
+        for m, t in enumerate(sorted(tasks, key=lambda t: t.start)):
+            bindings.append((f"swap[{pair[0]},{pair[1]}]#{m}",
+                             chip.swap_duration, t))
     for g in range(1, instance.total_goals + 1):
         tasks = ps_by_goal.get(g, [])
         if len(tasks) != 1:
             reasons.append(f"goal {g} has {len(tasks)} ps tasks, needs exactly 1")
             continue
         t = tasks[0]
-        pair = t.location if isinstance(t.location, tuple) else None
-        if pair not in model.ps_vars:
+        edge = ps_gates.get(t.location) if isinstance(t.location, tuple) \
+            else None
+        if edge is None:
             reasons.append(f"ps task for goal {g} on non-edge {t.location}")
             continue
-        bindings.append((model.ps_vars[pair][g], t))
+        bindings.append((f"ps[{edge.u},{edge.v}]@{g}", edge.ps_duration, t))
     if instance.stages == 2:
         for s in range(1, instance.state_count + 1):
             tasks = mixes_by_state.get(s, [])
@@ -460,10 +166,10 @@ def _map_tasks(model: Model, schedule: Schedule):
             if not isinstance(t.location, int) or t.location not in chip.qubits:
                 reasons.append(f"mix of state {s} on unknown qubit {t.location}")
                 continue
-            bindings.append((model.mix_slot_vars[(s, t.location)], t))
+            bindings.append((f"mix[{s}]@q{t.location}", chip.mix_duration, t))
 
     init_placement = None
-    if model.free_placement:
+    if free_placement:
         missing = set(chip.qubits) - set(init_states)
         if missing:
             reasons.append(f"qubits {sorted(missing)} have no init task")
@@ -481,8 +187,8 @@ def _trace_states(instance: Instance, bindings, init_placement):
     else:
         states = {q: q for q in instance.chip.qubits}
     at_start = {}
-    for var, t in sorted(bindings, key=lambda b: (b[1].start, b[1].qubits)):
-        at_start[var.name] = tuple(states[q] for q in t.qubits)
+    for name, _, t in sorted(bindings, key=lambda b: (b[2].start, b[2].qubits)):
+        at_start[name] = tuple(states[q] for q in t.qubits)
         if t.kind == "swap":
             u, v = t.location
             states[u], states[v] = states[v], states[u]
@@ -490,53 +196,51 @@ def _trace_states(instance: Instance, bindings, init_placement):
 
 
 def check_assignment(model: Model, schedule: Schedule):
-    """Evaluate every model constraint against a schedule; (ok, reasons)."""
+    """Evaluate every rule against a schedule's slots; (ok, reasons)."""
     instance = model.instance
     chip = instance.chip
     bindings, init_placement, reasons = _map_tasks(model, schedule)
 
-    for var, t in bindings:
-        if t.duration != var.length:
-            reasons.append(f"{var.name}: duration {t.duration} != {var.length}")
-        if t.start < 0 or t.start + var.length > model.horizon:
-            reasons.append(f"{var.name}: window [{t.start}, "
+    for name, length, t in bindings:
+        if t.duration != length:
+            reasons.append(f"{name}: duration {t.duration} != {length}")
+        if t.start < 0 or t.start + length > model.horizon:
+            reasons.append(f"{name}: window [{t.start}, "
                            f"{t.start + t.duration}) outside [0, {model.horizon}]")
 
     # disjunctive resources (with the crosstalk extension when applicable)
     crosstalk = instance.variant == inst.QCC_X
-    per_qubit: dict[int, list[tuple[OptionalIntervalVar, GateTask, bool]]] = \
+    per_qubit: dict[int, list[tuple[str, GateTask, bool]]] = \
         {q: [] for q in chip.qubits}
-    for var, t in bindings:
+    for name, _, t in bindings:
         for q in t.qubits:
             if q in per_qubit:
-                per_qubit[q].append((var, t, True))
+                per_qubit[q].append((name, t, True))
         if crosstalk and isinstance(t.location, tuple):
             for q in chip.crosstalk_zone(*t.location):
                 if q in per_qubit:
-                    per_qubit[q].append((var, t, False))
+                    per_qubit[q].append((name, t, False))
     for q, entries in per_qubit.items():
-        for i, (va, ta, occ_a) in enumerate(entries):
-            for vb, tb, occ_b in entries[i + 1:]:
-                if ((occ_a or occ_b) and va is not vb
-                        and ta.overlaps(tb)):
-                    reasons.append(f"{va.name} and {vb.name} collide "
-                                   f"on qubit {q}")
+        for i, (na, ta, occ_a) in enumerate(entries):
+            for nb, tb, occ_b in entries[i + 1:]:
+                if (occ_a or occ_b) and na != nb and ta.overlaps(tb):
+                    reasons.append(f"{na} and {nb} collide on qubit {q}")
 
     # goal endpoints must hold the goal's state pair at gate start
     at_start = _trace_states(instance, bindings, init_placement)
-    for var, t in bindings:
+    for name, _, t in bindings:
         if t.kind != "ps":
             continue
         pair = instance.goal_pair(t.goal_index)
-        held = at_start.get(var.name, ())
+        held = at_start.get(name, ())
         if set(held) != set(pair):
-            reasons.append(f"{var.name}: goal {t.goal_index} needs states "
+            reasons.append(f"{name}: goal {t.goal_index} needs states "
                            f"{pair}, found {held}")
 
     # each state's mix sits between its stage-1 and stage-2 goals
     if instance.stages == 2:
-        ps_of = {t.goal_index: t for _, t in bindings if t.kind == "ps"}
-        mix_of = {t.state: t for _, t in bindings if t.kind == "mix"}
+        ps_of = {t.goal_index: t for _, _, t in bindings if t.kind == "ps"}
+        mix_of = {t.state: t for _, _, t in bindings if t.kind == "mix"}
         for g, t in ps_of.items():
             for s in instance.goal_pair(g):
                 m = mix_of.get(s)
@@ -550,56 +254,23 @@ def check_assignment(model: Model, schedule: Schedule):
                                    f"state {s} ends")
 
     # objective channel consistency
-    goal_ends = [t.end for _, t in bindings if t.kind == "ps"]
+    goal_ends = [t.end for _, _, t in bindings if t.kind == "ps"]
     if schedule.makespan != max(goal_ends, default=0):
         reasons.append(f"stored makespan {schedule.makespan} != "
                        f"{max(goal_ends, default=0)}")
-    swaps = sum(1 for _, t in bindings if t.kind == "swap")
+    swaps = sum(1 for _, _, t in bindings if t.kind == "swap")
     if schedule.swap_count != swaps:
         reasons.append(f"stored swap count {schedule.swap_count} != {swaps}")
 
     return (not reasons), tuple(reasons)
 
 
-def warm_start(model: Model, schedule: Schedule) -> Assignment:
-    """Bind a known-good schedule to model slots; hard error on divergence."""
+def warm_start(model: Model, schedule: Schedule) -> None:
+    """Check a known-good schedule against the spec; hard error on divergence."""
     ok, reasons = check_assignment(model, schedule)
     if not ok:
         raise ModelError("warm-start schedule violates the model: "
                          + "; ".join(reasons))
-    bindings, init_placement, _ = _map_tasks(model, schedule)
-    return Assignment(
-        starts={var.name: t.start for var, t in bindings},
-        present=frozenset(var.name for var, _ in bindings),
-        init_placement=init_placement,
-        makespan=schedule.makespan,
-        swap_count=schedule.swap_count,
-    )
-
-
-def decode_assignment(model: Model, assignment: Assignment) -> Schedule:
-    """Rebuild the concrete schedule from a complete assignment."""
-    instance = model.instance
-    chip = instance.chip
-    tasks: list[GateTask] = []
-    for pair, replicas in model.swap_vars.items():
-        for var in replicas:
-            if var.name in assignment.present:
-                tasks.append(swap_task(*pair, assignment.starts[var.name],
-                                       chip.swap_duration))
-    for pair, per_goal in model.ps_vars.items():
-        for g, var in per_goal.items():
-            if var.name in assignment.present:
-                tasks.append(ps_task(*pair, assignment.starts[var.name],
-                                     var.length, g))
-    for (s, q), var in model.mix_slot_vars.items():
-        if var.name in assignment.present:
-            tasks.append(mix_task(q, assignment.starts[var.name],
-                                  chip.mix_duration, s))
-    if assignment.init_placement is not None:
-        for q, s in zip(chip.qubits, assignment.init_placement):
-            tasks.append(init_task(q, s))
-    return Schedule.from_tasks(tasks, instance_id=instance.instance_id)
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +322,8 @@ def search(model: Model, incumbent: Schedule | None = None,
     """Chronological depth-first branch-and-bound to proven optimality.
 
     At each event time the search branches over every compatible set of gate
-    starts (thereby deciding which PS candidate hosts each goal, how many
-    swap replicas each gate uses, and the full event order), prunes against
+    starts (thereby deciding which edge hosts each goal, how many swaps each
+    gate runs up to the cap, and the full event order), prunes against
     the lexicographic (makespan, swaps) incumbent with an admissible
     lower bound, and memoizes dominated configurations.  Exhaustion yields
     ``optimal`` (or ``infeasible`` with no solution); hitting the node or
@@ -678,9 +349,10 @@ class _Engine:
         self.dist = all_pairs_distances(self.chip)
         self.zones = {e.pair: self.chip.crosstalk_zone(e.u, e.v)
                       for e in self.chip.edges}
-        self.gate_order = sorted(model.swap_vars)
+        self.free_placement = self.instance.variant == inst.QCC_I
+        self.gate_order = sorted(e.pair for e in self.chip.swap_edges)
         self.gate_idx = {pair: i for i, pair in enumerate(self.gate_order)}
-        self.swap_cap = model.bounds.swaps_per_gate
+        self.swap_cap = model.swap_cap
         self.goal_states = sorted({s for g in self.instance.goals for s in g})
         self.all_goals = frozenset(range(1, self.instance.total_goals + 1))
         self.budget_s = budget_s
@@ -722,7 +394,7 @@ class _Engine:
     # -- setup ------------------------------------------------------------
     def _initial_mappings(self):
         alpha = self.chip.qubit_count
-        if not self.model.free_placement:
+        if not self.free_placement:
             yield tuple(range(1, alpha + 1))
             return
         others = [s for s in range(1, alpha + 1) if s not in self.goal_states]
@@ -794,15 +466,10 @@ class _Engine:
 
         candidates = self._candidates(t, mapping, running, pending, mixed,
                                       counts)
-        self._choose(t, mapping, running, pending, mixed, counts, committed,
-                     candidates, 0, [])
-
-    def _choose(self, t, mapping, running, pending, mixed, counts, committed,
-                candidates, idx, chosen):
-        if idx == len(candidates):
-            active = running + tuple(chosen)
+        for chosen in self._subsets(candidates):
+            active = running + chosen
             if not active:
-                return           # idle forever: dead end
+                continue         # idle forever: dead end
             new_counts = counts
             added = [c for c in chosen if c.kind == "swap"]
             if added:
@@ -816,15 +483,24 @@ class _Engine:
                          committed)
             if chosen:
                 del committed[-len(chosen):]
-            return
-        task = candidates[idx]
-        if self._compatible(task, chosen):
-            chosen.append(task)
-            self._choose(t, mapping, running, pending, mixed, counts,
-                         committed, candidates, idx + 1, chosen)
-            chosen.pop()
-        self._choose(t, mapping, running, pending, mixed, counts, committed,
-                     candidates, idx + 1, chosen)
+
+    def _subsets(self, candidates):
+        """Every pairwise-compatible subset of the candidates, depth first,
+        each candidate taken before it is left out.
+
+        The explicit stack keeps the Python stack one frame per event time,
+        however many candidates an event has.
+        """
+        stack = [(0, ())]
+        while stack:
+            idx, chosen = stack.pop()
+            if idx == len(candidates):
+                yield chosen
+                continue
+            task = candidates[idx]
+            stack.append((idx + 1, chosen))
+            if self._compatible(task, chosen):
+                stack.append((idx + 1, chosen + (task,)))
 
     # -- leaf handling ----------------------------------------------------
     def _complete(self, committed, mapping):
@@ -834,7 +510,7 @@ class _Engine:
             for s in range(1, self.instance.state_count + 1):
                 if s not in mixed_states:
                     tasks.append(self._place_trailing_mix(s, tasks))
-        if self.model.free_placement:
+        if self.free_placement:
             root = self._root_mapping
             for q in self.chip.qubits:
                 tasks.append(init_task(q, root[q - 1]))

@@ -1,5 +1,6 @@
 import pytest
 
+from qcsched import bench
 from qcsched.bench import (MatrixResult, gen_suite, goals_from_density,
                            run_matrix)
 from qcsched.hybrid import read_report
@@ -74,12 +75,32 @@ def test_matrix_rejects_bad_input(tmp_path, chip):
         run_matrix(suite, ["warp-drive"], 1.0, tmp_path)
 
 
-def test_matrix_with_workers(tmp_path, chip):
+def test_matrix_reports_round_trip(tmp_path, chip):
     suite = gen_suite(chip, 2, 1, "qcc", 1, seed=6)
     result = run_matrix(suite, ["router"], budget_s=0.2, out_dir=tmp_path,
-                        seed=6, workers=2)
+                        seed=6)
     assert all(r.final is not None for r in result.reports.values())
     # stored reports round-trip through the file format
     for (iid, engine), report in result.reports.items():
         stored = read_report(tmp_path / f"{iid}-{engine}.json")
         assert stored.instance_id == report.instance_id
+
+
+def test_errors_are_counted_not_scored(tmp_path, chip, monkeypatch):
+    def broken(instance, engine, *args, **kwargs):
+        if engine == "cp":
+            raise RuntimeError("solver blew up")
+        return real(instance, engine, *args, **kwargs)
+
+    real = bench.run_engine
+    monkeypatch.setattr(bench, "run_engine", broken)
+    suite = gen_suite(chip, 2, 1, "qcc", 1, seed=8)
+    result = run_matrix(suite, ["router", "cp"], budget_s=0.2,
+                        out_dir=tmp_path, seed=8)
+    assert result.errors("cp") == 2 and result.errors("router") == 0
+    assert result.errors("cp", ("qcc", 1)) == 2
+    report = read_report(tmp_path / f"{suite[0].instance_id}-cp.json")
+    assert report.status == "error: RuntimeError: solver blew up"
+    rows = {line.split()[1]: line.split()
+            for line in result.table().splitlines()[1:]}
+    assert rows["cp"][-1] == "2" and rows["router"][-1] == "0"

@@ -1,5 +1,4 @@
-from qcsched.bounds import (compute_bounds, horizon_bound, max_swap_distance,
-                            ps_task_bound, swap_task_bound)
+from qcsched.bounds import horizon_bound, max_swap_distance, swap_task_bound
 from qcsched.instance import Instance, build_grid_chip, build_preset_chip
 
 
@@ -37,20 +36,8 @@ def test_horizon_no_goals():
 def test_task_bounds():
     chip = build_preset_chip("rigetti-8")
     one = _instance(chip, ((1, 2), (3, 4), (5, 6), (7, 8), (1, 3)))
-    assert ps_task_bound(one) == 5
     assert swap_task_bound(one) == 5
     two = _instance(chip, ((1, 2), (3, 4)), stages=2)
-    assert ps_task_bound(two) == 4
     assert swap_task_bound(two) == 4
     assert swap_task_bound(two, multiplier=3) == 12
 
-
-def test_compute_bounds_wiring():
-    chip = build_preset_chip("rigetti-8")
-    instance = _instance(chip, ((3, 4),))
-    bounds = compute_bounds(instance)
-    assert bounds.horizon == horizon_bound(instance)
-    assert bounds.swaps_per_gate == 1
-    assert bounds.ps_tasks_per_gate == 1
-    assert bounds.max_swap_distance == 3
-    assert bounds.max_ps_duration == 4

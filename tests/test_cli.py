@@ -102,3 +102,21 @@ def test_bench_writes_table(tmp_path, capsys):
     assert table == capsys.readouterr().out
     assert "qcc/s1" in table and "qcc-x/s1" in table
     assert "router" in table and "cp" in table
+
+
+def test_bench_exits_nonzero_on_errors(tmp_path, capsys, monkeypatch):
+    from qcsched import bench
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(bench, "run_engine", broken)
+    out = tmp_path / "bench"
+    assert main(["bench", "--chip", "grid:2", "--goals", "1", "--count", "2",
+                 "--engine", "cp", "--budget", "0.2",
+                 "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    table = (out / "table.txt").read_text()
+    assert table == captured.out
+    assert table.splitlines()[1].split()[-1] == "2"
+    assert "2 cell(s) raised" in captured.err

@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
-from qcsched.bounds import BoundSet, compute_bounds
-from qcsched.cpsolver import (ABSENT, CONFLICT, FIXPOINT, INFEASIBLE,
-                              ModelError, OPTIMAL, PRESENT, TIMEOUT,
-                              build_model, check_assignment,
-                              decode_assignment, propagate, search,
-                              warm_start)
+from qcsched.bounds import horizon_bound
+from qcsched.cpsolver import (CONFLICT, FIXPOINT, INFEASIBLE, ModelError,
+                              OPTIMAL, TIMEOUT, build_model, check_assignment,
+                              propagate, search, warm_start)
 from qcsched.fixtures import worked_example
 from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
                               generate_instance)
@@ -23,62 +23,55 @@ def test_model_variable_counts():
     chip = build_preset_chip("rigetti-8")
     instance = generate_instance(chip, 5, stages=1, variant="qcc", seed=0)
     model = build_model(instance)
-    assert all(len(v) == 5 for v in model.swap_vars.values())
-    assert all(len(v) == 5 for v in model.ps_vars.values())
-    assert len(model.goal_vars) == 5
-    assert not model.mix_vars
-    assert "swap-replica-chain" in model.constraints
-    assert "initial-placement-fixed" in model.constraints
+    assert model.swap_cap == 5
+    assert model.horizon == horizon_bound(instance)
+    assert build_model(instance, swap_multiplier=3).swap_cap == 15
 
 
 def test_model_two_stage_counts():
     chip = build_grid_chip(2)
     instance = generate_instance(chip, 2, stages=2, variant="qcc", seed=0)
     model = build_model(instance)
-    assert all(len(v) == 4 for v in model.swap_vars.values())
-    assert len(model.goal_vars) == 4
-    assert len(model.mix_vars) == 4
-    assert len(model.mix_slot_vars) == 16
-    assert "mix-separation" in model.constraints
+    assert model.swap_cap == 4
+    assert model.horizon == horizon_bound(instance)
 
 
 def test_model_free_placement_tag():
     chip = build_grid_chip(2)
     instance = generate_instance(chip, 1, stages=1, variant="qcc-i", seed=0)
-    model = build_model(instance)
-    assert "initial-all-different" in model.constraints
-    assert model.free_placement
+    result = search(build_model(instance))
+    inits = [t for t in result.best.tasks if t.kind == "init"]
+    assert len(inits) == chip.qubit_count
+    # the same init tasks are rejected when the placement is fixed
+    fixed = replace(instance, variant="qcc", initial_mapping="identity")
+    ok, reasons = check_assignment(build_model(fixed), result.best)
+    assert not ok
+    assert any("fixed-placement" in r for r in reasons)
 
 
 def test_propagate_overload_conflict():
-    chip = build_grid_chip(2)
-    instance = generate_instance(chip, 2, stages=1, variant="qcc", seed=0)
+    chip = build_grid_chip(2, "all-blue")
+    instance = Instance(chip=chip, goals=((1, 2),))
     model = build_model(instance)
-    replicas = next(iter(model.swap_vars.values()))
-    for var in replicas[:2]:       # two 2-cycle swaps into a 3-cycle window
-        var.presence = PRESENT
-        var.start_min, var.start_max, var.end_max = 0, 1, 3
-    assert propagate(model) == CONFLICT
-
-
-def test_propagate_forces_last_candidate(example):
-    instance, _ = example
-    model = build_model(instance)
-    candidates = model.ps_candidates(1)
-    for var in candidates[1:]:
-        var.presence = ABSENT
     assert propagate(model) == FIXPOINT
-    assert candidates[0].presence == PRESENT
+    fits = replace(model, horizon=chip.min_ps_duration)
+    assert propagate(fits) == FIXPOINT
+    short = replace(model, horizon=chip.min_ps_duration - 1)
+    assert propagate(short) == CONFLICT
+    result = search(short)
+    assert (result.status, result.best, result.nodes) == (INFEASIBLE, None, 0)
 
 
-def test_propagate_deadline_tightens_candidates(example):
-    instance, _ = example
+def test_propagate_two_stage_needs_mix_between_gates():
+    chip = build_grid_chip(2, "all-blue")
+    instance = Instance(chip=chip, goals=((1, 2),), stages=2)
+    need = 2 * chip.min_ps_duration + chip.mix_duration
     model = build_model(instance)
-    model.goal_vars[1].tighten_end_max(9)
-    assert propagate(model) == FIXPOINT
-    for var in model.ps_candidates(1):
-        if var.presence != ABSENT:
-            assert var.start_max <= 9 - var.length
+    assert propagate(replace(model, horizon=need)) == FIXPOINT
+    assert propagate(replace(model, horizon=need - 1)) == CONFLICT
+    # with no goals nothing has to fit
+    empty = build_model(Instance(chip=chip, goals=(), stages=2))
+    assert propagate(replace(empty, horizon=0)) == FIXPOINT
 
 
 def test_search_proves_worked_example(example):
@@ -109,12 +102,9 @@ def test_search_zero_budget_keeps_incumbent(example):
 def test_search_infeasible_on_tiny_horizon():
     chip = build_grid_chip(2, "all-blue")
     instance = Instance(chip=chip, goals=((1, 4),))
-    bounds = compute_bounds(instance)
-    tight = BoundSet(horizon=4, swaps_per_gate=bounds.swaps_per_gate,
-                     ps_tasks_per_gate=bounds.ps_tasks_per_gate,
-                     max_swap_distance=bounds.max_swap_distance,
-                     max_ps_duration=bounds.max_ps_duration)
-    result = search(build_model(instance, tight))
+    tight = replace(build_model(instance), horizon=4)
+    assert propagate(tight) == FIXPOINT    # one gate fits; the swap does not
+    result = search(tight)
     assert result.status == INFEASIBLE
     assert result.best is None
 
@@ -137,16 +127,6 @@ def test_incumbents_strictly_improve():
         assert b < a
     for item in result.incumbents:
         assert validate(instance, item.schedule).valid
-
-
-def test_warm_start_roundtrip(example):
-    instance, _ = example
-    model = build_model(instance)
-    schedule = solve_greedy(instance, seed=3)
-    assignment = warm_start(model, schedule)
-    decoded = decode_assignment(model, assignment)
-    assert set(decoded.tasks) == set(schedule.tasks)
-    assert decoded.objective() == schedule.objective()
 
 
 def test_warm_start_rejects_divergent(example):
@@ -208,3 +188,13 @@ def test_search_with_baseline_warm_start_matches_oracle():
     result = search(build_model(instance), incumbent=warm)
     assert result.status == OPTIMAL
     assert result.best.makespan == optimal_makespan(instance)
+
+
+def test_many_candidates_do_not_exhaust_the_stack():
+    # rigetti-21 with 10 goals offers hundreds of gate candidates per event;
+    # enumerating their subsets must not recurse once per candidate
+    chip = build_preset_chip("rigetti-21")
+    instance = generate_instance(chip, 10, stages=2, variant="qcc-x", seed=0)
+    result = search(build_model(instance), node_budget=1000)
+    assert result.status == TIMEOUT
+    assert result.nodes == 1000
