@@ -347,8 +347,7 @@ class _Engine:
         self.tau_mix = self.chip.mix_duration
         self.min_ps = self.chip.min_ps_duration
         self.dist = all_pairs_distances(self.chip)
-        self.zones = {e.pair: self.chip.crosstalk_zone(e.u, e.v)
-                      for e in self.chip.edges}
+        self.zones = self.chip.crosstalk_zones
         self.free_placement = self.instance.variant == inst.QCC_I
         self.gate_order = sorted(e.pair for e in self.chip.swap_edges)
         self.gate_idx = {pair: i for i, pair in enumerate(self.gate_order)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -58,6 +59,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class Chip:
+    """Qubits 1..qubit_count joined by colored gate edges.
+
+    Tables that depend only on the graph (edge lookup, neighbors, the swap
+    adjacency, all-pairs swap distances, crosstalk zones) are computed on
+    first use and cached on the instance; callers must not mutate them.
+    They are not fields, so two chips with the same graph compare equal.
+    """
+
     qubit_count: int
     edges: tuple[Edge, ...]
     side_length: int
@@ -108,17 +117,45 @@ class Chip:
     def edge_map(self) -> dict[tuple[int, int], Edge]:
         return {e.pair: e for e in self.edges}
 
-    @cached_property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
+    def _adjacency(self, edges) -> dict[int, tuple[int, ...]]:
         adj: dict[int, list[int]] = {q: [] for q in self.qubits}
-        for e in self.edges:
+        for e in edges:
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
         return {q: tuple(sorted(ns)) for q, ns in adj.items()}
 
     @cached_property
+    def neighbors(self) -> dict[int, tuple[int, ...]]:
+        return self._adjacency(self.edges)
+
+    @cached_property
     def swap_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.swap_enabled)
+
+    @cached_property
+    def swap_neighbors(self) -> dict[int, tuple[int, ...]]:
+        return self._adjacency(self.swap_edges)
+
+    @cached_property
+    def swap_distances(self) -> dict[int, dict[int, int]]:
+        """Swap-edge hop counts, source -> {reachable qubit: distance}."""
+        out = {}
+        for source in self.qubits:
+            dist = {source: 0}
+            queue = deque([source])
+            while queue:
+                q = queue.popleft()
+                for n in self.swap_neighbors[q]:
+                    if n not in dist:
+                        dist[n] = dist[q] + 1
+                        queue.append(n)
+            out[source] = dist
+        return out
+
+    @cached_property
+    def crosstalk_zones(self) -> dict[tuple[int, int], frozenset[int]]:
+        return {e.pair: frozenset(self.neighbors[e.u] + self.neighbors[e.v])
+                - {e.u, e.v} for e in self.edges}
 
     @cached_property
     def max_ps_duration(self) -> int:
@@ -133,10 +170,7 @@ class Chip:
 
     def crosstalk_zone(self, u: int, v: int) -> frozenset[int]:
         """Qubits disabled while a 2-qubit gate runs on edge (u, v)."""
-        zone = set(self.neighbors[u]) | set(self.neighbors[v])
-        zone.discard(u)
-        zone.discard(v)
-        return frozenset(zone)
+        return self.crosstalk_zones[(min(u, v), max(u, v))]
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,7 @@ class _Searcher:
         self.min_ps = self.chip.min_ps_duration
         self.all_goals = frozenset(range(1, instance.total_goals + 1))
         self.goal_states = sorted({s for g in instance.goals for s in g})
-        self.zones = {e.pair: self.chip.crosstalk_zone(e.u, e.v)
-                      for e in self.chip.edges}
+        self.zones = self.chip.crosstalk_zones
 
     # -- initial mappings -------------------------------------------------
     def initial_mappings(self):

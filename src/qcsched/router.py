@@ -10,53 +10,34 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import instance as inst
 from .instance import Chip, Instance
-from .schedule import (GateTask, Schedule, SWAP, PS, MIX, init_task, mix_task,
-                       ps_task, swap_task, TWO_QUBIT_KINDS)
+from .schedule import (GateTask, Schedule, TWO_QUBIT_KINDS, init_task,
+                       mix_task, ps_task, swap_task)
 
 
 class RoutingError(ValueError):
     """A goal's states cannot be brought together over swap-enabled edges."""
 
 
-def swap_adjacency(chip: Chip) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = {q: [] for q in chip.qubits}
-    for e in chip.swap_edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    return {q: tuple(sorted(ns)) for q, ns in adj.items()}
-
-
-def bfs_distances(chip: Chip, source: int,
-                  adj: dict[int, tuple[int, ...]] | None = None) -> dict[int, int]:
-    if adj is None:
-        adj = swap_adjacency(chip)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        q = queue.popleft()
-        for n in adj[q]:
-            if n not in dist:
-                dist[n] = dist[q] + 1
-                queue.append(n)
-    return dist
+def bfs_distances(chip: Chip, source: int) -> dict[int, int]:
+    """Swap-edge hop counts from source to every qubit it can reach."""
+    return chip.swap_distances[source]
 
 
 def all_pairs_distances(chip: Chip) -> dict[int, dict[int, int]]:
-    adj = swap_adjacency(chip)
-    return {q: bfs_distances(chip, q, adj) for q in chip.qubits}
+    """The chip's cached swap-distance table; read it, do not mutate it."""
+    return chip.swap_distances
 
 
 def shortest_path(chip: Chip, a: int, b: int,
                   rng: random.Random | None = None) -> list[int]:
     """A shortest swap path from a to b; rng picks among equal-length ones."""
-    adj = swap_adjacency(chip)
-    dist = bfs_distances(chip, b, adj)
+    adj = chip.swap_neighbors
+    dist = chip.swap_distances[b]
     if a not in dist:
         raise RoutingError(f"no swap path between qubits {a} and {b}")
     path = [a]
@@ -69,49 +50,55 @@ def shortest_path(chip: Chip, a: int, b: int,
 
 
 class _Timeline:
-    """Committed tasks plus per-qubit release times and conflict pushing."""
+    """Per-qubit release times, plus crosstalk intervals under qcc-x.
+
+    A qubit's release time is the latest end of its committed tasks, so a
+    probe that starts at its qubits' release times never overlaps their own
+    tasks. Without crosstalk that start is the answer. Under qcc-x a
+    two-qubit probe also clashes with the tasks on its zone's qubits
+    (``busy``). That covers every two-qubit task whose zone holds one of the
+    probe's qubits, since such a task runs on a neighbor of that qubit. A
+    one-qubit probe clashes with the two-qubit tasks whose zone holds its
+    qubit (``blocked``). The probe jumps past the latest clashing end until
+    nothing clashes.
+    """
 
     def __init__(self, instance: Instance):
-        self.instance = instance
         self.chip = instance.chip
         self.crosstalk = instance.variant == inst.QCC_X
         self.ready = {q: 0 for q in instance.chip.qubits}
-        self.tasks: list[GateTask] = []
-
-    def _zone(self, task_or_loc) -> frozenset[int]:
-        loc = task_or_loc.location if isinstance(task_or_loc, GateTask) else task_or_loc
-        return self.chip.crosstalk_zone(*loc)
-
-    def _conflicts(self, qubits: set[int], zone: frozenset[int],
-                   start: int, end: int, task: GateTask) -> bool:
-        if task.start >= end or start >= task.end:
-            return False
-        tq = set(task.qubits)
-        if qubits & tq:
-            return True
-        if self.crosstalk:
-            if zone & tq:
-                return True
-            if task.kind in TWO_QUBIT_KINDS and self._zone(task) & qubits:
-                return True
-        return False
+        self.busy: dict[int, list[tuple[int, int]]] = \
+            {q: [] for q in instance.chip.qubits}
+        self.blocked: dict[int, list[tuple[int, int]]] = \
+            {q: [] for q in instance.chip.qubits}
 
     def earliest(self, qubits: set[int], duration: int, not_before: int,
                  two_qubit_loc: tuple[int, int] | None = None) -> int:
         t = max([not_before] + [self.ready[q] for q in qubits])
-        zone = self._zone(two_qubit_loc) if (self.crosstalk and two_qubit_loc) \
-            else frozenset()
+        if not self.crosstalk:
+            return t
+        if two_qubit_loc:
+            lists = [self.busy[q]
+                     for q in self.chip.crosstalk_zone(*two_qubit_loc)]
+        else:
+            lists = [self.blocked[q] for q in qubits]
         while True:
-            clash = [task for task in self.tasks
-                     if self._conflicts(qubits, zone, t, t + duration, task)]
-            if not clash:
+            end = t + duration
+            clash = max((e for ivs in lists for s, e in ivs
+                         if s < end and t < e), default=None)
+            if clash is None:
                 return t
-            t = max(task.end for task in clash)
+            t = clash
 
     def commit(self, task: GateTask) -> None:
-        self.tasks.append(task)
+        interval = (task.start, task.end)
         for q in task.qubits:
             self.ready[q] = max(self.ready[q], task.end)
+            if self.crosstalk:
+                self.busy[q].append(interval)
+        if self.crosstalk and task.kind in TWO_QUBIT_KINDS:
+            for q in self.chip.crosstalk_zone(*task.location):
+                self.blocked[q].append(interval)
 
 
 def _identity_inits(instance: Instance) -> list[GateTask]:
@@ -263,10 +250,11 @@ def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
 
     def run_stage(stage: int) -> None:
         base = 0 if stage == 1 else instance.goal_count
-        pending = set(range(base + 1, base + instance.goal_count + 1))
+        pairs = {o: instance.goal_pair(o)
+                 for o in range(base + 1, base + instance.goal_count + 1)}
+        pending = set(pairs)
         while pending:
-            dists = {o: dist_all[loc[instance.goal_pair(o)[0]]]
-                     .get(loc[instance.goal_pair(o)[1]])
+            dists = {o: dist_all[loc[pairs[o][0]]].get(loc[pairs[o][1]])
                      for o in pending}
             if any(v is None for v in dists.values()):
                 bad = next(o for o, v in dists.items() if v is None)

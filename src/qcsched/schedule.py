@@ -8,7 +8,9 @@ goal matching, stage separation, makespan accounting) from the raw task list.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from . import instance as inst
@@ -228,25 +230,33 @@ def validate(instance: Instance, schedule: Schedule,
             if tasks[a].overlaps(tasks[b]):
                 flag("R1", f"tasks {a} and {b} overlap on qubit {q}", a, b)
 
-    # R2: crosstalk exclusion around active 2-qubit gates.
+    # R2: crosstalk exclusion around active 2-qubit gates. A busy task j
+    # clashes with a busy gate i when they overlap and j uses a qubit of i's
+    # zone, so each gate walks the R1 lists of its zone's qubits, which are
+    # sorted by start: j starts before i ends, and a prefix maximum of ends
+    # stops the walk once nothing earlier reaches past i's start.
     if instance.variant == inst.QCC_X:
-        busy = [i for i, t in enumerate(tasks) if t.duration > 0]
-        zones = {
-            i: chip.crosstalk_zone(*tasks[i].location)
-            for i in busy
-            if tasks[i].kind in TWO_QUBIT_KINDS
-            and isinstance(tasks[i].location, tuple)
-            and chip.edge_between(*tasks[i].location)
-        }
-        for a in range(len(busy)):
-            for b in range(a + 1, len(busy)):
-                i, j = busy[a], busy[b]
-                if not tasks[i].overlaps(tasks[j]):
-                    continue
-                if (i in zones and zones[i] & set(tasks[j].qubits)) or (
-                        j in zones and zones[j] & set(tasks[i].qubits)):
-                    flag("R2", f"tasks {i} and {j} violate the adjacent-qubit "
-                               f"exclusion", i, j)
+        starts = {q: [tasks[i].start for i in ids]
+                  for q, ids in per_qubit.items()}
+        reach = {q: list(accumulate((tasks[i].end for i in ids), max))
+                 for q, ids in per_qubit.items()}
+        clashes: set[tuple[int, int]] = set()
+        for i, t in enumerate(tasks):
+            if t.duration <= 0 or t.kind not in TWO_QUBIT_KINDS \
+                    or not isinstance(t.location, tuple) \
+                    or not chip.edge_between(*t.location):
+                continue
+            for q in chip.crosstalk_zone(*t.location):
+                ids = per_qubit[q]
+                k = bisect_left(starts[q], t.end) - 1
+                while k >= 0 and reach[q][k] > t.start:
+                    j = ids[k]
+                    if tasks[j].overlaps(t):
+                        clashes.add((min(i, j), max(i, j)))
+                    k -= 1
+        for i, j in sorted(clashes):
+            flag("R2", f"tasks {i} and {j} violate the adjacent-qubit "
+                       f"exclusion", i, j)
 
     # R3: exactly one PS task per goal.
     ps_ids = [i for i, t in enumerate(tasks) if t.kind == PS]
@@ -265,7 +275,7 @@ def validate(instance: Instance, schedule: Schedule,
             flag("R3", f"goal {g} has {len(ids)} ps tasks", *ids)
 
     # R4: goal PS endpoints hold the goal's states when the gate starts.
-    _, at_start = _replay(instance, tasks)
+    trace, at_start = _replay(instance, tasks)
     for g, ids in by_goal.items():
         for i in ids:
             pair = instance.goal_pair(g)
@@ -340,7 +350,6 @@ def validate(instance: Instance, schedule: Schedule,
         if t.end > horizon:
             flag("R9", f"task {i} ends at {t.end}, after horizon {horizon}", i)
 
-    trace, _ = _replay(instance, tasks)
     return ValidationReport(valid=not violations, violations=tuple(violations),
                             state_trace=trace)
 
