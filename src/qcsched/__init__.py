@@ -8,8 +8,7 @@ from .schedule import (GateTask, Schedule, ValidationReport, improvement_delta,
                        write_schedule)
 from .router import solve_anytime, solve_greedy, solve_sequential_baseline
 from .cpsolver import build_model, check_assignment, propagate, search, warm_start
-from .hybrid import (RunReport, read_report, run_engine, run_half, run_last,
-                     run_standalone, write_report)
+from .hybrid import RunReport, read_report, run_engine, write_report
 from .bench import gen_suite, run_matrix
 from .fixtures import worked_example
 
@@ -21,8 +20,7 @@ __all__ = [
     "read_schedule", "score", "simulate_states", "validate", "write_schedule",
     "solve_anytime", "solve_greedy", "solve_sequential_baseline",
     "build_model", "check_assignment", "propagate", "search", "warm_start",
-    "RunReport", "read_report", "run_engine", "run_half", "run_last",
-    "run_standalone", "write_report",
+    "RunReport", "read_report", "run_engine", "write_report",
     "gen_suite", "run_matrix",
     "worked_example",
 ]

@@ -140,13 +140,13 @@ def _run_cell(instance: Instance, engine: str, budget_s: float,
     path = _report_path(out_dir, instance.instance_id, engine)
     if path.exists():
         return read_report(path)
+    cell_seed = _cell_seed(seed, instance.instance_id, engine)
     try:
-        report = run_engine(instance, engine, budget_s,
-                            seed=_cell_seed(seed, instance.instance_id, engine),
+        report = run_engine(instance, engine, budget_s, seed=cell_seed,
                             node_budget=node_budget)
     except Exception as exc:   # a failed cell must not abort the matrix
-        report = RunReport(instance.instance_id, engine, budget_s, seed, (),
-                           status=f"{ERROR}: {type(exc).__name__}: {exc}")
+        report = RunReport(instance.instance_id, engine, budget_s, cell_seed,
+                           (), status=f"{ERROR}: {type(exc).__name__}: {exc}")
     write_report(report, path)
     return report
 

@@ -291,11 +291,6 @@ class SearchResult:
     incumbents: list[CPIncumbent] = field(default_factory=list)
     nodes: int = 0
 
-    def trace_lines(self) -> list[str]:
-        return [f"incumbent\t{i.found_at:.3f}\t{i.nodes}"
-                f"\t{i.schedule.makespan}\t{i.schedule.swap_count}"
-                for i in self.incumbents]
-
 
 class _OutOfBudget(Exception):
     pass
@@ -332,7 +327,7 @@ def search(model: Model, incumbent: Schedule | None = None,
     engine = _Engine(model, budget_s, node_budget, on_incumbent)
     if incumbent is not None:
         warm_start(model, incumbent)   # loud divergence check
-        engine.install(incumbent, guide=True)
+        engine.install(incumbent)
     return engine.run()
 
 
@@ -364,14 +359,13 @@ class _Engine:
         self.nodes = 0
         self.t0 = time.monotonic()
 
-    def install(self, schedule: Schedule, guide: bool = False) -> None:
+    def install(self, schedule: Schedule) -> None:
+        """Make a warm start the incumbent and the guide for candidate order."""
         self.best = schedule
         self.best_obj = schedule.objective()
-        if guide:
-            for t in schedule.tasks:
-                if t.kind != "init":
-                    self.guide.setdefault(t.start, set()).add(
-                        (t.kind, t.qubits))
+        for t in schedule.tasks:
+            if t.kind != "init":
+                self.guide.setdefault(t.start, set()).add((t.kind, t.qubits))
 
     def run(self) -> SearchResult:
         if propagate(self.model) == CONFLICT:

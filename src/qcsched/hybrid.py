@@ -1,10 +1,13 @@
-"""Two-stage solve pipelines: heuristic routing handing off to exact search.
+"""One runner for the four engines: the router, the exact search, and the
+two hybrids that hand the router's best schedule to the exact search.
 
-``run_half`` splits the budget evenly between the anytime router and the
-warm-started branch-and-bound.  ``run_last`` gives the router the whole
-budget, then re-runs the exact search with the time that remained after the
-router's last improvement — a best-case estimate of switching at exactly the
-right moment.  ``run_standalone`` runs a single engine cold.
+``run_engine`` runs an optional router stage and then an optional exact
+search.  ``router`` runs the router alone and ``cp`` runs the exact search
+alone, cold, each with the whole budget.  ``half`` gives the router half the
+budget and warm-starts the exact search from its best schedule with the time
+that is left.  ``last`` gives the router the whole budget, then warm-starts
+the exact search with the time that remained after the router's last
+improvement — a best-case estimate of switching at exactly the right moment.
 """
 
 from __future__ import annotations
@@ -61,113 +64,58 @@ class RunReport:
         return self.final.objective() if self.final else None
 
 
-def _stage_seeds(seed: int, n: int = 2) -> tuple[int, ...]:
-    rng = random.Random(seed)
-    return tuple(rng.getrandbits(32) for _ in range(n))
+def run_engine(instance: Instance, engine: str, budget_s: float,
+               seed: int = 0, node_budget: int | None = None) -> RunReport:
+    """Run one engine (router | cp | half | last) within ``budget_s`` seconds.
 
-
-def _router_stage(instance: Instance, budget_s: float, seed: int,
-                  max_restarts: int | None = None):
-    result = solve_anytime(instance, budget_s=budget_s, seed=seed,
-                           max_restarts=max_restarts)
-    points = [TracePoint(i.found_at, i.schedule.makespan,
-                         i.schedule.swap_count, i.source)
-              for i in result.incumbents]
-    return result.best, points
-
-
-def _cp_stage(instance: Instance, budget_s: float | None, warm: Schedule | None,
-              node_budget: int | None):
-    model = build_model(instance)
-    result = search(model, incumbent=warm, budget_s=budget_s,
-                    node_budget=node_budget)
-    points = [TracePoint(i.found_at, i.schedule.makespan,
-                         i.schedule.swap_count, "cp")
-              for i in result.incumbents]
-    return result, points
-
-
-def _finish(report: RunReport, stage1_best: Schedule | None,
-            final: Schedule | None) -> RunReport:
+    ``seed`` derives the router's seed, the one entry of ``stage_seeds``;
+    ``node_budget`` caps the exact search.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    if budget_s <= 0:
+        raise ValueError("budget_s must be positive")
+    router_seed = random.Random(seed).getrandbits(32)
+    report = RunReport(instance.instance_id, engine, budget_s, seed,
+                       (router_seed,))
+    cp_budget, final = budget_s, None
+    if engine != ENGINE_CP:
+        t0 = time.monotonic()
+        routed = solve_anytime(
+            instance, budget_s / 2 if engine == ENGINE_HALF else budget_s,
+            seed=router_seed)
+        report.stage1 = [TracePoint(i.found_at, i.schedule.makespan,
+                                    i.schedule.swap_count, i.source)
+                         for i in routed.incumbents]
+        final = routed.best
+        if engine != ENGINE_ROUTER:
+            report.handoff = final
+            report.stage2_start_s = (time.monotonic() - t0
+                                     if engine == ENGINE_HALF
+                                     else report.stage1[-1].t)
+            cp_budget = max(budget_s - report.stage2_start_s, 0.0)
+    if engine != ENGINE_ROUTER:
+        result = search(build_model(instance), incumbent=report.handoff,
+                        budget_s=cp_budget, node_budget=node_budget)
+        points = [TracePoint(i.found_at, i.schedule.makespan,
+                             i.schedule.swap_count, "cp")
+                  for i in result.incumbents]
+        if report.handoff is None:
+            report.stage1 = points
+        else:
+            report.stage2 = points
+        report.cp_status = result.status
+        report.nodes = result.nodes
+        final = result.best
     report.final = final
     if final is not None:
         report.status = "solved"
-        if stage1_best is not None:
-            if stage1_best.makespan > 0 and final.makespan > 0:
-                report.delta = improvement_delta(stage1_best.makespan,
-                                                 final.makespan)
-            else:
-                report.delta = 0.0
+        handoff = report.handoff
+        if handoff is not None:
+            report.delta = (improvement_delta(handoff.makespan, final.makespan)
+                            if handoff.makespan > 0 and final.makespan > 0
+                            else 0.0)
     return report
-
-
-def run_half(instance: Instance, budget_s: float, seed: int = 0,
-             node_budget: int | None = None) -> RunReport:
-    """Half the budget to the router, the rest to warm-started exact search."""
-    if budget_s <= 0:
-        raise ValueError("budget_s must be positive")
-    seeds = _stage_seeds(seed)
-    report = RunReport(instance.instance_id, ENGINE_HALF, budget_s, seed, seeds)
-    t0 = time.monotonic()
-    best, report.stage1 = _router_stage(instance, budget_s / 2, seeds[0])
-    if best is None:
-        raise RuntimeError("the anytime router produced no schedule")
-    report.handoff = best
-    report.stage2_start_s = time.monotonic() - t0
-    remaining = max(budget_s - report.stage2_start_s, 0.0)
-    result, report.stage2 = _cp_stage(instance, remaining, best, node_budget)
-    report.cp_status = result.status
-    report.nodes = result.nodes
-    return _finish(report, best, result.best)
-
-
-def run_last(instance: Instance, budget_s: float, seed: int = 0,
-             node_budget: int | None = None) -> RunReport:
-    """Router gets the full budget; exact search gets what was left after the
-    router's last improvement (two-pass best-case protocol)."""
-    if budget_s <= 0:
-        raise ValueError("budget_s must be positive")
-    seeds = _stage_seeds(seed)
-    report = RunReport(instance.instance_id, ENGINE_LAST, budget_s, seed, seeds)
-    best, report.stage1 = _router_stage(instance, budget_s, seeds[0])
-    if best is None:
-        raise RuntimeError("the anytime router produced no schedule")
-    t_last = report.stage1[-1].t
-    report.handoff = best
-    report.stage2_start_s = t_last
-    remaining = max(budget_s - t_last, 0.0)
-    result, report.stage2 = _cp_stage(instance, remaining, best, node_budget)
-    report.cp_status = result.status
-    report.nodes = result.nodes
-    return _finish(report, best, result.best)
-
-
-def run_standalone(instance: Instance, engine: str, budget_s: float,
-                   seed: int = 0, node_budget: int | None = None) -> RunReport:
-    """One engine, the whole budget; the exact search starts cold."""
-    if budget_s <= 0:
-        raise ValueError("budget_s must be positive")
-    if engine not in (ENGINE_ROUTER, ENGINE_CP):
-        raise ValueError(f"unknown standalone engine {engine!r}")
-    seeds = _stage_seeds(seed, 1)
-    report = RunReport(instance.instance_id, engine, budget_s, seed, seeds)
-    if engine == ENGINE_ROUTER:
-        best, report.stage1 = _router_stage(instance, budget_s, seeds[0])
-        return _finish(report, None, best)
-    result, report.stage1 = _cp_stage(instance, budget_s, None, node_budget)
-    report.cp_status = result.status
-    report.nodes = result.nodes
-    return _finish(report, None, result.best)
-
-
-def run_engine(instance: Instance, engine: str, budget_s: float,
-               seed: int = 0, node_budget: int | None = None) -> RunReport:
-    """Dispatch on engine name: router | cp | half | last."""
-    if engine == ENGINE_HALF:
-        return run_half(instance, budget_s, seed, node_budget)
-    if engine == ENGINE_LAST:
-        return run_last(instance, budget_s, seed, node_budget)
-    return run_standalone(instance, engine, budget_s, seed, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,19 @@ class Edge:
         return self.v if qubit == self.u else self.u
 
 
+def _hop_counts(adj: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
+    """Breadth-first hop counts from source to every qubit it reaches."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        q = queue.popleft()
+        for n in adj[q]:
+            if n not in dist:
+                dist[n] = dist[q] + 1
+                queue.append(n)
+    return dist
+
+
 @dataclass(frozen=True)
 class Chip:
     """Qubits 1..qubit_count joined by colored gate edges.
@@ -93,21 +106,17 @@ class Chip:
                 raise ValidationError(f"edge {e.u}-{e.v} has unknown color {e.ps_color!r}")
             if e.ps_duration < 1:
                 raise ValidationError(f"edge {e.u}-{e.v} has nonpositive duration")
-        if self.qubit_count > 1 and not self._connected():
+        if len(_hop_counts(self._adjacency(self.edges), 1)) < self.qubit_count:
             raise ValidationError("chip graph is not connected")
-
-    def _connected(self) -> bool:
-        adj = {q: set() for q in self.qubits}
-        for e in self.edges:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
-        seen, todo = {1}, [1]
-        while todo:
-            for n in adj[todo.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    todo.append(n)
-        return len(seen) == self.qubit_count
+        # The horizon bound allows 2*side_length - 3 swaps per goal; two
+        # states d swap hops apart need d - 1 swaps to meet on an edge.
+        adj = self._adjacency(e for e in self.edges if e.swap_enabled)
+        diameter = max(max(_hop_counts(adj, q).values()) for q in self.qubits)
+        if 2 * self.side_length - 3 < diameter - 1:
+            raise ValidationError(
+                f"side_length {self.side_length} allows "
+                f"{2 * self.side_length - 3} swaps per goal, but the swap "
+                f"graph's diameter {diameter} needs {diameter - 1}")
 
     @property
     def qubits(self) -> range:
@@ -139,18 +148,7 @@ class Chip:
     @cached_property
     def swap_distances(self) -> dict[int, dict[int, int]]:
         """Swap-edge hop counts, source -> {reachable qubit: distance}."""
-        out = {}
-        for source in self.qubits:
-            dist = {source: 0}
-            queue = deque([source])
-            while queue:
-                q = queue.popleft()
-                for n in self.swap_neighbors[q]:
-                    if n not in dist:
-                        dist[n] = dist[q] + 1
-                        queue.append(n)
-            out[source] = dist
-        return out
+        return {q: _hop_counts(self.swap_neighbors, q) for q in self.qubits}
 
     @cached_property
     def crosstalk_zones(self) -> dict[tuple[int, int], frozenset[int]]:

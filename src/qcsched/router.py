@@ -3,7 +3,7 @@
 Two engines: a strictly sequential baseline whose makespan realizes the
 horizon bound certificate, and an event-driven greedy that interleaves goals
 on the timeline. ``solve_anytime`` wraps both in a randomized-restart loop
-that emits a stream of strictly improving incumbents.
+that records each strictly improving incumbent.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import instance as inst
 from .instance import Chip, Instance
@@ -21,11 +21,6 @@ from .schedule import (GateTask, Schedule, TWO_QUBIT_KINDS, init_task,
 
 class RoutingError(ValueError):
     """A goal's states cannot be brought together over swap-enabled edges."""
-
-
-def bfs_distances(chip: Chip, source: int) -> dict[int, int]:
-    """Swap-edge hop counts from source to every qubit it can reach."""
-    return chip.swap_distances[source]
 
 
 def all_pairs_distances(chip: Chip) -> dict[int, dict[int, int]]:
@@ -282,26 +277,6 @@ class Incumbent:
     source: str
 
 
-def anytime_stream(instance: Instance, budget_s: float = 0.0, seed: int = 0,
-                   max_restarts: int | None = None) -> Iterator[Incumbent]:
-    """Baseline first, then restarted greedy; yields each strict improvement."""
-    t0 = time.monotonic()
-    rng = random.Random(seed)
-    best = solve_sequential_baseline(instance)
-    yield Incumbent(best, time.monotonic() - t0, "baseline")
-    restarts = 0
-    while True:
-        if budget_s is not None and time.monotonic() - t0 >= budget_s:
-            break
-        if max_restarts is not None and restarts >= max_restarts:
-            break
-        candidate = solve_greedy(instance, seed=rng.getrandbits(32))
-        restarts += 1
-        if candidate.objective() < best.objective():
-            best = candidate
-            yield Incumbent(best, time.monotonic() - t0, "greedy")
-
-
 @dataclass
 class AnytimeResult:
     best: Schedule
@@ -312,9 +287,26 @@ def solve_anytime(instance: Instance, budget_s: float = 0.0, seed: int = 0,
                   max_restarts: int | None = None,
                   on_incumbent: Callable[[Incumbent], None] | None = None,
                   ) -> AnytimeResult:
-    incumbents = []
-    for item in anytime_stream(instance, budget_s, seed, max_restarts):
+    """Baseline first, then restarted greedy; records each strict improvement
+    and passes it to ``on_incumbent`` as it is found."""
+    t0 = time.monotonic()
+    rng = random.Random(seed)
+    incumbents: list[Incumbent] = []
+
+    def record(schedule: Schedule, source: str) -> None:
+        item = Incumbent(schedule, time.monotonic() - t0, source)
         incumbents.append(item)
         if on_incumbent:
             on_incumbent(item)
-    return AnytimeResult(best=incumbents[-1].schedule, incumbents=incumbents)
+
+    best = solve_sequential_baseline(instance)
+    record(best, "baseline")
+    restarts = 0
+    while ((budget_s is None or time.monotonic() - t0 < budget_s)
+           and (max_restarts is None or restarts < max_restarts)):
+        candidate = solve_greedy(instance, seed=rng.getrandbits(32))
+        restarts += 1
+        if candidate.objective() < best.objective():
+            best = candidate
+            record(best, "greedy")
+    return AnytimeResult(best=best, incumbents=incumbents)

@@ -294,20 +294,23 @@ def validate(instance: Instance, schedule: Schedule,
         for i in mix_ids:
             if tasks[i].state is not None:
                 by_state.setdefault(tasks[i].state, []).append(i)
+        goals_of: dict[int, list[tuple[int, int, list[int]]]] = {}
+        for g, gids in by_goal.items():
+            for s in instance.goal_pair(g):
+                goals_of.setdefault(s, []).append(
+                    (g, instance.goal_stage(g), gids))
         for s in range(1, instance.state_count + 1):
             ids = by_state.get(s, [])
             if len(ids) != 1:
                 flag("R6", f"state {s} has {len(ids)} mix tasks, needs 1", *ids)
                 continue
             m = tasks[ids[0]]
-            for g, gids in by_goal.items():
-                if s not in instance.goal_pair(g):
-                    continue
+            for g, stage, gids in goals_of.get(s, ()):
                 for i in gids:
-                    if instance.goal_stage(g) == 1 and tasks[i].end > m.start:
+                    if stage == 1 and tasks[i].end > m.start:
                         flag("R6", f"mix of state {s} starts before stage-1 "
                                    f"goal {g} ends", ids[0], i)
-                    if instance.goal_stage(g) == 2 and m.end > tasks[i].start:
+                    if stage == 2 and m.end > tasks[i].start:
                         flag("R6", f"stage-2 goal {g} starts before mix of "
                                    f"state {s} ends", ids[0], i)
 

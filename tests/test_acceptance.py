@@ -12,7 +12,7 @@ from qcsched.bench import gen_suite, run_matrix
 from qcsched.bounds import horizon_bound
 from qcsched.cpsolver import OPTIMAL, build_model, check_assignment, search
 from qcsched.fixtures import worked_example
-from qcsched.hybrid import run_half, run_last
+from qcsched.hybrid import run_engine
 from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
                               generate_instance)
 from qcsched.oracle import optimal_makespan
@@ -159,8 +159,9 @@ def test_criterion_5_hybrids_never_regress():
                 suite = gen_suite(chip, 3, 2, variant, stages,
                                   seed=11, label=f"dom-{variant}-{stages}")
                 for instance in suite:
-                    for runner in (run_half, run_last):
-                        report = runner(instance, budget_s=0.3, seed=11)
+                    for engine in ("half", "last"):
+                        report = run_engine(instance, engine, budget_s=0.3,
+                                            seed=11)
                         total += 1
                         if (report.final.objective()
                                 > report.handoff.objective()):

@@ -101,6 +101,8 @@ def test_errors_are_counted_not_scored(tmp_path, chip, monkeypatch):
     assert result.errors("cp", ("qcc", 1)) == 2
     report = read_report(tmp_path / f"{suite[0].instance_id}-cp.json")
     assert report.status == "error: RuntimeError: solver blew up"
+    # the errored cell records the seed it ran with, so it can be re-run
+    assert report.seed == bench._cell_seed(8, suite[0].instance_id, "cp")
     rows = {line.split()[1]: line.split()
             for line in result.table().splitlines()[1:]}
     assert rows["cp"][-1] == "2" and rows["router"][-1] == "0"

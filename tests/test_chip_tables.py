@@ -6,14 +6,14 @@ from qcsched.cpsolver import build_model, search
 from qcsched.instance import build_grid_chip, build_preset_chip, \
     generate_instance
 from qcsched.oracle import optimal_makespan
-from qcsched.router import all_pairs_distances, bfs_distances, solve_greedy
+from qcsched.router import all_pairs_distances, solve_greedy
 from qcsched.schedule import validate
 
 
 def test_tables_are_computed_once():
     chip = build_preset_chip("rigetti-21")
     assert all_pairs_distances(chip) is all_pairs_distances(chip)
-    assert bfs_distances(chip, 3) is chip.swap_distances[3]
+    assert chip.swap_distances[3] is all_pairs_distances(chip)[3]
     assert chip.crosstalk_zones is chip.crosstalk_zones
 
 

@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
-from qcsched.hybrid import (RunReport, read_report, report_from_dict,
-                            report_to_dict, run_engine, run_half, run_last,
-                            run_standalone, write_report, _stage_seeds)
+from qcsched.hybrid import (ENGINES, read_report, report_from_dict,
+                            report_to_dict, run_engine, write_report)
 from qcsched.instance import build_grid_chip, build_preset_chip, generate_instance
 from qcsched.schedule import validate
 
@@ -14,7 +15,7 @@ def instance():
 
 
 def test_half_pipeline(instance):
-    report = run_half(instance, budget_s=1.0, seed=1)
+    report = run_engine(instance, "half", budget_s=1.0, seed=1)
     assert report.status == "solved"
     assert report.engine == "half"
     assert report.stage1 and report.handoff is not None
@@ -26,7 +27,7 @@ def test_half_pipeline(instance):
 
 
 def test_last_pipeline(instance):
-    report = run_last(instance, budget_s=1.0, seed=1)
+    report = run_engine(instance, "last", budget_s=1.0, seed=1)
     assert report.status == "solved"
     last_stage1 = report.stage1[-1]
     assert report.final.objective() <= (last_stage1.makespan,
@@ -36,14 +37,14 @@ def test_last_pipeline(instance):
 
 
 def test_standalone_router(instance):
-    report = run_standalone(instance, "router", budget_s=0.3, seed=2)
+    report = run_engine(instance, "router", budget_s=0.3, seed=2)
     assert report.status == "solved"
     assert report.final.makespan == report.stage1[-1].makespan
     assert report.delta is None
 
 
 def test_standalone_cp(instance):
-    report = run_standalone(instance, "cp", budget_s=5.0, seed=2)
+    report = run_engine(instance, "cp", budget_s=5.0, seed=2)
     assert report.cp_status == "optimal"
     assert validate(instance, report.final).valid
 
@@ -55,16 +56,20 @@ def test_engine_dispatch(instance):
 
 
 def test_budget_must_be_positive(instance):
-    for runner in (run_half, run_last):
-        with pytest.raises(ValueError):
-            runner(instance, budget_s=0)
-    with pytest.raises(ValueError):
-        run_standalone(instance, "router", budget_s=-1)
+    for engine in ENGINES:
+        for budget_s in (0, -1):
+            with pytest.raises(ValueError):
+                run_engine(instance, engine, budget_s=budget_s)
 
 
-def test_stage_seeds_deterministic():
-    assert _stage_seeds(42) == _stage_seeds(42)
-    assert _stage_seeds(42) != _stage_seeds(43)
+def test_stage_seeds_deterministic(instance):
+    # every engine stores the one router seed, derived from the seed alone
+    expected = (random.Random(42).getrandbits(32),)
+    for engine in ENGINES:
+        report = run_engine(instance, engine, 0.05, seed=42, node_budget=50)
+        assert report.stage_seeds == expected
+    assert run_engine(instance, "router", 0.05, seed=43).stage_seeds \
+        != expected
 
 
 def test_dominance_across_variants():
@@ -74,15 +79,16 @@ def test_dominance_across_variants():
             for stages in (1, 2):
                 instance = generate_instance(chip, 2, stages=stages,
                                              variant=variant, seed=5)
-                for runner in (run_half, run_last):
-                    report = runner(instance, budget_s=0.4, seed=5)
+                for engine in ("half", "last"):
+                    report = run_engine(instance, engine, budget_s=0.4,
+                                        seed=5)
                     assert report.final.objective() <= \
                         report.handoff.objective()
                     assert validate(instance, report.final).valid
 
 
 def test_report_roundtrip(tmp_path, instance):
-    report = run_half(instance, budget_s=0.5, seed=3)
+    report = run_engine(instance, "half", budget_s=0.5, seed=3)
     path = tmp_path / "report.json"
     write_report(report, path)
     again = read_report(path)

@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from qcsched.cpsolver import OPTIMAL, build_model, search
 from qcsched.instance import (BLUE, RED, Chip, Edge, Instance, ParseError,
                               ValidationError, build_grid_chip,
                               build_preset_chip, generate_instance,
                               read_instance, write_instance)
+from qcsched.router import solve_sequential_baseline
+from qcsched.schedule import validate
 
 
 def test_preset_rigetti8_shape():
@@ -73,6 +77,21 @@ def test_chip_rejects_disconnected():
 def test_chip_rejects_bad_color():
     with pytest.raises(ValidationError):
         Chip(2, (Edge(1, 2, "green", 3),), side_length=2)
+
+
+def test_chip_rejects_side_length_below_swap_diameter():
+    # States 1 and 6 on a 6-qubit path need 4 swaps to meet, but side_length
+    # 2 bounds the horizon by 2*2 - 3 = 1 swap per goal: the baseline broke
+    # R9 and the exact search reported this solvable instance infeasible.
+    path = tuple(Edge(q, q + 1, BLUE, 3) for q in range(1, 6))
+    with pytest.raises(ValidationError, match="side_length 2"):
+        Chip(6, path, side_length=2)
+    instance = Instance(chip=Chip(6, path, side_length=4), goals=((1, 6),))
+    assert validate(instance, solve_sequential_baseline(instance)).valid
+    assert search(build_model(instance), node_budget=10_000).status == OPTIMAL
+    # unreachable pairs do not count: 1-2-3 and 4-5-6 are 2 hops across
+    split = tuple(replace(e, swap_enabled=e.pair != (3, 4)) for e in path)
+    assert Chip(6, split, side_length=2).side_length == 2
 
 
 @pytest.fixture

@@ -3,9 +3,9 @@ import pytest
 from qcsched.bounds import horizon_bound
 from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
                               generate_instance)
-from qcsched.router import (RoutingError, all_pairs_distances, bfs_distances,
-                            anytime_stream, shortest_path, solve_anytime,
-                            solve_greedy, solve_sequential_baseline)
+from qcsched.router import (RoutingError, all_pairs_distances, shortest_path,
+                            solve_anytime, solve_greedy,
+                            solve_sequential_baseline)
 from qcsched.schedule import validate
 
 
@@ -27,7 +27,7 @@ def _random_instances(n=30):
 
 def test_distances_on_ring():
     chip = build_preset_chip("rigetti-8")
-    dist = bfs_distances(chip, 1)
+    dist = chip.swap_distances[1]
     assert dist[1] == 0 and dist[2] == 1
     assert max(dist.values()) == 4
     assert all_pairs_distances(chip)[3][4] == 3
@@ -87,8 +87,8 @@ def test_unroutable_goal():
 def test_anytime_stream_improves_strictly():
     chip = build_preset_chip("rigetti-8")
     instance = generate_instance(chip, 5, stages=1, variant="qcc", seed=3)
-    incumbents = list(anytime_stream(instance, budget_s=30.0, seed=3,
-                                     max_restarts=60))
+    incumbents = solve_anytime(instance, budget_s=30.0, seed=3,
+                               max_restarts=60).incumbents
     assert incumbents[0].source == "baseline"
     objectives = [i.schedule.objective() for i in incumbents]
     for a, b in zip(objectives, objectives[1:]):
