@@ -1,10 +1,11 @@
 """Scheduling-horizon and swap-count upper bounds for the exact model.
 
 The horizon comes from the sequential worst case: each goal is routed with at
-most ``2*side - 3`` swaps and finished with the slowest gate. For two-stage
-problems the stage blocks run back to back with one mixing window in between.
-The cap of one swap task per gate per goal and stage is known to be loose in
-rare cases; ``swap_multiplier`` widens it on demand.
+most ``diameter - 1`` swaps, the diameter taken over the chip's swap graph,
+and finished with the slowest gate. For two-stage problems the stage blocks
+run back to back with one mixing window in between. The cap of one swap task
+per gate per goal and stage is known to be loose in rare cases; widen it with
+``dataclasses.replace(build_model(instance), swap_cap=...)``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from .instance import Instance
 
 
 def max_swap_distance(instance: Instance) -> int:
-    """Most swaps ever needed to make two states adjacent: 2*side - 3."""
-    return 2 * instance.chip.side_length - 3
+    """Most swaps ever needed to make two states adjacent: diameter - 1."""
+    return max(instance.chip.swap_diameter - 1, 0)
 
 
 def horizon_bound(instance: Instance) -> int:
@@ -27,6 +28,6 @@ def horizon_bound(instance: Instance) -> int:
     return 2 * single + chip.mix_duration
 
 
-def swap_task_bound(instance: Instance, multiplier: int = 1) -> int:
+def swap_task_bound(instance: Instance) -> int:
     """Swap tasks allowed per physical swap gate: one per goal per stage."""
-    return instance.goal_count * instance.stages * multiplier
+    return instance.goal_count * instance.stages

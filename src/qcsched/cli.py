@@ -19,11 +19,12 @@ def _parse_chip(spec: str) -> Chip:
     """'rigetti-8', 'rigetti-21', 'grid:3' or 'grid:3:all-blue'."""
     if spec in PRESET_CHIPS:
         return build_preset_chip(spec)
-    if spec.startswith("grid:"):
-        parts = spec.split(":")
-        side = int(parts[1])
-        coloring = parts[2] if len(parts) > 2 else "alternating"
-        return build_grid_chip(side, coloring)
+    kind, *args = spec.split(":")
+    if kind == "grid" and 1 <= len(args) <= 2:
+        try:
+            return build_grid_chip(int(args[0]), *args[1:])
+        except ValueError:
+            pass
     raise SystemExit(f"unknown chip {spec!r}; use a preset name "
                      f"({', '.join(PRESET_CHIPS)}) or grid:SIDE[:COLORING]")
 

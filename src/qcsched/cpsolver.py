@@ -56,10 +56,9 @@ class Model:
     swap_cap: int     # swap tasks allowed per swap gate
 
 
-def build_model(instance: Instance, swap_multiplier: int = 1) -> Model:
+def build_model(instance: Instance) -> Model:
     """The spec for ``instance``: the sequential horizon and the swap cap."""
-    return Model(instance, horizon_bound(instance),
-                 swap_task_bound(instance, swap_multiplier))
+    return Model(instance, horizon_bound(instance), swap_task_bound(instance))
 
 
 def propagate(model: Model) -> str:
@@ -347,7 +346,9 @@ class _Engine:
         self.gate_order = sorted(e.pair for e in self.chip.swap_edges)
         self.gate_idx = {pair: i for i, pair in enumerate(self.gate_order)}
         self.swap_cap = model.swap_cap
-        self.goal_states = sorted({s for g in self.instance.goals for s in g})
+        self.goal_pairs = self.instance.goal_pairs
+        self.state_goals = self.instance.state_goals
+        self.goal_states = self.instance.goal_states
         self.all_goals = frozenset(range(1, self.instance.total_goals + 1))
         self.budget_s = budget_s
         self.node_budget = node_budget
@@ -598,9 +599,9 @@ class _Engine:
             ps_deadline = min(ps_deadline, self.best_obj[0])
         out = []
         running_ps_states = {s for r in running if r.kind == "ps"
-                             for s in instance.goal_pair(r.payload)}
+                             for s in self.goal_pairs[r.payload]}
         for g in sorted(pending):
-            s1, s2 = instance.goal_pair(g)
+            s1, s2 = self.goal_pairs[g]
             if instance.stages == 2:
                 if instance.goal_stage(g) == 1:
                     if self._mix_started(s1, running, mixed) or \
@@ -622,7 +623,7 @@ class _Engine:
                 if s in running_ps_states:
                     continue
                 if any(g in pending and instance.goal_stage(g) == 1
-                       for g in self._goals_of(s)):
+                       for g in self.state_goals[s]):
                     continue
                 for q in chip.qubits:
                     if self._gate_ok((q,), busy, blocked, running):
@@ -638,11 +639,6 @@ class _Engine:
         if hints:
             out.sort(key=lambda r: 0 if (r.kind, r.qubits) in hints else 1)
         return out
-
-    def _goals_of(self, state):
-        for g in range(1, self.instance.total_goals + 1):
-            if state in self.instance.goal_pair(g):
-                yield g
 
     # -- bounds -----------------------------------------------------------
     def _makespan_lower_bound(self, t, mapping, running, pending, mixed):
@@ -660,7 +656,7 @@ class _Engine:
             if g in running_ps:
                 lb = max(lb, running_ps[g] - t)
                 continue
-            s1, s2 = instance.goal_pair(g)
+            s1, s2 = self.goal_pairs[g]
             d = self.dist[loc[s1]][loc[s2]]
             goal_lb = ceil((d - 1) / 2) * self.tau_swap
             if instance.stages == 2 and instance.goal_stage(g) == 2:
@@ -674,7 +670,7 @@ class _Engine:
         for s in self.goal_states:
             base = 0
             n1 = n2 = 0
-            for g in self._goals_of(s):
+            for g in self.state_goals[s]:
                 if g not in pending:
                     continue
                 if g in running_ps:
@@ -701,7 +697,7 @@ class _Engine:
         for g in pending:
             if g in running_ps:
                 continue
-            s1, s2 = self.instance.goal_pair(g)
+            s1, s2 = self.goal_pairs[g]
             d = self.dist[loc[s1]][loc[s2]]
             lb = max(lb, ceil((d - 1) / 2))
         return lb

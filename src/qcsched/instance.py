@@ -75,22 +75,20 @@ class Chip:
     """Qubits 1..qubit_count joined by colored gate edges.
 
     Tables that depend only on the graph (edge lookup, neighbors, the swap
-    adjacency, all-pairs swap distances, crosstalk zones) are computed on
-    first use and cached on the instance; callers must not mutate them.
-    They are not fields, so two chips with the same graph compare equal.
+    adjacency, all-pairs swap distances and their diameter, crosstalk zones)
+    are computed on first use and cached on the instance; callers must not
+    mutate them. They are not fields, so two chips with the same graph
+    compare equal.
     """
 
     qubit_count: int
     edges: tuple[Edge, ...]
-    side_length: int
     swap_duration: int = DEFAULT_SWAP_DURATION
     mix_duration: int = DEFAULT_MIX_DURATION
 
     def __post_init__(self):
         if self.qubit_count < 1:
             raise ValidationError("qubit_count must be positive")
-        if self.side_length < 1:
-            raise ValidationError("side_length must be positive")
         if self.swap_duration < 1 or self.mix_duration < 1:
             raise ValidationError("gate durations must be positive")
         seen = set()
@@ -108,15 +106,6 @@ class Chip:
                 raise ValidationError(f"edge {e.u}-{e.v} has nonpositive duration")
         if len(_hop_counts(self._adjacency(self.edges), 1)) < self.qubit_count:
             raise ValidationError("chip graph is not connected")
-        # The horizon bound allows 2*side_length - 3 swaps per goal; two
-        # states d swap hops apart need d - 1 swaps to meet on an edge.
-        adj = self._adjacency(e for e in self.edges if e.swap_enabled)
-        diameter = max(max(_hop_counts(adj, q).values()) for q in self.qubits)
-        if 2 * self.side_length - 3 < diameter - 1:
-            raise ValidationError(
-                f"side_length {self.side_length} allows "
-                f"{2 * self.side_length - 3} swaps per goal, but the swap "
-                f"graph's diameter {diameter} needs {diameter - 1}")
 
     @property
     def qubits(self) -> range:
@@ -151,6 +140,11 @@ class Chip:
         return {q: _hop_counts(self.swap_neighbors, q) for q in self.qubits}
 
     @cached_property
+    def swap_diameter(self) -> int:
+        """Most swap hops between two qubits the swap edges connect."""
+        return max(max(d.values()) for d in self.swap_distances.values())
+
+    @cached_property
     def crosstalk_zones(self) -> dict[tuple[int, int], frozenset[int]]:
         return {e.pair: frozenset(self.neighbors[e.u] + self.neighbors[e.v])
                 - {e.u, e.v} for e in self.edges}
@@ -173,11 +167,16 @@ class Chip:
 
 @dataclass(frozen=True)
 class Instance:
+    """Goals over the chip's states; the variant fixes the placement.
+
+    Goal tables (index -> pair, state -> goal indices, the goal states) are
+    computed on first use and cached like the chip's; they are not fields.
+    """
+
     chip: Chip
     goals: tuple[tuple[int, int], ...]
     stages: int = 1
     variant: str = QCC
-    initial_mapping: str = "identity"
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -196,12 +195,6 @@ class Instance:
             if key in seen:
                 raise ValidationError(f"duplicate goal ({a},{b})")
             seen.add(key)
-        expected = "free" if self.variant == QCC_I else "identity"
-        if self.initial_mapping != expected:
-            raise ValidationError(
-                f"variant {self.variant} requires initial_mapping={expected!r}, "
-                f"got {self.initial_mapping!r}"
-            )
 
     @property
     def goal_count(self) -> int:
@@ -211,12 +204,31 @@ class Instance:
     def state_count(self) -> int:
         return self.chip.qubit_count
 
+    @cached_property
+    def goal_pairs(self) -> dict[int, tuple[int, int]]:
+        """1-based goal index -> state pair; stage 2 repeats stage 1."""
+        return dict(enumerate(self.goals * self.stages, start=1))
+
+    @cached_property
+    def state_goals(self) -> dict[int, tuple[int, ...]]:
+        """State -> the indices of the goals that name it, ascending."""
+        out: dict[int, list[int]] = {s: [] for s in self.chip.qubits}
+        for g, pair in self.goal_pairs.items():
+            for s in pair:
+                out[s].append(g)
+        return {s: tuple(gs) for s, gs in out.items()}
+
+    @cached_property
+    def goal_states(self) -> tuple[int, ...]:
+        """The states named by some goal, ascending."""
+        return tuple(s for s, gs in self.state_goals.items() if gs)
+
     def goal_pair(self, goal_index: int) -> tuple[int, int]:
         """Goal for a 1-based goal index; indexes the first set then its duplicate."""
-        n = len(self.goals)
-        if not (1 <= goal_index <= n * self.stages):
-            raise IndexError(f"goal index {goal_index} out of range")
-        return self.goals[(goal_index - 1) % n]
+        try:
+            return self.goal_pairs[goal_index]
+        except KeyError:
+            raise IndexError(f"goal index {goal_index} out of range") from None
 
     def goal_stage(self, goal_index: int) -> int:
         return 1 if goal_index <= len(self.goals) else 2
@@ -263,7 +275,7 @@ def build_grid_chip(side: int, coloring: str = "alternating") -> Chip:
                         color = BLUE if (r + c) % 2 == 0 else RED
                     edges.append(Edge(qid(r, c), qid(rr, cc), color,
                                       DEFAULT_PS_DURATION[color]))
-    return Chip(qubit_count=side * side, edges=tuple(edges), side_length=side)
+    return Chip(qubit_count=side * side, edges=tuple(edges))
 
 
 def generate_instance(chip: Chip, goal_count: int, stages: int, variant: str,
@@ -281,7 +293,6 @@ def generate_instance(chip: Chip, goal_count: int, stages: int, variant: str,
         goals=goals,
         stages=stages,
         variant=variant,
-        initial_mapping="free" if variant == QCC_I else "identity",
         label=label,
     )
 
@@ -292,7 +303,6 @@ def generate_instance(chip: Chip, goal_count: int, stages: int, variant: str,
 def _chip_to_dict(chip: Chip) -> dict:
     return {
         "qubit_count": chip.qubit_count,
-        "side_length": chip.side_length,
         "swap_duration": chip.swap_duration,
         "mix_duration": chip.mix_duration,
         "edges": [
@@ -310,6 +320,7 @@ def _require(d: dict, key: str, context: str):
 
 
 def _chip_from_dict(d: dict) -> Chip:
+    # Unknown keys are ignored, so older files with a side_length still load.
     edges = []
     for raw in _require(d, "edges", "chip"):
         edges.append(Edge(
@@ -321,7 +332,6 @@ def _chip_from_dict(d: dict) -> Chip:
         ))
     return Chip(
         qubit_count=_require(d, "qubit_count", "chip"),
-        side_length=_require(d, "side_length", "chip"),
         swap_duration=d.get("swap_duration", DEFAULT_SWAP_DURATION),
         mix_duration=d.get("mix_duration", DEFAULT_MIX_DURATION),
         edges=tuple(edges),
@@ -334,7 +344,6 @@ def _instance_to_dict(instance: Instance) -> dict:
         "goals": [list(g) for g in instance.goals],
         "stages": instance.stages,
         "variant": instance.variant,
-        "initial_mapping": instance.initial_mapping,
     }
 
 
@@ -344,12 +353,18 @@ def _instance_from_dict(d: dict, label: str = "") -> Instance:
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise ParseError(f"goal entry {raw!r} is not a pair")
         goals.append((raw[0], raw[1]))
+    variant = _require(d, "variant", "instance")
+    # Older files name the placement too; it must agree with the variant.
+    placement = "free" if variant == QCC_I else "identity"
+    if d.get("initial_mapping", placement) != placement:
+        raise ValidationError(
+            f"variant {variant} requires initial_mapping={placement!r}, "
+            f"got {d['initial_mapping']!r}")
     return Instance(
         chip=_chip_from_dict(_require(d, "chip", "instance")),
         goals=tuple(goals),
         stages=_require(d, "stages", "instance"),
-        variant=_require(d, "variant", "instance"),
-        initial_mapping=_require(d, "initial_mapping", "instance"),
+        variant=variant,
         label=label,
     )
 

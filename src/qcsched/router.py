@@ -245,9 +245,8 @@ def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
 
     def run_stage(stage: int) -> None:
         base = 0 if stage == 1 else instance.goal_count
-        pairs = {o: instance.goal_pair(o)
-                 for o in range(base + 1, base + instance.goal_count + 1)}
-        pending = set(pairs)
+        pairs = instance.goal_pairs
+        pending = set(range(base + 1, base + instance.goal_count + 1))
         while pending:
             dists = {o: dist_all[loc[pairs[o][0]]].get(loc[pairs[o][1]])
                      for o in pending}

@@ -1,4 +1,4 @@
-"""Timed gate schedules, the qubit-state simulator and the rule validator.
+"""Timed gate schedules and the rule validator, with its qubit-state replay.
 
 The validator is the project's ground truth: it shares no code with the
 solvers and re-derives every property (resource exclusivity, crosstalk,
@@ -22,10 +22,6 @@ PS = "ps"
 MIX = "mix"
 INIT = "init"
 TWO_QUBIT_KINDS = (SWAP, PS)
-
-
-class SimulationError(ValueError):
-    """The schedule cannot be replayed (overlap or missing initialization)."""
 
 
 @dataclass(frozen=True)
@@ -148,28 +144,6 @@ def _replay(instance: Instance, tasks):
     return trace, at_start
 
 
-def simulate_states(instance: Instance, schedule: Schedule):
-    """Replay the schedule, returning the per-qubit event/state trace."""
-    per_qubit: dict[int, list[GateTask]] = {q: [] for q in instance.chip.qubits}
-    for t in schedule.tasks:
-        for q in t.qubits:
-            if q not in per_qubit:
-                raise SimulationError(f"task on unknown qubit {q}")
-            per_qubit[q].append(t)
-    for q, tasks in per_qubit.items():
-        tasks.sort(key=lambda t: t.start)
-        for a, b in zip(tasks, tasks[1:]):
-            if a.duration and b.duration and a.overlaps(b):
-                raise SimulationError(f"overlapping tasks on qubit {q}")
-    if instance.variant == inst.QCC_I:
-        inits = {t.location for t in schedule.tasks if t.kind == INIT}
-        missing = set(instance.chip.qubits) - inits
-        if missing:
-            raise SimulationError(f"missing init tasks for qubits {sorted(missing)}")
-    trace, _ = _replay(instance, schedule.tasks)
-    return trace
-
-
 def validate(instance: Instance, schedule: Schedule,
              horizon: int | None = None) -> ValidationReport:
     """Check every rule of the instance's variant; never raises on bad input."""
@@ -277,8 +251,8 @@ def validate(instance: Instance, schedule: Schedule,
     # R4: goal PS endpoints hold the goal's states when the gate starts.
     trace, at_start = _replay(instance, tasks)
     for g, ids in by_goal.items():
+        pair = instance.goal_pairs[g]
         for i in ids:
-            pair = instance.goal_pair(g)
             held = at_start[i]
             if set(held) != set(pair):
                 flag("R4", f"task {i}: goal {g} needs states {pair}, qubits "
@@ -294,19 +268,15 @@ def validate(instance: Instance, schedule: Schedule,
         for i in mix_ids:
             if tasks[i].state is not None:
                 by_state.setdefault(tasks[i].state, []).append(i)
-        goals_of: dict[int, list[tuple[int, int, list[int]]]] = {}
-        for g, gids in by_goal.items():
-            for s in instance.goal_pair(g):
-                goals_of.setdefault(s, []).append(
-                    (g, instance.goal_stage(g), gids))
         for s in range(1, instance.state_count + 1):
             ids = by_state.get(s, [])
             if len(ids) != 1:
                 flag("R6", f"state {s} has {len(ids)} mix tasks, needs 1", *ids)
                 continue
             m = tasks[ids[0]]
-            for g, stage, gids in goals_of.get(s, ()):
-                for i in gids:
+            for g in instance.state_goals[s]:
+                stage = instance.goal_stage(g)
+                for i in by_goal.get(g, ()):
                     if stage == 1 and tasks[i].end > m.start:
                         flag("R6", f"mix of state {s} starts before stage-1 "
                                    f"goal {g} ends", ids[0], i)

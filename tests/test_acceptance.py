@@ -137,7 +137,8 @@ def test_criterion_4_model_validator_agreement():
         instance = generate_instance(chip, goals, stages=stages,
                                      variant=variant,
                                      seed=rng.getrandbits(32))
-        model = build_model(instance, swap_multiplier=2)
+        model = build_model(instance)
+        model = replace(model, swap_cap=2 * model.swap_cap)
         valid = solve_greedy(instance, seed=rng.getrandbits(32))
         mutated = _mutate(valid, instance, rng)
         for schedule in (valid, mutated):

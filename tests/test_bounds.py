@@ -7,10 +7,15 @@ def _instance(chip, goals, stages=1):
 
 
 def test_max_swap_distance_presets():
+    # diameter - 1: the same 2*side - 3 that the chips' side lengths gave,
+    # except on rigetti-21, whose graph is tighter than its side length 5
     assert max_swap_distance(_instance(build_preset_chip("rigetti-8"),
                                        ((1, 2),))) == 3
     assert max_swap_distance(_instance(build_preset_chip("rigetti-21"),
-                                       ((1, 2),))) == 7
+                                       ((1, 2),))) == 6
+    for side in (2, 3, 4):
+        assert max_swap_distance(_instance(build_grid_chip(side),
+                                           ((1, 2),))) == 2 * side - 3
 
 
 def test_horizon_single_stage():
@@ -39,5 +44,4 @@ def test_task_bounds():
     assert swap_task_bound(one) == 5
     two = _instance(chip, ((1, 2), (3, 4)), stages=2)
     assert swap_task_bound(two) == 4
-    assert swap_task_bound(two, multiplier=3) == 12
 

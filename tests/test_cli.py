@@ -44,6 +44,13 @@ def test_unknown_chip(tmp_path):
               "--out-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize("spec", ["grid:x", "grid:1", "grid:3:plaid"])
+def test_bad_grid_spec_exits_cleanly(tmp_path, spec):
+    with pytest.raises(SystemExit, match=f"unknown chip '{spec}'"):
+        main(["gen", "--chip", spec, "--goals", "1",
+              "--out-dir", str(tmp_path)])
+
+
 def test_solve_validate_gantt_pipeline(tmp_path, capsys):
     assert main(["gen", "--chip", "grid:2", "--goals", "2", "--seed", "1",
                  "--out-dir", str(tmp_path)]) == 0

@@ -25,7 +25,6 @@ def test_model_variable_counts():
     model = build_model(instance)
     assert model.swap_cap == 5
     assert model.horizon == horizon_bound(instance)
-    assert build_model(instance, swap_multiplier=3).swap_cap == 15
 
 
 def test_model_two_stage_counts():
@@ -43,7 +42,7 @@ def test_model_free_placement_tag():
     inits = [t for t in result.best.tasks if t.kind == "init"]
     assert len(inits) == chip.qubit_count
     # the same init tasks are rejected when the placement is fixed
-    fixed = replace(instance, variant="qcc", initial_mapping="identity")
+    fixed = replace(instance, variant="qcc")
     ok, reasons = check_assignment(build_model(fixed), result.best)
     assert not ok
     assert any("fixed-placement" in r for r in reasons)

@@ -1,11 +1,14 @@
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcsched.bounds import horizon_bound, max_swap_distance
 from qcsched.cpsolver import OPTIMAL, build_model, search
-from qcsched.instance import (BLUE, RED, Chip, Edge, Instance, ParseError,
-                              ValidationError, build_grid_chip,
+from qcsched.instance import (BLUE, RED, VARIANTS, Chip, Edge, Instance,
+                              ParseError, ValidationError, build_grid_chip,
                               build_preset_chip, generate_instance,
                               read_instance, write_instance)
 from qcsched.router import solve_sequential_baseline
@@ -16,7 +19,7 @@ def test_preset_rigetti8_shape():
     chip = build_preset_chip("rigetti-8")
     assert chip.qubit_count == 8
     assert len(chip.edges) == 8
-    assert chip.side_length == 3
+    assert chip.swap_diameter == 4     # states 1 and 8 sit across the ring
     assert chip.swap_duration == 2
     assert chip.mix_duration == 1
     colors = {e.ps_color for e in chip.edges}
@@ -30,7 +33,7 @@ def test_preset_rigetti8_shape():
 def test_preset_rigetti21_shape():
     chip = build_preset_chip("rigetti-21")
     assert chip.qubit_count == 21
-    assert chip.side_length == 5
+    assert chip.swap_diameter == 7
     assert all(e.ps_duration in (3, 4) for e in chip.edges)
 
 
@@ -43,7 +46,7 @@ def test_grid_chip_alternating():
     chip = build_grid_chip(3)
     assert chip.qubit_count == 9
     assert len(chip.edges) == 12
-    assert chip.side_length == 3
+    assert chip.swap_diameter == 4     # corner to corner
     # checkerboard: the two edges at opposite corners differ from the center
     seen = {e.pair: e.ps_color for e in chip.edges}
     assert seen[(1, 2)] == BLUE
@@ -61,37 +64,41 @@ def test_grid_chip_all_blue():
 
 def test_chip_rejects_duplicate_edge():
     with pytest.raises(ValidationError):
-        Chip(2, (Edge(1, 2, BLUE, 3), Edge(2, 1, RED, 4)), side_length=2)
+        Chip(2, (Edge(1, 2, BLUE, 3), Edge(2, 1, RED, 4)))
 
 
 def test_chip_rejects_self_loop():
     with pytest.raises(ValidationError):
-        Chip(2, (Edge(1, 1, BLUE, 3),), side_length=2)
+        Chip(2, (Edge(1, 1, BLUE, 3),))
 
 
 def test_chip_rejects_disconnected():
     with pytest.raises(ValidationError):
-        Chip(4, (Edge(1, 2, BLUE, 3), Edge(3, 4, BLUE, 3)), side_length=2)
+        Chip(4, (Edge(1, 2, BLUE, 3), Edge(3, 4, BLUE, 3)))
 
 
 def test_chip_rejects_bad_color():
     with pytest.raises(ValidationError):
-        Chip(2, (Edge(1, 2, "green", 3),), side_length=2)
+        Chip(2, (Edge(1, 2, "green", 3),))
 
 
-def test_chip_rejects_side_length_below_swap_diameter():
-    # States 1 and 6 on a 6-qubit path need 4 swaps to meet, but side_length
-    # 2 bounds the horizon by 2*2 - 3 = 1 swap per goal: the baseline broke
-    # R9 and the exact search reported this solvable instance infeasible.
+def test_swap_allowance_from_graph():
+    # States 1 and 6 on a 6-qubit path are 5 hops apart and need 4 swaps to
+    # meet; the horizon allows exactly that, so the baseline fits it and the
+    # exact search proves the optimum.
     path = tuple(Edge(q, q + 1, BLUE, 3) for q in range(1, 6))
-    with pytest.raises(ValidationError, match="side_length 2"):
-        Chip(6, path, side_length=2)
-    instance = Instance(chip=Chip(6, path, side_length=4), goals=((1, 6),))
+    instance = Instance(chip=Chip(6, path), goals=((1, 6),))
+    assert instance.chip.swap_diameter == 5
+    assert max_swap_distance(instance) == 4
     assert validate(instance, solve_sequential_baseline(instance)).valid
     assert search(build_model(instance), node_budget=10_000).status == OPTIMAL
     # unreachable pairs do not count: 1-2-3 and 4-5-6 are 2 hops across
     split = tuple(replace(e, swap_enabled=e.pair != (3, 4)) for e in path)
-    assert Chip(6, split, side_length=2).side_length == 2
+    assert Chip(6, split).swap_diameter == 2
+    # no swap gate at all: no swaps are ever allowed
+    fixed = tuple(replace(e, swap_enabled=False) for e in path)
+    assert Chip(6, fixed).swap_diameter == 0
+    assert max_swap_distance(Instance(chip=Chip(6, fixed), goals=())) == 0
 
 
 @pytest.fixture
@@ -110,8 +117,6 @@ def test_instance_validation(chip):
         Instance(chip=chip, goals=((2, 2),))
     with pytest.raises(ValidationError):
         Instance(chip=chip, goals=((1, 2), (2, 1)))
-    with pytest.raises(ValidationError):
-        Instance(chip=chip, goals=((1, 2),), variant="qcc-i")  # needs "free"
 
 
 def test_goal_indexing(chip):
@@ -122,8 +127,18 @@ def test_goal_indexing(chip):
     assert instance.goal_pair(3) == (1, 2)   # stage-2 duplicate
     assert instance.goal_stage(2) == 1
     assert instance.goal_stage(4) == 2
-    with pytest.raises(IndexError):
-        instance.goal_pair(5)
+    for bad in (0, -1, 5):
+        with pytest.raises(IndexError):
+            instance.goal_pair(bad)
+
+
+def test_goal_tables(chip):
+    instance = Instance(chip=chip, goals=((3, 1), (1, 2)), stages=2)
+    assert instance.goal_pairs == {1: (3, 1), 2: (1, 2), 3: (3, 1), 4: (1, 2)}
+    assert instance.state_goals == {1: (1, 2, 3, 4), 2: (2, 4), 3: (1, 3),
+                                    4: ()}
+    assert instance.goal_states == (1, 2, 3)
+    assert instance.goal_states is instance.goal_states   # computed once
 
 
 def test_generate_is_deterministic(chip):
@@ -147,6 +162,52 @@ def test_instance_roundtrip(tmp_path, chip):
     again = read_instance(path)
     assert again == instance
     assert again.instance_id == instance.instance_id
+
+
+DATA = resources.files("qcsched.data")
+CHIPS = [build_grid_chip(2), build_grid_chip(3, "all-blue"),
+         build_preset_chip("rigetti-8"), build_preset_chip("rigetti-21")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chip=st.sampled_from(CHIPS), goals=st.integers(0, 6),
+       stages=st.sampled_from((1, 2)), variant=st.sampled_from(VARIANTS),
+       seed=st.integers(0, 2**32 - 1))
+def test_instance_roundtrip_property(tmp_path_factory, chip, goals, stages,
+                                     variant, seed):
+    instance = generate_instance(chip, goals, stages, variant, seed)
+    path = tmp_path_factory.mktemp("rt") / "inst.json"
+    write_instance(instance, path)
+    again = read_instance(path)
+    assert again == instance
+    assert horizon_bound(again) == horizon_bound(instance)
+
+
+def _legacy_dict(variant, initial_mapping):
+    d = json.loads((DATA / "example-instance.json").read_text())
+    d["chip"]["side_length"] = 3
+    d["variant"] = variant
+    d["initial_mapping"] = initial_mapping
+    return d
+
+
+def test_legacy_keys_still_load(tmp_path):
+    path = tmp_path / "legacy.json"
+    for variant, placement in (("qcc", "identity"), ("qcc-i", "free"),
+                               ("qcc-x", "identity")):
+        path.write_text(json.dumps(_legacy_dict(variant, placement)))
+        instance = read_instance(path)
+        assert instance.variant == variant
+        assert instance.chip == build_preset_chip("rigetti-8")
+
+
+def test_contradicting_initial_mapping_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    for variant, placement in (("qcc", "free"), ("qcc-i", "identity"),
+                               ("qcc-x", "free"), ("qcc", "random")):
+        path.write_text(json.dumps(_legacy_dict(variant, placement)))
+        with pytest.raises(ValidationError, match="initial_mapping"):
+            read_instance(path)
 
 
 def test_read_instance_errors(tmp_path):

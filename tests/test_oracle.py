@@ -23,8 +23,7 @@ def test_worked_example_shape():
 
 def test_free_placement_skips_routing():
     chip = build_preset_chip("rigetti-8")
-    instance = Instance(chip=chip, goals=((3, 4),), variant="qcc-i",
-                        initial_mapping="free")
+    instance = Instance(chip=chip, goals=((3, 4),), variant="qcc-i")
     assert optimal_makespan(instance) == 3    # place both on a blue edge
 
 

@@ -78,7 +78,7 @@ def test_unroutable_goal():
     from qcsched.instance import BLUE, Chip, Edge
     edges = tuple(Edge(u, v, BLUE, 3, swap_enabled=False)
                   for u, v in ((1, 2), (1, 3), (2, 4), (3, 4)))
-    chip = Chip(qubit_count=4, edges=edges, side_length=2)
+    chip = Chip(qubit_count=4, edges=edges)
     instance = Instance(chip=chip, goals=((1, 4),))
     with pytest.raises(RoutingError):
         solve_greedy(instance)

@@ -2,10 +2,9 @@ import pytest
 
 from qcsched.fixtures import worked_example
 from qcsched.instance import Instance, build_grid_chip, build_preset_chip
-from qcsched.schedule import (GateTask, Schedule, SimulationError,
-                              improvement_delta, init_task, mix_task, ps_task,
-                              read_schedule, schedule_from_dict,
-                              schedule_to_dict, score, simulate_states,
+from qcsched.schedule import (Schedule, improvement_delta, init_task,
+                              mix_task, ps_task, read_schedule,
+                              schedule_from_dict, schedule_to_dict, score,
                               swap_task, validate, write_schedule)
 
 
@@ -92,8 +91,7 @@ def test_mix_rules_r6():
 
 def test_init_rules_r7():
     chip = build_grid_chip(2)
-    free = Instance(chip=chip, goals=((1, 2),), variant="qcc-i",
-                    initial_mapping="free")
+    free = Instance(chip=chip, goals=((1, 2),), variant="qcc-i")
     inits = [init_task(q, 5 - q) for q in chip.qubits]   # reversed placement
     ps = ps_task(3, 4, 0, 4, 1)                          # holds states 2, 1
     good = Schedule.from_tasks(inits + [ps])
@@ -120,22 +118,11 @@ def test_horizon_flags_r9(example):
     assert "R9" in validate(instance, schedule, horizon=4).rules()
 
 
-def test_simulate_states(example):
+def test_state_trace(example):
     instance, schedule = example
-    trace = simulate_states(instance, schedule)
+    trace = validate(instance, schedule).state_trace
     assert trace[1][-1][1] == 4   # state 4 ends on qubit 1
     assert trace[2][-1][1] == 3
-    clash = Schedule.from_tasks([swap_task(1, 2, 0, 2), swap_task(2, 3, 1, 2)])
-    with pytest.raises(SimulationError):
-        simulate_states(instance, clash)
-
-
-def test_simulate_requires_inits():
-    chip = build_grid_chip(2)
-    free = Instance(chip=chip, goals=((1, 2),), variant="qcc-i",
-                    initial_mapping="free")
-    with pytest.raises(SimulationError):
-        simulate_states(free, Schedule.from_tasks([ps_task(1, 2, 0, 3, 1)]))
 
 
 def test_score_and_delta():
