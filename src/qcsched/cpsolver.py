@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from math import ceil
+from operator import le
 
 from . import instance as inst
 from .bounds import horizon_bound, swap_task_bound
@@ -296,15 +296,19 @@ class _OutOfBudget(Exception):
 
 
 class _Rec:
-    """A committed task during search."""
-    __slots__ = ("kind", "qubits", "start", "end", "payload")
+    """A committed task during search, with its bits (see ``_Engine``)."""
+    __slots__ = ("kind", "qubits", "start", "end", "payload", "qmask",
+                 "zmask", "pbit")
 
-    def __init__(self, kind, qubits, start, end, payload):
+    def __init__(self, kind, qubits, start, end, payload, qmask, zmask, pbit):
         self.kind = kind
         self.qubits = qubits
         self.start = start
         self.end = end
-        self.payload = payload   # goal index for ps, state for mix
+        self.payload = payload   # goal for ps, state for mix, gate for swap
+        self.qmask = qmask
+        self.zmask = zmask
+        self.pbit = pbit
 
     def rel(self, t):
         return (self.kind, self.qubits, self.payload, self.end - t)
@@ -331,6 +335,19 @@ def search(model: Model, incumbent: Schedule | None = None,
 
 
 class _Engine:
+    """One search: the gate tables of the chip and instance, and the DFS.
+
+    Fit tests are on integer bit masks. A task's ``qmask`` has bit ``q`` for
+    each of its qubits, and its ``zmask`` the bits of its crosstalk zone
+    (two-qubit gates under qcc-x only, else 0). Its ``pbit`` marks what it
+    runs at most once: bit ``g`` for the ps gate of goal ``g``, bit
+    ``G + s`` for the mix of state ``s`` (``G`` goals in all), 0 for a swap.
+
+    A leaf is turned into a ``Schedule`` only when its objective beats the
+    incumbent, so ``_place_trailing_mix`` runs for improving leaves only and
+    its ``ModelError`` can come from no other leaf.
+    """
+
     def __init__(self, model: Model, budget_s, node_budget, on_incumbent):
         self.model = model
         self.instance = model.instance
@@ -340,16 +357,34 @@ class _Engine:
         self.tau_swap = self.chip.swap_duration
         self.tau_mix = self.chip.mix_duration
         self.min_ps = self.chip.min_ps_duration
-        self.dist = all_pairs_distances(self.chip)
+        # rounds of swaps before states d hops apart share an edge:
+        # ceil((d - 1) / 2), which is d // 2
+        self.hops = {q: {p: d // 2 for p, d in row.items()}
+                     for q, row in all_pairs_distances(self.chip).items()}
         self.zones = self.chip.crosstalk_zones
         self.free_placement = self.instance.variant == inst.QCC_I
+        self.two_stage = self.instance.stages == 2
         self.gate_order = sorted(e.pair for e in self.chip.swap_edges)
-        self.gate_idx = {pair: i for i, pair in enumerate(self.gate_order)}
         self.swap_cap = model.swap_cap
         self.goal_pairs = self.instance.goal_pairs
         self.state_goals = self.instance.state_goals
         self.goal_states = self.instance.goal_states
-        self.all_goals = frozenset(range(1, self.instance.total_goals + 1))
+        goals = self.instance.total_goals
+        self.all_goals = frozenset(range(1, goals + 1))
+        self.stage = (0,) + tuple(self.instance.goal_stage(g)
+                                  for g in range(1, goals + 1))
+        self.mix_bit = {s: 1 << (goals + s) for s in self.goal_states}
+
+        def zone(pair):
+            return sum(1 << q for q in self.zones[pair]) \
+                if self.crosstalk else 0
+        self.ps_edges = tuple(
+            (e.pair, e.u - 1, e.v - 1, e.ps_duration, (1 << e.u) | (1 << e.v),
+             zone(e.pair)) for e in self.chip.edges)
+        gate_idx = {pair: i for i, pair in enumerate(self.gate_order)}
+        self.swap_gates = tuple(
+            (e.pair, gate_idx[e.pair], (1 << e.u) | (1 << e.v), zone(e.pair))
+            for e in self.chip.swap_edges)
         self.budget_s = budget_s
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
@@ -416,33 +451,33 @@ class _Engine:
         self.nodes += 1
         self._check_budget()
 
-        while True:
-            done = [r for r in running if r.end <= t]
-            if not done:
-                break
-            running = tuple(r for r in running if r.end > t)
-            for r in done:
-                if r.kind == "swap":
-                    u, v = r.qubits
-                    m = list(mapping)
-                    m[u - 1], m[v - 1] = m[v - 1], m[u - 1]
-                    mapping = tuple(m)
-                elif r.kind == "ps":
-                    pending = pending - {r.payload}
-                elif r.kind == "mix":
-                    mixed = mixed | {r.payload}
+        still = []
+        for r in running:    # t is the end of one or more of them
+            if r.end > t:
+                still.append(r)
+            elif r.kind == "swap":
+                u, v = r.qubits
+                m = list(mapping)
+                m[u - 1], m[v - 1] = m[v - 1], m[u - 1]
+                mapping = tuple(m)
+            elif r.kind == "ps":
+                pending = pending - {r.payload}
+            else:
+                mixed = mixed | {r.payload}
+        running = tuple(still)
 
         if not pending:
-            self._complete(committed, mapping)
+            self._complete(committed)
             return
 
         if self.best_obj is not None:
-            mk_lb = t + self._makespan_lower_bound(t, mapping, running,
-                                                   pending, mixed)
+            loc = self._placement(mapping, running)
+            mk_lb = t + self._makespan_lower_bound(t, loc, running, pending,
+                                                   mixed)
             if mk_lb > self.best_obj[0]:
                 return
             if mk_lb == self.best_obj[0]:
-                swaps = sum(counts) + self._swap_lower_bound(mapping, running,
+                swaps = sum(counts) + self._swap_lower_bound(loc, running,
                                                              pending)
                 if swaps >= self.best_obj[1]:
                     return
@@ -452,7 +487,7 @@ class _Engine:
         entries = self.memo.get(key)
         if entries is not None:
             for (t0, c0) in entries:
-                if t0 <= t and all(a <= b for a, b in zip(c0, counts)):
+                if t0 <= t and all(map(le, c0, counts)):
                     return
             entries.append((t, counts))
         else:
@@ -465,11 +500,11 @@ class _Engine:
             if not active:
                 continue         # idle forever: dead end
             new_counts = counts
-            added = [c for c in chosen if c.kind == "swap"]
+            added = [c.payload for c in chosen if c.kind == "swap"]
             if added:
                 lst = list(counts)
-                for c in added:
-                    lst[self.gate_idx[c.qubits]] += 1
+                for gate in added:
+                    lst[gate] += 1
                 new_counts = tuple(lst)
             next_t = min(r.end for r in active)
             committed.extend(chosen)
@@ -478,28 +513,37 @@ class _Engine:
             if chosen:
                 del committed[-len(chosen):]
 
-    def _subsets(self, candidates):
+    @staticmethod
+    def _subsets(candidates):
         """Every pairwise-compatible subset of the candidates, depth first,
         each candidate taken before it is left out.
 
-        The explicit stack keeps the Python stack one frame per event time,
-        however many candidates an event has.
+        Each stack entry carries the OR of its subset's qubit, payload and
+        zone bits. The explicit stack keeps the Python stack one frame per
+        event time, however many candidates an event has.
         """
-        stack = [(0, ())]
+        end = len(candidates)
+        stack = [(0, (), 0, 0, 0)]
         while stack:
-            idx, chosen = stack.pop()
-            if idx == len(candidates):
+            idx, chosen, qs, ps, zs = stack.pop()
+            if idx == end:
                 yield chosen
                 continue
             task = candidates[idx]
-            stack.append((idx + 1, chosen))
-            if self._compatible(task, chosen):
-                stack.append((idx + 1, chosen + (task,)))
+            stack.append((idx + 1, chosen, qs, ps, zs))
+            qm, pm, zm = task.qmask, task.pbit, task.zmask
+            if not (qm & qs or pm & ps or zm & qs or qm & zs):
+                stack.append((idx + 1, chosen + (task,), qs | qm, ps | pm,
+                              zs | zm))
 
     # -- leaf handling ----------------------------------------------------
-    def _complete(self, committed, mapping):
+    def _complete(self, committed):
+        obj = (max((r.end for r in committed if r.kind == "ps"), default=0),
+               sum(1 for r in committed if r.kind == "swap"))
+        if self.best_obj is not None and obj >= self.best_obj:
+            return
         tasks = [self._to_gate_task(r) for r in committed]
-        if self.instance.stages == 2:
+        if self.two_stage:
             mixed_states = {r.payload for r in committed if r.kind == "mix"}
             for s in range(1, self.instance.state_count + 1):
                 if s not in mixed_states:
@@ -510,15 +554,12 @@ class _Engine:
                 tasks.append(init_task(q, root[q - 1]))
         schedule = Schedule.from_tasks(tasks,
                                        instance_id=self.instance.instance_id)
-        obj = schedule.objective()
-        if self.best_obj is None or obj < self.best_obj:
-            self.best = schedule
-            self.best_obj = obj
-            item = CPIncumbent(schedule, time.monotonic() - self.t0,
-                               self.nodes)
-            self.incumbents.append(item)
-            if self.on_incumbent:
-                self.on_incumbent(item)
+        self.best = schedule
+        self.best_obj = obj
+        item = CPIncumbent(schedule, time.monotonic() - self.t0, self.nodes)
+        self.incumbents.append(item)
+        if self.on_incumbent:
+            self.on_incumbent(item)
 
     def _to_gate_task(self, r: _Rec) -> GateTask:
         if r.kind == "swap":
@@ -548,157 +589,130 @@ class _Engine:
                          f"within horizon {self.horizon}")
 
     # -- candidate generation --------------------------------------------
-    def _busy_and_blocked(self, running):
-        busy = set()
-        blocked = set()
-        for r in running:
-            busy.update(r.qubits)
-            if self.crosstalk and len(r.qubits) == 2:
-                blocked.update(self.zones[r.qubits])
-        return busy, blocked
-
-    def _gate_ok(self, qubits, busy, blocked, running):
-        if any(q in busy for q in qubits):
-            return False
-        if self.crosstalk:
-            if len(qubits) == 2:
-                zone = self.zones[qubits]
-                if any(q in zone for r in running for q in r.qubits):
-                    return False
-            if any(q in blocked for q in qubits):
-                return False
-        return True
-
-    def _compatible(self, task, chosen) -> bool:
-        for other in chosen:
-            if other.kind == task.kind and task.kind in ("ps", "mix") \
-                    and other.payload == task.payload:
-                return False
-            if set(task.qubits) & set(other.qubits):
-                return False
-            if self.crosstalk:
-                if len(task.qubits) == 2 and \
-                        set(other.qubits) & self.zones[task.qubits]:
-                    return False
-                if len(other.qubits) == 2 and \
-                        set(task.qubits) & self.zones[other.qubits]:
-                    return False
-        return True
-
-    def _mix_started(self, state, running, mixed) -> bool:
-        if state in mixed:
-            return True
-        return any(r.kind == "mix" and r.payload == state for r in running)
-
     def _candidates(self, t, mapping, running, pending, mixed, counts):
-        instance = self.instance
-        chip = self.chip
-        busy, blocked = self._busy_and_blocked(running)
+        """Gates that fit beside the running ones at ``t``: ps, mix, swap."""
+        goal_pairs, stage = self.goal_pairs, self.stage
+        busy = blocked = started = 0
+        for r in running:
+            busy |= r.qmask
+            blocked |= r.zmask
+            started |= r.pbit
         ps_deadline = self.horizon
         if self.best_obj is not None:
             ps_deadline = min(ps_deadline, self.best_obj[0])
         out = []
-        running_ps_states = {s for r in running if r.kind == "ps"
-                             for s in self.goal_pairs[r.payload]}
         for g in sorted(pending):
-            s1, s2 = self.goal_pairs[g]
-            if instance.stages == 2:
-                if instance.goal_stage(g) == 1:
-                    if self._mix_started(s1, running, mixed) or \
-                            self._mix_started(s2, running, mixed):
+            s1, s2 = goal_pairs[g]
+            if self.two_stage:
+                if stage[g] == 1:
+                    if s1 in mixed or s2 in mixed or started & (
+                            self.mix_bit[s1] | self.mix_bit[s2]):
                         continue
                 elif s1 not in mixed or s2 not in mixed:
                     continue
-            for e in chip.edges:
-                if {mapping[e.u - 1], mapping[e.v - 1]} != {s1, s2}:
+            for pair, u, v, duration, qm, zm in self.ps_edges:
+                a, b = mapping[u], mapping[v]
+                if not (a == s1 and b == s2 or a == s2 and b == s1):
                     continue
-                if t + e.ps_duration > ps_deadline:
-                    continue
-                if self._gate_ok(e.pair, busy, blocked, running):
-                    out.append(_Rec("ps", e.pair, t, t + e.ps_duration, g))
-        if instance.stages == 2 and t + self.tau_mix <= self.horizon:
+                end = t + duration
+                if end <= ps_deadline and not ((qm | zm) & busy
+                                               or qm & blocked):
+                    out.append(_Rec("ps", pair, t, end, g, qm, zm, 1 << g))
+        if self.two_stage and t + self.tau_mix <= self.horizon:
+            free = ~(busy | blocked)
+            running_ps_states = {s for r in running if r.kind == "ps"
+                                 for s in goal_pairs[r.payload]}
             for s in self.goal_states:
-                if self._mix_started(s, running, mixed):
+                bit = self.mix_bit[s]
+                if s in mixed or started & bit or s in running_ps_states:
                     continue
-                if s in running_ps_states:
-                    continue
-                if any(g in pending and instance.goal_stage(g) == 1
+                if any(g in pending and stage[g] == 1
                        for g in self.state_goals[s]):
                     continue
-                for q in chip.qubits:
-                    if self._gate_ok((q,), busy, blocked, running):
-                        out.append(_Rec("mix", (q,), t, t + self.tau_mix, s))
+                for q in self.chip.qubits:
+                    if free >> q & 1:
+                        out.append(_Rec("mix", (q,), t, t + self.tau_mix, s,
+                                        1 << q, 0, bit))
         if t + self.tau_swap <= self.horizon:
-            for e in chip.swap_edges:
-                if counts[self.gate_idx[e.pair]] >= self.swap_cap:
-                    continue
-                if self._gate_ok(e.pair, busy, blocked, running):
-                    out.append(_Rec("swap", e.pair, t, t + self.tau_swap,
-                                    None))
+            for pair, gate, qm, zm in self.swap_gates:
+                if counts[gate] < self.swap_cap and not (
+                        (qm | zm) & busy or qm & blocked):
+                    out.append(_Rec("swap", pair, t, t + self.tau_swap, gate,
+                                    qm, zm, 0))
         hints = self.guide.get(t)
         if hints:
             out.sort(key=lambda r: 0 if (r.kind, r.qubits) in hints else 1)
         return out
 
     # -- bounds -----------------------------------------------------------
-    def _makespan_lower_bound(self, t, mapping, running, pending, mixed):
-        instance = self.instance
-        running_ps = {r.payload: r.end for r in running if r.kind == "ps"}
-        running_mix = {r.payload: r.end for r in running if r.kind == "mix"}
+    @staticmethod
+    def _placement(mapping, running):
+        """Each state's qubit once the running swaps end (index = state)."""
         m = list(mapping)
         for r in running:
             if r.kind == "swap":
                 u, v = r.qubits
                 m[u - 1], m[v - 1] = m[v - 1], m[u - 1]
-        loc = {s: q + 1 for q, s in enumerate(m)}
+        loc = [0] * (len(m) + 1)
+        for q, s in enumerate(m, 1):
+            loc[s] = q
+        return loc
+
+    def _makespan_lower_bound(self, t, loc, running, pending, mixed):
+        """Time from ``t`` to the end of the last pending goal gate: the
+        most of any goal's routing or mix wait plus a ps gate, and of any
+        state's ps gates in a row (plus its mix before stage 2)."""
+        hops, pairs, stage = self.hops, self.goal_pairs, self.stage
+        tau_swap, tau_mix, min_ps = self.tau_swap, self.tau_mix, self.min_ps
+        running_ps = {}
+        running_mix = {}
+        for r in running:
+            if r.kind == "ps":
+                running_ps[r.payload] = r.end - t
+            elif r.kind == "mix":
+                running_mix[r.payload] = r.end - t
         lb = 0
         for g in pending:
-            if g in running_ps:
-                lb = max(lb, running_ps[g] - t)
+            left = running_ps.get(g)
+            if left is not None:
+                if left > lb:
+                    lb = left
                 continue
-            s1, s2 = self.goal_pairs[g]
-            d = self.dist[loc[s1]][loc[s2]]
-            goal_lb = ceil((d - 1) / 2) * self.tau_swap
-            if instance.stages == 2 and instance.goal_stage(g) == 2:
-                wait = 0
+            s1, s2 = pairs[g]
+            goal_lb = hops[loc[s1]][loc[s2]] * tau_swap
+            if stage[g] == 2:
                 for s in (s1, s2):
-                    if s in mixed:
-                        continue
-                    wait = max(wait, running_mix.get(s, t + self.tau_mix) - t)
-                goal_lb = max(goal_lb, wait)
-            lb = max(lb, goal_lb + self.min_ps)
+                    if s not in mixed:
+                        wait = running_mix.get(s, tau_mix)
+                        if wait > goal_lb:
+                            goal_lb = wait
+            if goal_lb + min_ps > lb:
+                lb = goal_lb + min_ps
         for s in self.goal_states:
-            base = 0
-            n1 = n2 = 0
+            base = n = 0
+            later = False
             for g in self.state_goals[s]:
                 if g not in pending:
                     continue
-                if g in running_ps:
-                    base = max(base, running_ps[g] - t)
-                elif instance.stages == 2 and instance.goal_stage(g) == 2:
-                    n2 += 1
-                else:
-                    n1 += 1
-            mix_term = 0
-            if n2 and s not in mixed:
-                mix_term = max(0, running_mix.get(s, t + self.tau_mix) - t)
-            lb = max(lb, base + (n1 + n2) * self.min_ps + mix_term)
+                left = running_ps.get(g)
+                if left is None:
+                    n += 1
+                    later = later or stage[g] == 2
+                elif left > base:
+                    base = left
+            base += n * min_ps
+            if later and s not in mixed:
+                base += running_mix.get(s, tau_mix)
+            if base > lb:
+                lb = base
         return lb
 
-    def _swap_lower_bound(self, mapping, running, pending):
+    def _swap_lower_bound(self, loc, running, pending):
         running_ps = {r.payload for r in running if r.kind == "ps"}
-        m = list(mapping)
-        for r in running:
-            if r.kind == "swap":
-                u, v = r.qubits
-                m[u - 1], m[v - 1] = m[v - 1], m[u - 1]
-        loc = {s: q + 1 for q, s in enumerate(m)}
+        hops, pairs = self.hops, self.goal_pairs
         lb = 0
         for g in pending:
-            if g in running_ps:
-                continue
-            s1, s2 = self.goal_pairs[g]
-            d = self.dist[loc[s1]][loc[s2]]
-            lb = max(lb, ceil((d - 1) / 2))
+            if g not in running_ps:
+                s1, s2 = pairs[g]
+                lb = max(lb, hops[loc[s1]][loc[s2]])
         return lb
-

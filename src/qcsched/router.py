@@ -282,12 +282,19 @@ class AnytimeResult:
     incumbents: list[Incumbent]
 
 
-def solve_anytime(instance: Instance, budget_s: float = 0.0, seed: int = 0,
-                  max_restarts: int | None = None,
+def solve_anytime(instance: Instance, budget_s: float | None = None,
+                  seed: int = 0, max_restarts: int | None = None,
                   on_incumbent: Callable[[Incumbent], None] | None = None,
                   ) -> AnytimeResult:
     """Baseline first, then restarted greedy; records each strict improvement
-    and passes it to ``on_incumbent`` as it is found."""
+    and passes it to ``on_incumbent`` as it is found.
+
+    Restarts run until ``budget_s`` seconds pass or ``max_restarts`` have
+    run, whichever comes first; ``None`` lifts that limit, and one of the two
+    must be set.
+    """
+    if budget_s is None and max_restarts is None:
+        raise ValueError("solve_anytime needs budget_s or max_restarts")
     t0 = time.monotonic()
     rng = random.Random(seed)
     incumbents: list[Incumbent] = []

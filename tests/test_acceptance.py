@@ -6,8 +6,6 @@ import sys
 import time
 from dataclasses import replace
 
-import pytest
-
 from qcsched.bench import gen_suite, run_matrix
 from qcsched.bounds import horizon_bound
 from qcsched.cpsolver import OPTIMAL, build_model, check_assignment, search
@@ -17,8 +15,7 @@ from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
                               generate_instance)
 from qcsched.oracle import optimal_makespan
 from qcsched.router import solve_greedy, solve_sequential_baseline
-from qcsched.schedule import (Schedule, improvement_delta, mix_task, ps_task,
-                              score, swap_task, validate)
+from qcsched.schedule import Schedule, improvement_delta, score, validate
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:

@@ -1,8 +1,7 @@
 import pytest
 
 from qcsched import bench
-from qcsched.bench import (MatrixResult, gen_suite, goals_from_density,
-                           run_matrix)
+from qcsched.bench import gen_suite, goals_from_density, run_matrix
 from qcsched.hybrid import read_report
 from qcsched.instance import build_grid_chip
 

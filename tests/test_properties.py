@@ -1,8 +1,9 @@
-"""Property tests: the indexed router timeline and R2 against plain references.
+"""Property tests: indexed and bit-mask code against plain references.
 
-The references below are the straightforward algorithms the indexed code
-replaced: a timeline that rescans every committed task on every probe, and
-an R2 check that compares every pair of busy tasks. Both must agree with the
+The references below are the straightforward algorithms the faster code
+replaced: a timeline that rescans every committed task on every probe, an
+R2 check that compares every pair of busy tasks, and the exact search's
+set-based gate fit and subset compatibility tests. Each must agree with the
 package exactly.
 """
 
@@ -11,6 +12,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from qcsched import instance as inst
+from qcsched.cpsolver import _Engine, _Rec, build_model
 from qcsched.instance import build_grid_chip, build_preset_chip, \
     generate_instance
 from qcsched.router import _Timeline, solve_greedy
@@ -20,6 +22,7 @@ from qcsched.schedule import (TWO_QUBIT_KINDS, GateTask, Schedule, Violation,
 
 CHIPS = {"rigetti-21": build_preset_chip("rigetti-21"),
          "grid:3": build_grid_chip(3)}
+SEARCH_CHIPS = {**CHIPS, "rigetti-8": build_preset_chip("rigetti-8")}
 
 
 class LinearTimeline:
@@ -160,3 +163,163 @@ def test_r2_matches_pairwise_reference(chip_name, goals, stages, seed, moves):
     head = [v for v in got if v.rule in ("R5", "R1")]
     tail = [v for v in got if v.rule not in ("R5", "R1", "R2")]
     assert got == tuple(head + pairwise_r2(tasks, chip) + tail)
+
+
+class SetPredicates:
+    """The exact search's gate fit and subset tests on qubit sets."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.crosstalk = engine.crosstalk
+        self.zones = engine.zones
+
+    def busy_and_blocked(self, running):
+        busy = set()
+        blocked = set()
+        for r in running:
+            busy.update(r.qubits)
+            if self.crosstalk and len(r.qubits) == 2:
+                blocked.update(self.zones[r.qubits])
+        return busy, blocked
+
+    def gate_ok(self, qubits, busy, blocked, running):
+        if any(q in busy for q in qubits):
+            return False
+        if self.crosstalk:
+            if len(qubits) == 2:
+                zone = self.zones[qubits]
+                if any(q in zone for r in running for q in r.qubits):
+                    return False
+            if any(q in blocked for q in qubits):
+                return False
+        return True
+
+    def compatible(self, task, chosen):
+        for other in chosen:
+            if other.kind == task.kind and task.kind in ("ps", "mix") \
+                    and other.payload == task.payload:
+                return False
+            if set(task.qubits) & set(other.qubits):
+                return False
+            if self.crosstalk:
+                if len(task.qubits) == 2 and \
+                        set(other.qubits) & self.zones[task.qubits]:
+                    return False
+                if len(other.qubits) == 2 and \
+                        set(task.qubits) & self.zones[other.qubits]:
+                    return False
+        return True
+
+    def subsets(self, candidates):
+        stack = [(0, ())]
+        while stack:
+            idx, chosen = stack.pop()
+            if idx == len(candidates):
+                yield chosen
+                continue
+            task = candidates[idx]
+            stack.append((idx + 1, chosen))
+            if self.compatible(task, chosen):
+                stack.append((idx + 1, chosen + (task,)))
+
+    def candidates(self, t, mapping, running, pending, mixed, counts):
+        """(kind, qubits, start, end, payload) of every gate that fits, in
+        the search's order; a swap's payload is its gate index."""
+        e = self.engine
+        instance, chip = e.instance, e.chip
+        busy, blocked = self.busy_and_blocked(running)
+        started = mixed | {r.payload for r in running if r.kind == "mix"}
+        running_ps_states = {s for r in running if r.kind == "ps"
+                             for s in instance.goal_pair(r.payload)}
+        out = []
+        for g in sorted(pending):
+            s1, s2 = instance.goal_pair(g)
+            if instance.stages == 2:
+                if instance.goal_stage(g) == 1:
+                    if s1 in started or s2 in started:
+                        continue
+                elif s1 not in mixed or s2 not in mixed:
+                    continue
+            for edge in chip.edges:
+                if {mapping[edge.u - 1], mapping[edge.v - 1]} == {s1, s2} \
+                        and t + edge.ps_duration <= e.horizon \
+                        and self.gate_ok(edge.pair, busy, blocked, running):
+                    out.append(("ps", edge.pair, t, t + edge.ps_duration, g))
+        if instance.stages == 2 and t + e.tau_mix <= e.horizon:
+            for s in instance.goal_states:
+                if s in started or s in running_ps_states or any(
+                        g in pending and instance.goal_stage(g) == 1
+                        for g in instance.state_goals[s]):
+                    continue
+                out.extend(("mix", (q,), t, t + e.tau_mix, s)
+                           for q in chip.qubits
+                           if self.gate_ok((q,), busy, blocked, running))
+        if t + e.tau_swap <= e.horizon:
+            for edge in chip.swap_edges:
+                index = e.gate_order.index(edge.pair)
+                if counts[index] < e.swap_cap and \
+                        self.gate_ok(edge.pair, busy, blocked, running):
+                    out.append(("swap", edge.pair, t, t + e.tau_swap, index))
+        return out
+
+
+def _engine(chip_name, variant, stages, goals, seed):
+    instance = generate_instance(SEARCH_CHIPS[chip_name], goals,
+                                 stages=stages, variant=variant, seed=seed)
+    return _Engine(build_model(instance), None, None, None)
+
+
+def _gates(engine, rng):
+    """Every gate of the chip as a search record starting at 0: a ps on each
+    edge for a random goal, a mix on each qubit for a random goal state,
+    and each swap. So one goal often has ps gates on several edges and one
+    state mixes on several qubits."""
+    chip, goals = engine.chip, engine.instance.total_goals
+    out = []
+    for pair, _, _, duration, qm, zm in engine.ps_edges:
+        g = rng.randint(1, goals)
+        out.append(_Rec("ps", pair, 0, duration, g, qm, zm, 1 << g))
+    for q in chip.qubits:
+        s = rng.choice(engine.goal_states)
+        out.append(_Rec("mix", (q,), 0, engine.tau_mix, s, 1 << q, 0,
+                        1 << (goals + s)))
+    for pair, gate, qm, zm in engine.swap_gates:
+        out.append(_Rec("swap", pair, 0, engine.tau_swap, gate, qm, zm, 0))
+    return out
+
+
+SEARCH_STATES = dict(
+    chip_name=st.sampled_from(sorted(SEARCH_CHIPS)),
+    variant=st.sampled_from([inst.QCC, inst.QCC_X]),
+    stages=st.sampled_from([1, 2]), goals=st.integers(1, 5),
+    seed=st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(running=st.integers(0, 6), **SEARCH_STATES)
+def test_mask_fit_matches_set_predicates(chip_name, variant, stages, goals,
+                                         seed, running):
+    engine = _engine(chip_name, variant, stages, goals, seed)
+    rng = random.Random(seed)
+    busy = tuple(rng.sample(_gates(engine, rng), running))
+    mapping = list(engine.chip.qubits)
+    rng.shuffle(mapping)
+    pending = frozenset(g for g in engine.all_goals if rng.random() < 0.7)
+    mixed = frozenset(s for s in engine.goal_states if rng.random() < 0.4)
+    counts = tuple(rng.randint(0, engine.swap_cap)
+                   for _ in engine.gate_order)
+    args = (1, tuple(mapping), busy, pending, mixed, counts)
+    got = [(r.kind, r.qubits, r.start, r.end, r.payload)
+           for r in engine._candidates(*args)]
+    assert got == SetPredicates(engine).candidates(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(picks=st.lists(st.integers(0, 10 ** 6), max_size=9), **SEARCH_STATES)
+def test_mask_subsets_match_set_predicates(chip_name, variant, stages, goals,
+                                           seed, picks):
+    engine = _engine(chip_name, variant, stages, goals, seed)
+    gates = _gates(engine, random.Random(seed))
+    candidates = [gates[p % len(gates)] for p in picks]
+    assert list(engine._subsets(candidates)) == \
+        list(SetPredicates(engine).subsets(candidates))

@@ -103,3 +103,23 @@ def test_solve_anytime_returns_last_incumbent():
     result = solve_anytime(instance, budget_s=10.0, seed=0, max_restarts=20)
     assert result.best == result.incumbents[-1].schedule
     assert validate(instance, result.best).valid
+
+
+def test_restart_cap_alone_runs_restarts():
+    chip = build_preset_chip("rigetti-21")
+    instance = generate_instance(chip, 60, stages=1, variant="qcc", seed=1)
+    capped = solve_anytime(instance, max_restarts=20, seed=1)
+    assert capped.best == solve_anytime(instance, budget_s=None,
+                                        max_restarts=20, seed=1).best
+    baseline = solve_sequential_baseline(instance)
+    assert capped.best.objective() < baseline.objective()
+    assert validate(instance, capped.best).valid
+
+
+def test_anytime_needs_a_limit():
+    instance = generate_instance(build_grid_chip(2), 2, stages=1,
+                                 variant="qcc", seed=0)
+    with pytest.raises(ValueError):
+        solve_anytime(instance)
+    with pytest.raises(ValueError):
+        solve_anytime(instance, budget_s=None, max_restarts=None)
