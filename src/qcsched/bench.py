@@ -2,12 +2,14 @@
 
 A matrix is (instances x engines); each cell runs one engine on one instance
 and persists a single JSON report, so a rerun of a finished matrix only
-reloads files and reproduces the identical table.  Scores are the ratio of
-the best makespan found by any engine in the matrix to the engine's own
-makespan, averaged per problem class; hybrid rows also report the average
-improvement over their own first stage.  A cell whose engine raised is
-stored with an ``error: ...`` status and counted in the table's error column,
-never scored.
+reloads files and reproduces the identical table. A stored report is reused
+only when its engine, budgets, cell seed and instance content match the
+cell's; otherwise the cell runs again and its file is overwritten.  Scores
+are the ratio of the best makespan found by any engine in the matrix to the
+engine's own makespan, averaged per problem class; hybrid rows also report
+the average improvement over their own first stage.  A cell whose engine
+raised is stored with an ``error: ...`` status and counted in the table's
+error column, never scored.
 """
 
 from __future__ import annotations
@@ -138,15 +140,21 @@ class MatrixResult:
 def _run_cell(instance: Instance, engine: str, budget_s: float,
               seed: int, out_dir: Path, node_budget: int | None) -> RunReport:
     path = _report_path(out_dir, instance.instance_id, engine)
-    if path.exists():
-        return read_report(path)
     cell_seed = _cell_seed(seed, instance.instance_id, engine)
+    cell = (engine, budget_s, node_budget, cell_seed, instance.content_digest)
+    if path.exists():
+        stored = read_report(path)
+        if (stored.engine, stored.budget_s, stored.node_budget, stored.seed,
+                stored.instance_digest) == cell:
+            return stored
     try:
         report = run_engine(instance, engine, budget_s, seed=cell_seed,
                             node_budget=node_budget)
     except Exception as exc:   # a failed cell must not abort the matrix
         report = RunReport(instance.instance_id, engine, budget_s, cell_seed,
-                           (), status=f"{ERROR}: {type(exc).__name__}: {exc}")
+                           (), status=f"{ERROR}: {type(exc).__name__}: {exc}",
+                           node_budget=node_budget,
+                           instance_digest=instance.content_digest)
     write_report(report, path)
     return report
 

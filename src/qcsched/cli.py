@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -29,11 +30,36 @@ def _parse_chip(spec: str) -> Chip:
                      f"({', '.join(PRESET_CHIPS)}) or grid:SIDE[:COLORING]")
 
 
+def _number(kind, ok, need: str):
+    """An argparse ``type=`` that parses ``kind`` and rejects values that
+    fail ``ok`` with a one-line usage error."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {need}")
+        return value
+    return parse
+
+
+_SECONDS = _number(float, lambda v: v > 0, "a positive number of seconds")
+_NON_NEGATIVE = _number(int, lambda v: v >= 0, "a non-negative integer")
+_COUNT = _number(int, lambda v: v >= 1, "a count of at least 1")
+_DENSITY = _number(float, lambda v: 0 <= v <= 1, "a fraction in [0, 1]")
+
+
 def _goal_count(args, chip: Chip) -> int:
     if args.density is not None:
         return goals_from_density(chip, args.density)
     if args.goals is None:
         raise SystemExit("one of --goals or --density is required")
+    pairs = math.comb(chip.qubit_count, 2)
+    if args.goals > pairs:
+        raise SystemExit(f"--goals {args.goals} exceeds the {pairs} distinct "
+                         f"state pairs on {chip.qubit_count} qubits")
     return args.goals
 
 
@@ -41,8 +67,8 @@ def _add_instance_shape_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chip", required=True,
                    help="preset name or grid:SIDE[:COLORING]")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--goals", type=int, help="number of goals")
-    group.add_argument("--density", type=float,
+    group.add_argument("--goals", type=_NON_NEGATIVE, help="number of goals")
+    group.add_argument("--density", type=_DENSITY,
                        help="goals as a fraction of all state pairs")
     p.add_argument("--variant", choices=[QCC, QCC_I, QCC_X], default=QCC)
     p.add_argument("--stages", type=int, choices=[1, 2], default=1)
@@ -50,9 +76,9 @@ def _add_instance_shape_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=float, default=10.0,
+    p.add_argument("--budget", type=_SECONDS, default=10.0,
                    help="wall-clock budget in seconds")
-    p.add_argument("--node-budget", type=int, default=None,
+    p.add_argument("--node-budget", type=_NON_NEGATIVE, default=None,
                    help="search node cap for reproducible runs")
     p.add_argument("--seed", type=int, default=0)
 
@@ -146,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance suite")
     _add_instance_shape_flags(p)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_COUNT, default=1)
     p.add_argument("--label", default="")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen)
@@ -167,17 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chip", required=True,
                    help="preset name or grid:SIDE[:COLORING]")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--goals", type=int)
-    group.add_argument("--density", type=float)
+    group.add_argument("--goals", type=_NON_NEGATIVE)
+    group.add_argument("--density", type=_DENSITY)
     p.add_argument("--variant", choices=[QCC, QCC_I, QCC_X], action="append",
                    default=None, help="repeatable; defaults to qcc")
     p.add_argument("--stages", type=int, choices=[1, 2], default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_COUNT, default=5)
     p.add_argument("--engine", choices=ENGINES, action="append",
                    required=True)
-    p.add_argument("--budget", type=float, default=10.0)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--budget", type=_SECONDS, default=10.0)
+    p.add_argument("--node-budget", type=_NON_NEGATIVE, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench)
 

@@ -298,7 +298,7 @@ class _OutOfBudget(Exception):
 class _Rec:
     """A committed task during search, with its bits (see ``_Engine``)."""
     __slots__ = ("kind", "qubits", "start", "end", "payload", "qmask",
-                 "zmask", "pbit")
+                 "zmask", "pbit", "sig", "task")
 
     def __init__(self, kind, qubits, start, end, payload, qmask, zmask, pbit):
         self.kind = kind
@@ -309,9 +309,8 @@ class _Rec:
         self.qmask = qmask
         self.zmask = zmask
         self.pbit = pbit
-
-    def rel(self, t):
-        return (self.kind, self.qubits, self.payload, self.end - t)
+        self.sig = (kind, qubits, payload)   # with end - t, its memo key part
+        self.task = None         # its GateTask, built by the first leaf
 
 
 def search(model: Model, incumbent: Schedule | None = None,
@@ -334,8 +333,23 @@ def search(model: Model, incumbent: Schedule | None = None,
     return engine.run()
 
 
+_IDLE = float("inf")   # next event time when nothing runs
+
+
 class _Engine:
     """One search: the gate tables of the chip and instance, and the DFS.
+
+    A node's state is carried down the DFS, changed by what its parent
+    commits and by what ends at the node's time ``t``:
+
+    - ``mapping`` (qubit - 1 -> state) and its inverse ``loc`` (state ->
+      qubit) include every committed swap, running ones too, so ``loc`` is
+      the placement both bounds need. The memo key stays exact, as running
+      swaps are in it and sit on disjoint qubits; ps candidates use free
+      qubits only, where no running swap moves a state.
+    - ``pending`` has bit ``g`` for each goal whose ps gate has not ended,
+      ``mixed`` bit ``s`` for each state whose mix has ended, and
+      ``counts`` the swaps committed on each swap gate.
 
     Fit tests are on integer bit masks. A task's ``qmask`` has bit ``q`` for
     each of its qubits, and its ``zmask`` the bits of its crosstalk zone
@@ -343,48 +357,63 @@ class _Engine:
     runs at most once: bit ``g`` for the ps gate of goal ``g``, bit
     ``G + s`` for the mix of state ``s`` (``G`` goals in all), 0 for a swap.
 
-    A leaf is turned into a ``Schedule`` only when its objective beats the
-    incumbent, so ``_place_trailing_mix`` runs for improving leaves only and
-    its ``ModelError`` can come from no other leaf.
+    A leaf becomes a ``Schedule`` only when it beats the incumbent, so
+    ``_place_trailing_mix`` (and its ``ModelError``) runs for improving
+    leaves only; each ``_Rec`` keeps the ``GateTask`` built for it.
     """
 
     def __init__(self, model: Model, budget_s, node_budget, on_incumbent):
         self.model = model
         self.instance = model.instance
-        self.chip = model.instance.chip
+        self.chip = chip = model.instance.chip
         self.horizon = model.horizon
         self.crosstalk = self.instance.variant == inst.QCC_X
-        self.tau_swap = self.chip.swap_duration
-        self.tau_mix = self.chip.mix_duration
-        self.min_ps = self.chip.min_ps_duration
+        self.tau_swap = chip.swap_duration
+        self.tau_mix = chip.mix_duration
+        self.min_ps = chip.min_ps_duration
         # rounds of swaps before states d hops apart share an edge:
-        # ceil((d - 1) / 2), which is d // 2
-        self.hops = {q: {p: d // 2 for p, d in row.items()}
-                     for q, row in all_pairs_distances(self.chip).items()}
-        self.zones = self.chip.crosstalk_zones
+        # ceil((d - 1) / 2), which is d // 2; indexed [qubit][qubit]
+        dist = all_pairs_distances(chip)
+        self.hops = [{}] + [{p: d // 2 for p, d in dist[q].items()}
+                            for q in chip.qubits]
+        self.zones = chip.crosstalk_zones
         self.free_placement = self.instance.variant == inst.QCC_I
         self.two_stage = self.instance.stages == 2
-        self.gate_order = sorted(e.pair for e in self.chip.swap_edges)
+        self.gate_order = sorted(e.pair for e in chip.swap_edges)
         self.swap_cap = model.swap_cap
-        self.goal_pairs = self.instance.goal_pairs
-        self.state_goals = self.instance.state_goals
         self.goal_states = self.instance.goal_states
         goals = self.instance.total_goals
-        self.all_goals = frozenset(range(1, goals + 1))
-        self.stage = (0,) + tuple(self.instance.goal_stage(g)
-                                  for g in range(1, goals + 1))
-        self.mix_bit = {s: 1 << (goals + s) for s in self.goal_states}
+        mix_bit = {s: 1 << (goals + s) for s in self.goal_states}
+        # per goal: (g, goal bit, states, stage 2?, state bits, mix bits)
+        self.goal_rows = tuple(
+            (g, 1 << g, s1, s2, self.instance.goal_stage(g) == 2,
+             (1 << s1) | (1 << s2), mix_bit[s1] | mix_bit[s2])
+            for g, (s1, s2) in self.instance.goal_pairs.items())
+        # per goal state: (s, state bit, mix bit, goal bits, stage-1 and
+        # stage-2 goal bits)
+        stage1 = (1 << (len(self.instance.goals) + 1)) - 2
+        self.state_rows = []
+        for s in self.goal_states:
+            gs = sum(1 << g for g in self.instance.state_goals[s])
+            self.state_rows.append((s, 1 << s, mix_bit[s], gs, gs & stage1,
+                                    gs & ~stage1))
+        self.qubit_bits = tuple((q, 1 << q) for q in chip.qubits)
 
         def zone(pair):
             return sum(1 << q for q in self.zones[pair]) \
                 if self.crosstalk else 0
-        self.ps_edges = tuple(
-            (e.pair, e.u - 1, e.v - 1, e.ps_duration, (1 << e.u) | (1 << e.v),
-             zone(e.pair)) for e in self.chip.edges)
+        # the ps gate on the edge between two qubits: (pair, ps duration,
+        # qubit mask, zone mask), or None; indexed [qubit][qubit]
+        self.ps_at = [[None] * (chip.qubit_count + 1)
+                      for _ in range(chip.qubit_count + 1)]
+        for e in chip.edges:
+            row = (e.pair, e.ps_duration, (1 << e.u) | (1 << e.v),
+                   zone(e.pair))
+            self.ps_at[e.u][e.v] = self.ps_at[e.v][e.u] = row
         gate_idx = {pair: i for i, pair in enumerate(self.gate_order)}
         self.swap_gates = tuple(
             (e.pair, gate_idx[e.pair], (1 << e.u) | (1 << e.v), zone(e.pair))
-            for e in self.chip.swap_edges)
+            for e in chip.swap_edges)
         self.budget_s = budget_s
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
@@ -407,14 +436,18 @@ class _Engine:
         if propagate(self.model) == CONFLICT:
             status = TIMEOUT if self.best is not None else INFEASIBLE
             return SearchResult(status, self.best, self.incumbents, 0)
+        goals = self.instance.total_goals
         try:
             self._check_budget()
             for mapping in self._initial_mappings():
                 self.memo: dict = {}
                 self._root_mapping = mapping
+                loc = [0] * (len(mapping) + 1)    # state -> qubit
+                for q, s in enumerate(mapping, 1):
+                    loc[s] = q
                 counts = tuple(0 for _ in self.gate_order)
-                self._search(0, mapping, (), self.all_goals, frozenset(),
-                             counts, [])
+                self._search(0, mapping, loc, (), (1 << (goals + 1)) - 2,
+                             0, counts, [])
             status = OPTIMAL if self.best is not None else INFEASIBLE
         except _OutOfBudget:
             status = TIMEOUT
@@ -447,43 +480,38 @@ class _Engine:
                 raise _OutOfBudget
 
     # -- core DFS ---------------------------------------------------------
-    def _search(self, t, mapping, running, pending, mixed, counts, committed):
+    def _search(self, t, mapping, loc, running, pending, mixed, counts,
+                committed):
         self.nodes += 1
         self._check_budget()
 
         still = []
+        first = _IDLE        # the earliest end of what keeps running
         for r in running:    # t is the end of one or more of them
             if r.end > t:
                 still.append(r)
-            elif r.kind == "swap":
-                u, v = r.qubits
-                m = list(mapping)
-                m[u - 1], m[v - 1] = m[v - 1], m[u - 1]
-                mapping = tuple(m)
+                if r.end < first:
+                    first = r.end
             elif r.kind == "ps":
-                pending = pending - {r.payload}
-            else:
-                mixed = mixed | {r.payload}
+                pending &= ~r.pbit
+            elif r.kind == "mix":
+                mixed |= 1 << r.payload
         running = tuple(still)
 
         if not pending:
-            self._complete(committed)
+            self._complete(t, counts, committed)
             return
 
         if self.best_obj is not None:
-            loc = self._placement(mapping, running)
+            mk, swaps = self.best_obj
             mk_lb = t + self._makespan_lower_bound(t, loc, running, pending,
                                                    mixed)
-            if mk_lb > self.best_obj[0]:
+            if mk_lb > mk or mk_lb == mk and sum(counts) + \
+                    self._swap_lower_bound(loc, running, pending) >= swaps:
                 return
-            if mk_lb == self.best_obj[0]:
-                swaps = sum(counts) + self._swap_lower_bound(loc, running,
-                                                             pending)
-                if swaps >= self.best_obj[1]:
-                    return
 
-        key = (mapping, tuple(sorted(r.rel(t) for r in running)), pending,
-               mixed)
+        key = (mapping, tuple(sorted([(r.sig, r.end - t) for r in running])),
+               pending, mixed)
         entries = self.memo.get(key)
         if entries is not None:
             for (t0, c0) in entries:
@@ -493,61 +521,70 @@ class _Engine:
         else:
             self.memo[key] = [(t, counts)]
 
-        candidates = self._candidates(t, mapping, running, pending, mixed,
-                                      counts)
-        for chosen in self._subsets(candidates):
-            active = running + chosen
-            if not active:
+        candidates = self._candidates(t, loc, running, pending, mixed, counts)
+        for chosen, next_t in self._subsets(candidates, first):
+            if next_t == _IDLE:
                 continue         # idle forever: dead end
-            new_counts = counts
-            added = [c.payload for c in chosen if c.kind == "swap"]
-            if added:
-                lst = list(counts)
-                for gate in added:
-                    lst[gate] += 1
-                new_counts = tuple(lst)
-            next_t = min(r.end for r in active)
+            m, pos, c = mapping, loc, counts
+            for r in chosen:     # a swap is applied when it is committed
+                if r.kind == "swap":
+                    if m is mapping:
+                        m, pos, c = list(m), list(pos), list(c)
+                    u, v = r.qubits
+                    a, b = m[u - 1], m[v - 1]
+                    m[u - 1], m[v - 1] = b, a
+                    pos[a], pos[b] = v, u
+                    c[r.payload] += 1
+            if m is not mapping:
+                m, c = tuple(m), tuple(c)
             committed.extend(chosen)
-            self._search(next_t, mapping, active, pending, mixed, new_counts,
+            self._search(next_t, m, pos, running + chosen, pending, mixed, c,
                          committed)
             if chosen:
                 del committed[-len(chosen):]
 
     @staticmethod
-    def _subsets(candidates):
+    def _subsets(candidates, first):
         """Every pairwise-compatible subset of the candidates, depth first,
-        each candidate taken before it is left out.
-
-        Each stack entry carries the OR of its subset's qubit, payload and
-        zone bits. The explicit stack keeps the Python stack one frame per
-        event time, however many candidates an event has.
-        """
+        each taken before it is left out, with the earliest end of the
+        subset and ``first``. A subset takes each candidate that fits the OR
+        of its qubit, payload and zone bits and stacks the state without it;
+        the explicit stack keeps one Python frame per event time."""
         end = len(candidates)
-        stack = [(0, (), 0, 0, 0)]
+        stack = [(0, (), 0, 0, 0, first)]
         while stack:
-            idx, chosen, qs, ps, zs = stack.pop()
-            if idx == end:
-                yield chosen
-                continue
-            task = candidates[idx]
-            stack.append((idx + 1, chosen, qs, ps, zs))
-            qm, pm, zm = task.qmask, task.pbit, task.zmask
-            if not (qm & qs or pm & ps or zm & qs or qm & zs):
-                stack.append((idx + 1, chosen + (task,), qs | qm, ps | pm,
-                              zs | zm))
+            idx, chosen, qs, ps, zs, first = stack.pop()
+            while idx < end:
+                task = candidates[idx]
+                idx += 1
+                qm, pm, zm = task.qmask, task.pbit, task.zmask
+                if not (qm & qs or pm & ps or zm & qs or qm & zs):
+                    stack.append((idx, chosen, qs, ps, zs, first))
+                    chosen += (task,)
+                    qs |= qm
+                    ps |= pm
+                    zs |= zm
+                    if task.end < first:
+                        first = task.end
+            yield chosen, first
 
     # -- leaf handling ----------------------------------------------------
-    def _complete(self, committed):
-        obj = (max((r.end for r in committed if r.kind == "ps"), default=0),
-               sum(1 for r in committed if r.kind == "swap"))
+    def _complete(self, t, counts, committed):
+        # the last ps gate ended at t, and counts holds every swap
+        obj = (t, sum(counts))
         if self.best_obj is not None and obj >= self.best_obj:
             return
-        tasks = [self._to_gate_task(r) for r in committed]
+        tasks = []
+        for r in committed:
+            if r.task is None:
+                r.task = self._to_gate_task(r)
+            tasks.append(r.task)
         if self.two_stage:
+            spans = [(r.start, r.end, r.qmask | r.zmask) for r in committed]
             mixed_states = {r.payload for r in committed if r.kind == "mix"}
             for s in range(1, self.instance.state_count + 1):
                 if s not in mixed_states:
-                    tasks.append(self._place_trailing_mix(s, tasks))
+                    tasks.append(self._place_trailing_mix(s, spans))
         if self.free_placement:
             root = self._root_mapping
             for q in self.chip.qubits:
@@ -568,71 +605,66 @@ class _Engine:
             return ps_task(*r.qubits, r.start, r.end - r.start, r.payload)
         return mix_task(r.qubits[0], r.start, self.tau_mix, r.payload)
 
-    def _place_trailing_mix(self, state, tasks) -> GateTask:
-        """Earliest free 1-qubit slot for a state no goal ever touches."""
-        for t in range(self.horizon - self.tau_mix + 1):
-            for q in self.chip.qubits:
-                clash = False
-                for task in tasks:
-                    if task.start >= t + self.tau_mix or t >= task.end:
-                        continue
-                    if q in task.qubits:
-                        clash = True
-                        break
-                    if self.crosstalk and isinstance(task.location, tuple) \
-                            and q in self.zones[task.location]:
-                        clash = True
-                        break
-                if not clash:
-                    return mix_task(q, t, self.tau_mix, state)
+    def _place_trailing_mix(self, state, spans) -> GateTask:
+        """Earliest free 1-qubit slot for a state no goal ever touches.
+
+        ``spans`` holds the (start, end, qubit and zone bits) of the tasks
+        placed so far, and gains the new mix's.
+        """
+        tau = self.tau_mix
+        for t in range(self.horizon - tau + 1):
+            taken = 0
+            for start, end, bits in spans:
+                if start < t + tau and t < end:
+                    taken |= bits
+            for q, qm in self.qubit_bits:
+                if not taken & qm:
+                    spans.append((t, t + tau, qm))
+                    return mix_task(q, t, tau, state)
         raise ModelError(f"no room for the mix of state {state} "
                          f"within horizon {self.horizon}")
 
     # -- candidate generation --------------------------------------------
-    def _candidates(self, t, mapping, running, pending, mixed, counts):
+    def _candidates(self, t, loc, running, pending, mixed, counts):
         """Gates that fit beside the running ones at ``t``: ps, mix, swap."""
-        goal_pairs, stage = self.goal_pairs, self.stage
         busy = blocked = started = 0
         for r in running:
             busy |= r.qmask
             blocked |= r.zmask
             started |= r.pbit
-        ps_deadline = self.horizon
-        if self.best_obj is not None:
-            ps_deadline = min(ps_deadline, self.best_obj[0])
+        ps_deadline = self.horizon if self.best_obj is None \
+            else min(self.horizon, self.best_obj[0])
+        two_stage, ps_at = self.two_stage, self.ps_at
         out = []
-        for g in sorted(pending):
-            s1, s2 = goal_pairs[g]
-            if self.two_stage:
-                if stage[g] == 1:
-                    if s1 in mixed or s2 in mixed or started & (
-                            self.mix_bit[s1] | self.mix_bit[s2]):
+        for g, bit, s1, s2, later, sbits, mbits in self.goal_rows:
+            if not pending & bit:
+                continue
+            if two_stage:
+                if later:
+                    if mixed & sbits != sbits:
                         continue
-                elif s1 not in mixed or s2 not in mixed:
+                elif mixed & sbits or started & mbits:
                     continue
-            for pair, u, v, duration, qm, zm in self.ps_edges:
-                a, b = mapping[u], mapping[v]
-                if not (a == s1 and b == s2 or a == s2 and b == s1):
-                    continue
+            edge = ps_at[loc[s1]][loc[s2]]
+            if edge is not None:
+                pair, duration, qm, zm = edge
                 end = t + duration
                 if end <= ps_deadline and not ((qm | zm) & busy
                                                or qm & blocked):
-                    out.append(_Rec("ps", pair, t, end, g, qm, zm, 1 << g))
-        if self.two_stage and t + self.tau_mix <= self.horizon:
+                    out.append(_Rec("ps", pair, t, end, g, qm, zm, bit))
+        if two_stage and t + self.tau_mix <= self.horizon:
             free = ~(busy | blocked)
-            running_ps_states = {s for r in running if r.kind == "ps"
-                                 for s in goal_pairs[r.payload]}
-            for s in self.goal_states:
-                bit = self.mix_bit[s]
-                if s in mixed or started & bit or s in running_ps_states:
+            held = mixed     # mixed states, and the states of running ps
+            for r in running:
+                if r.kind == "ps":
+                    held |= self.goal_rows[r.payload - 1][5]
+            end = t + self.tau_mix
+            for s, sbit, mbit, _, first, _ in self.state_rows:
+                if held & sbit or started & mbit or pending & first:
                     continue
-                if any(g in pending and stage[g] == 1
-                       for g in self.state_goals[s]):
-                    continue
-                for q in self.chip.qubits:
-                    if free >> q & 1:
-                        out.append(_Rec("mix", (q,), t, t + self.tau_mix, s,
-                                        1 << q, 0, bit))
+                for q, qm in self.qubit_bits:
+                    if free & qm:
+                        out.append(_Rec("mix", (q,), t, end, s, qm, 0, mbit))
         if t + self.tau_swap <= self.horizon:
             for pair, gate, qm, zm in self.swap_gates:
                 if counts[gate] < self.swap_cap and not (
@@ -645,74 +677,54 @@ class _Engine:
         return out
 
     # -- bounds -----------------------------------------------------------
-    @staticmethod
-    def _placement(mapping, running):
-        """Each state's qubit once the running swaps end (index = state)."""
-        m = list(mapping)
-        for r in running:
-            if r.kind == "swap":
-                u, v = r.qubits
-                m[u - 1], m[v - 1] = m[v - 1], m[u - 1]
-        loc = [0] * (len(m) + 1)
-        for q, s in enumerate(m, 1):
-            loc[s] = q
-        return loc
-
     def _makespan_lower_bound(self, t, loc, running, pending, mixed):
         """Time from ``t`` to the end of the last pending goal gate: the
-        most of any goal's routing or mix wait plus a ps gate, and of any
-        state's ps gates in a row (plus its mix before stage 2)."""
-        hops, pairs, stage = self.hops, self.goal_pairs, self.stage
-        tau_swap, tau_mix, min_ps = self.tau_swap, self.tau_mix, self.min_ps
-        running_ps = {}
-        running_mix = {}
+        most of any goal's routing plus a ps gate, and of any state's ps
+        gates in a row (plus its mix before stage 2, which also bounds the
+        wait of each of its stage-2 goals)."""
+        tau_mix, min_ps = self.tau_mix, self.min_ps
+        ps_left = {}    # state -> time left on its running ps gate
+        mix_left = {}   # state -> time left on its running mix
+        waiting = pending
+        lb = 0
         for r in running:
             if r.kind == "ps":
-                running_ps[r.payload] = r.end - t
-            elif r.kind == "mix":
-                running_mix[r.payload] = r.end - t
-        lb = 0
-        for g in pending:
-            left = running_ps.get(g)
-            if left is not None:
+                left = r.end - t
+                waiting &= ~r.pbit
+                row = self.goal_rows[r.payload - 1]
+                ps_left[row[2]] = ps_left[row[3]] = left
                 if left > lb:
                     lb = left
+            elif r.kind == "mix":
+                mix_left[r.payload] = r.end - t
+        if waiting:
+            route = self._rounds(loc, waiting) * self.tau_swap + min_ps
+            if route > lb:
+                lb = route
+        for s, sbit, _, goals, _, later in self.state_rows:
+            chain = waiting & goals
+            if not chain:
                 continue
-            s1, s2 = pairs[g]
-            goal_lb = hops[loc[s1]][loc[s2]] * tau_swap
-            if stage[g] == 2:
-                for s in (s1, s2):
-                    if s not in mixed:
-                        wait = running_mix.get(s, tau_mix)
-                        if wait > goal_lb:
-                            goal_lb = wait
-            if goal_lb + min_ps > lb:
-                lb = goal_lb + min_ps
-        for s in self.goal_states:
-            base = n = 0
-            later = False
-            for g in self.state_goals[s]:
-                if g not in pending:
-                    continue
-                left = running_ps.get(g)
-                if left is None:
-                    n += 1
-                    later = later or stage[g] == 2
-                elif left > base:
-                    base = left
-            base += n * min_ps
-            if later and s not in mixed:
-                base += running_mix.get(s, tau_mix)
+            base = ps_left.get(s, 0) + chain.bit_count() * min_ps
+            if chain & later and not mixed & sbit:
+                base += mix_left.get(s, tau_mix)
             if base > lb:
                 lb = base
         return lb
 
     def _swap_lower_bound(self, loc, running, pending):
-        running_ps = {r.payload for r in running if r.kind == "ps"}
-        hops, pairs = self.hops, self.goal_pairs
-        lb = 0
-        for g in pending:
-            if g not in running_ps:
-                s1, s2 = pairs[g]
-                lb = max(lb, hops[loc[s1]][loc[s2]])
-        return lb
+        waiting = pending
+        for r in running:
+            waiting &= ~r.pbit
+        return self._rounds(loc, waiting)
+
+    def _rounds(self, loc, waiting):
+        """The most swap rounds a goal of ``waiting`` needs at ``loc``."""
+        hops = self.hops
+        most = 0
+        for _, bit, s1, s2, _, _, _ in self.goal_rows:
+            if waiting & bit:
+                h = hops[loc[s1]][loc[s2]]
+                if h > most:
+                    most = h
+        return most

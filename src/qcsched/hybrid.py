@@ -55,6 +55,8 @@ class RunReport:
     cp_status: str | None = None
     delta: float | None = None
     nodes: int = 0
+    node_budget: int | None = None
+    instance_digest: str = ""    # ``Instance.content_digest`` of the input
 
     @property
     def solved(self) -> bool:
@@ -77,7 +79,8 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
         raise ValueError("budget_s must be positive")
     router_seed = random.Random(seed).getrandbits(32)
     report = RunReport(instance.instance_id, engine, budget_s, seed,
-                       (router_seed,))
+                       (router_seed,), node_budget=node_budget,
+                       instance_digest=instance.content_digest)
     cp_budget, final = budget_s, None
     if engine != ENGINE_CP:
         t0 = time.monotonic()
@@ -148,6 +151,8 @@ def report_to_dict(report: RunReport) -> dict:
         "cp_status": report.cp_status,
         "delta": report.delta,
         "nodes": report.nodes,
+        "node_budget": report.node_budget,
+        "instance_digest": report.instance_digest,
     }
 
 
@@ -168,6 +173,8 @@ def report_from_dict(d: dict) -> RunReport:
             cp_status=d.get("cp_status"),
             delta=d.get("delta"),
             nodes=d.get("nodes", 0),
+            node_budget=d.get("node_budget"),
+            instance_digest=d.get("instance_digest", ""),
         )
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in run report") from exc

@@ -238,11 +238,15 @@ class Instance:
         return len(self.goals) * self.stages
 
     @cached_property
-    def instance_id(self) -> str:
-        digest = hashlib.sha256(
+    def content_digest(self) -> str:
+        """Hash of the chip, goals, stages and variant, not of the label."""
+        return hashlib.sha256(
             json.dumps(_instance_to_dict(self), sort_keys=True).encode()
         ).hexdigest()[:12]
-        return self.label or digest
+
+    @cached_property
+    def instance_id(self) -> str:
+        return self.label or self.content_digest
 
 
 def build_preset_chip(name: str) -> Chip:

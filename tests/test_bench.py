@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qcsched import bench
@@ -41,6 +43,39 @@ def test_run_matrix_and_resume(tmp_path, chip):
                        seed=1)
     assert again.table() == table
     assert {f: f.stat().st_mtime_ns for f in files} == mtimes
+
+
+@pytest.mark.parametrize("change", ["seed", "budget", "node_budget", "chip",
+                                    "old_file"])
+def test_resume_reruns_a_cell_whose_settings_changed(tmp_path, chip, change):
+    settings = dict(budget_s=0.3, seed=1, node_budget=40)
+    suite = gen_suite(chip, 1, 2, "qcc", 1, seed=1)
+    run_matrix(suite, ["cp"], out_dir=tmp_path, **settings)
+    path = tmp_path / f"{suite[0].instance_id}-cp.json"
+    if change == "seed":      # other instances under the same labels
+        settings["seed"] = 2
+        suite = gen_suite(chip, 1, 2, "qcc", 1, seed=2)
+    elif change == "budget":
+        settings["budget_s"] = 0.4
+    elif change == "node_budget":
+        settings["node_budget"] = 20
+    elif change == "chip":
+        suite = gen_suite(build_grid_chip(3), 1, 2, "qcc", 1, seed=1)
+    else:                     # a report stored before these fields existed
+        data = json.loads(path.read_text())
+        del data["node_budget"], data["instance_digest"]
+        path.write_text(json.dumps(data))
+    instance = suite[0]
+    assert path.name == f"{instance.instance_id}-cp.json"
+    result = run_matrix(suite, ["cp"], out_dir=tmp_path, **settings)
+    expected = (settings["budget_s"], settings["node_budget"],
+                bench._cell_seed(settings["seed"], instance.instance_id, "cp"),
+                instance.content_digest)
+    for report in (result.reports[(instance.instance_id, "cp")],
+                   read_report(path)):
+        assert (report.budget_s, report.node_budget, report.seed,
+                report.instance_digest) == expected
+        assert report.nodes <= settings["node_budget"]
 
 
 def test_scores_bounded_by_one(tmp_path, chip):

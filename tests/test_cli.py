@@ -51,6 +51,32 @@ def test_bad_grid_spec_exits_cleanly(tmp_path, spec):
               "--out-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{instance}", "--budget", "0"],
+    ["solve", "{instance}", "--budget", "-1"],
+    ["solve", "{instance}", "--node-budget", "-5"],
+    ["bench", "--chip", "grid:2", "--goals", "1", "--engine", "router",
+     "--budget", "-1"],
+    ["bench", "--chip", "grid:2", "--goals", "1", "--engine", "router",
+     "--count", "0"],
+    ["gen", "--chip", "grid:2", "--goals", "-2"],
+    ["gen", "--chip", "rigetti-8", "--goals", "100"],
+    ["gen", "--chip", "grid:2", "--density", "1.5"],
+    ["gen", "--chip", "grid:2", "--goals", "1", "--count", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_out_of_range_numbers_exit_with_an_error(tmp_path, capsys, argv):
+    assert main(["gen", "--chip", "grid:2", "--goals", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    instance = capsys.readouterr().out.strip()
+    out = tmp_path / "out"
+    argv = [a.format(instance=instance) for a in argv] + \
+        ["--out-dir", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code not in (0, None)
+    assert not out.exists()
+
+
 def test_solve_validate_gantt_pipeline(tmp_path, capsys):
     assert main(["gen", "--chip", "grid:2", "--goals", "2", "--seed", "1",
                  "--out-dir", str(tmp_path)]) == 0

@@ -3,22 +3,25 @@
 The references below are the straightforward algorithms the faster code
 replaced: a timeline that rescans every committed task on every probe, an
 R2 check that compares every pair of busy tasks, and the exact search's
-set-based gate fit and subset compatibility tests. Each must agree with the
-package exactly.
+set-based gate fit and subset compatibility tests and its set-based lower
+bounds. Each must agree with the package exactly. A last test sends
+schedules through their JSON form and back.
 """
 
+import json
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from qcsched import instance as inst
-from qcsched.cpsolver import _Engine, _Rec, build_model
+from qcsched.cpsolver import _IDLE, _Engine, _Rec, build_model, search
 from qcsched.instance import build_grid_chip, build_preset_chip, \
     generate_instance
-from qcsched.router import _Timeline, solve_greedy
+from qcsched.router import _Timeline, all_pairs_distances, solve_greedy
 from qcsched.schedule import (TWO_QUBIT_KINDS, GateTask, Schedule, Violation,
-                              init_task, mix_task, ps_task, swap_task,
-                              validate)
+                              init_task, mix_task, ps_task, schedule_from_dict,
+                              schedule_to_dict, swap_task, validate)
 
 CHIPS = {"rigetti-21": build_preset_chip("rigetti-21"),
          "grid:3": build_grid_chip(3)}
@@ -263,6 +266,99 @@ class SetPredicates:
         return out
 
 
+class SetBounds:
+    """The exact search's two lower bounds on sets and dicts, with the
+    placement they read: goals pending and states mixed are sets, and the
+    running swaps are replayed onto the mapping."""
+
+    def __init__(self, engine):
+        instance, chip = engine.instance, engine.chip
+        self.hops = {q: {p: d // 2 for p, d in row.items()}
+                     for q, row in all_pairs_distances(chip).items()}
+        self.goal_pairs = instance.goal_pairs
+        self.state_goals = instance.state_goals
+        self.goal_states = instance.goal_states
+        self.stage = (0,) + tuple(instance.goal_stage(g)
+                                  for g in range(1, instance.total_goals + 1))
+        self.tau_swap = chip.swap_duration
+        self.tau_mix = chip.mix_duration
+        self.min_ps = chip.min_ps_duration
+
+    def makespan_lower_bound(self, t, loc, running, pending, mixed):
+        hops, pairs, stage = self.hops, self.goal_pairs, self.stage
+        tau_swap, tau_mix, min_ps = self.tau_swap, self.tau_mix, self.min_ps
+        running_ps = {}
+        running_mix = {}
+        for r in running:
+            if r.kind == "ps":
+                running_ps[r.payload] = r.end - t
+            elif r.kind == "mix":
+                running_mix[r.payload] = r.end - t
+        lb = 0
+        for g in pending:
+            left = running_ps.get(g)
+            if left is not None:
+                if left > lb:
+                    lb = left
+                continue
+            s1, s2 = pairs[g]
+            goal_lb = hops[loc[s1]][loc[s2]] * tau_swap
+            if stage[g] == 2:
+                for s in (s1, s2):
+                    if s not in mixed:
+                        wait = running_mix.get(s, tau_mix)
+                        if wait > goal_lb:
+                            goal_lb = wait
+            if goal_lb + min_ps > lb:
+                lb = goal_lb + min_ps
+        for s in self.goal_states:
+            base = n = 0
+            later = False
+            for g in self.state_goals[s]:
+                if g not in pending:
+                    continue
+                left = running_ps.get(g)
+                if left is None:
+                    n += 1
+                    later = later or stage[g] == 2
+                elif left > base:
+                    base = left
+            base += n * min_ps
+            if later and s not in mixed:
+                base += running_mix.get(s, tau_mix)
+            if base > lb:
+                lb = base
+        return lb
+
+    def swap_lower_bound(self, loc, running, pending):
+        running_ps = {r.payload for r in running if r.kind == "ps"}
+        hops, pairs = self.hops, self.goal_pairs
+        lb = 0
+        for g in pending:
+            if g not in running_ps:
+                s1, s2 = pairs[g]
+                lb = max(lb, hops[loc[s1]][loc[s2]])
+        return lb
+
+
+def _placement(mapping, running):
+    """Each state's qubit once the running swaps end (index = state)."""
+    m = list(mapping)
+    for r in running:
+        if r.kind == "swap":
+            u, v = r.qubits
+            m[u - 1], m[v - 1] = m[v - 1], m[u - 1]
+    loc = [0] * (len(m) + 1)
+    for q, s in enumerate(m, 1):
+        loc[s] = q
+    return loc
+
+
+def _bits(members):
+    """The search's bitset of goals or states: bit ``i`` for member ``i``."""
+    return sum(1 << i for i in members)
+
+
 def _engine(chip_name, variant, stages, goals, seed):
     instance = generate_instance(SEARCH_CHIPS[chip_name], goals,
                                  stages=stages, variant=variant, seed=seed)
@@ -276,7 +372,8 @@ def _gates(engine, rng):
     state mixes on several qubits."""
     chip, goals = engine.chip, engine.instance.total_goals
     out = []
-    for pair, _, _, duration, qm, zm in engine.ps_edges:
+    for e in chip.edges:
+        pair, duration, qm, zm = engine.ps_at[e.u][e.v]
         g = rng.randint(1, goals)
         out.append(_Rec("ps", pair, 0, duration, g, qm, zm, 1 << g))
     for q in chip.qubits:
@@ -304,13 +401,16 @@ def test_mask_fit_matches_set_predicates(chip_name, variant, stages, goals,
     busy = tuple(rng.sample(_gates(engine, rng), running))
     mapping = list(engine.chip.qubits)
     rng.shuffle(mapping)
-    pending = frozenset(g for g in engine.all_goals if rng.random() < 0.7)
+    pending = frozenset(g for g in range(1, engine.instance.total_goals + 1)
+                        if rng.random() < 0.7)
     mixed = frozenset(s for s in engine.goal_states if rng.random() < 0.4)
     counts = tuple(rng.randint(0, engine.swap_cap)
                    for _ in engine.gate_order)
     args = (1, tuple(mapping), busy, pending, mixed, counts)
+    loc = _placement(mapping, ())
     got = [(r.kind, r.qubits, r.start, r.end, r.payload)
-           for r in engine._candidates(*args)]
+           for r in engine._candidates(1, loc, busy, _bits(pending),
+                                       _bits(mixed), counts)]
     assert got == SetPredicates(engine).candidates(*args)
 
 
@@ -321,5 +421,110 @@ def test_mask_subsets_match_set_predicates(chip_name, variant, stages, goals,
     engine = _engine(chip_name, variant, stages, goals, seed)
     gates = _gates(engine, random.Random(seed))
     candidates = [gates[p % len(gates)] for p in picks]
-    assert list(engine._subsets(candidates)) == \
+    assert [chosen for chosen, _ in engine._subsets(candidates, _IDLE)] == \
         list(SetPredicates(engine).subsets(candidates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(picks=st.lists(st.integers(0, 10 ** 6), max_size=9),
+       first=st.integers(1, 30), **SEARCH_STATES)
+def test_subsets_carry_their_earliest_end(chip_name, variant, stages, goals,
+                                          seed, picks, first):
+    engine = _engine(chip_name, variant, stages, goals, seed)
+    gates = _gates(engine, random.Random(seed))
+    candidates = [gates[p % len(gates)] for p in picks]
+    for chosen, end in engine._subsets(candidates, first):
+        assert end == min([first] + [r.end for r in chosen])
+
+
+def _search_state(engine, rng):
+    """A state the search can reach: time ``t``, a shuffled mapping, goals
+    pending, states mixed, and ps, mix and swap records running on disjoint
+    qubits. A running ps holds its goal's states and its goal is pending; a
+    running mix is of a state neither mixed nor in a running ps."""
+    instance, chip = engine.instance, engine.chip
+    t = rng.randint(0, 12)
+    pending = {g for g in range(1, instance.total_goals + 1)
+               if rng.random() < 0.7}
+    mixed = {s for s in instance.goal_states if rng.random() < 0.4}
+    free = set(chip.qubits)
+    placed = {}     # qubit -> state, for the running ps gates
+    running = []
+    for g in sorted(pending):
+        s1, s2 = instance.goal_pair(g)
+        edges = [e for e in chip.edges if e.u in free and e.v in free]
+        if rng.random() < 0.5 or not edges or {s1, s2} & set(placed.values()):
+            continue
+        e = rng.choice(edges)
+        pair, duration, qm, zm = engine.ps_at[e.u][e.v]
+        end = t + rng.randint(1, duration)
+        running.append(_Rec("ps", pair, end - duration, end, g, qm, zm,
+                            1 << g))
+        placed[e.u], placed[e.v] = (s1, s2) if rng.random() < 0.5 \
+            else (s2, s1)
+        free -= {e.u, e.v}
+    held = set(placed.values())
+    for s in instance.goal_states:
+        if s in mixed or s in held or not free or rng.random() < 0.5:
+            continue
+        q = rng.choice(sorted(free))
+        free.discard(q)
+        end = t + rng.randint(1, engine.tau_mix)
+        running.append(_Rec("mix", (q,), end - engine.tau_mix, end, s, 1 << q,
+                            0, 1 << (instance.total_goals + s)))
+    for pair, gate, qm, zm in engine.swap_gates:
+        if set(pair) <= free and rng.random() < 0.3:
+            free -= set(pair)
+            end = t + rng.randint(1, engine.tau_swap)
+            running.append(_Rec("swap", pair, end - engine.tau_swap, end,
+                                gate, qm, zm, 0))
+    rest = [s for s in chip.qubits if s not in held]
+    rng.shuffle(rest)
+    mapping = [placed[q] if q in placed else rest.pop() for q in chip.qubits]
+    rng.shuffle(running)
+    return t, mapping, tuple(running), pending, mixed
+
+
+# The chips' mixes last 1, so a running mix always has a whole mix left; a
+# 3-long mix lets the time left on a running mix differ from a fresh one.
+@settings(max_examples=300, deadline=None)
+@given(mix=st.sampled_from([1, 3]), **SEARCH_STATES)
+def test_bounds_match_set_reference(chip_name, variant, stages, goals, seed,
+                                    mix):
+    chip = replace(SEARCH_CHIPS[chip_name], mix_duration=mix)
+    instance = generate_instance(chip, goals, stages=stages, variant=variant,
+                                 seed=seed)
+    engine = _Engine(build_model(instance), None, None, None)
+    t, mapping, running, pending, mixed = \
+        _search_state(engine, random.Random(seed))
+    loc = _placement(mapping, running)
+    ref = SetBounds(engine)
+    assert engine._makespan_lower_bound(t, loc, running, _bits(pending),
+                                        _bits(mixed)) == \
+        ref.makespan_lower_bound(t, loc, running, pending, mixed)
+    assert engine._swap_lower_bound(loc, running, _bits(pending)) == \
+        ref.swap_lower_bound(loc, running, pending)
+
+
+ROUND_TRIP_CHIPS = {"grid:2": build_grid_chip(2), "grid:3": CHIPS["grid:3"],
+                    "rigetti-8": SEARCH_CHIPS["rigetti-8"]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(chip_name=st.sampled_from(sorted(ROUND_TRIP_CHIPS)),
+       variant=st.sampled_from([inst.QCC, inst.QCC_I, inst.QCC_X]),
+       stages=st.sampled_from([1, 2]), goals=st.integers(1, 4),
+       seed=st.integers(0, 10 ** 6), searched=st.booleans())
+def test_schedule_json_round_trip(chip_name, variant, stages, goals, seed,
+                                  searched):
+    instance = generate_instance(ROUND_TRIP_CHIPS[chip_name], goals,
+                                 stages=stages, variant=variant, seed=seed)
+    schedule = solve_greedy(instance, seed=seed)
+    if searched:
+        schedule = search(build_model(instance), schedule,
+                          node_budget=300).best
+    back = schedule_from_dict(json.loads(json.dumps(
+        schedule_to_dict(schedule))))
+    assert back == schedule
+    assert validate(instance, back).violations == \
+        validate(instance, schedule).violations
