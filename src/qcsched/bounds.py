@@ -1,11 +1,9 @@
-"""Scheduling-horizon and swap-count upper bounds for the exact model.
+"""The scheduling-horizon upper bound for the exact model.
 
 The horizon comes from the sequential worst case: each goal is routed with at
 most ``diameter - 1`` swaps, the diameter taken over the chip's swap graph,
 and finished with the slowest gate. For two-stage problems the stage blocks
-run back to back with one mixing window in between. The cap of one swap task
-per gate per goal and stage is known to be loose in rare cases; widen it with
-``dataclasses.replace(build_model(instance), swap_cap=...)``.
+run back to back with one mixing window in between.
 """
 
 from __future__ import annotations
@@ -27,7 +25,3 @@ def horizon_bound(instance: Instance) -> int:
         return single
     return 2 * single + chip.mix_duration
 
-
-def swap_task_bound(instance: Instance) -> int:
-    """Swap tasks allowed per physical swap gate: one per goal per stage."""
-    return instance.goal_count * instance.stages

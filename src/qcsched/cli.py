@@ -10,9 +10,9 @@ from pathlib import Path
 from .bench import gen_suite, goals_from_density, run_matrix
 from .gantt import render
 from .hybrid import ENGINES, run_engine, write_report
-from .instance import (Chip, build_grid_chip, build_preset_chip,
-                       read_instance, write_instance, PRESET_CHIPS,
-                       QCC, QCC_I, QCC_X)
+from .instance import (Chip, ParseError, ValidationError, build_grid_chip,
+                       build_preset_chip, read_instance, write_instance,
+                       PRESET_CHIPS, QCC, QCC_I, QCC_X)
 from .schedule import read_schedule, validate, write_schedule
 
 
@@ -218,7 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:      # a file that cannot be read or written
+        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
+    except (ParseError, ValidationError) as exc:   # a malformed file
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

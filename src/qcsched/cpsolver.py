@@ -3,15 +3,15 @@
 The paper's exact engine is an interval model (optional tasks tied together
 by ``alternative`` and ``noOverlap`` constraints). Here the same rules are
 enforced by the search itself, which commits gates event by event, so the
-model it reads is just a spec: the instance, a horizon every gate must end
-by, and a cap on the swaps per gate. ``search`` emits every lexicographically
-improving schedule and proves optimality on exhaustion; a warm-start schedule
-can be installed as the initial incumbent.
+model it reads is just a spec: the instance and a horizon every gate must
+end by. ``search`` emits every lexicographically improving schedule and
+proves optimality on exhaustion; a warm-start schedule can be installed as
+the initial incumbent.
 
 ``check_assignment`` is a second, independent checker of the same rules: it
-binds each task of a finished schedule to a slot of the spec (a swap gate
-and replica index, an edge and goal, a state and qubit) and checks every
-rule against those slots.
+binds each task of a finished schedule to a slot of the spec (a swap gate,
+an edge and goal, a state and qubit) and checks every rule against those
+slots.
 
 Everything here is written from scratch: no external solver is involved, and
 no code is shared with the independent validator or the brute-force oracle.
@@ -22,10 +22,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from operator import le
 
 from . import instance as inst
-from .bounds import horizon_bound, swap_task_bound
+from .bounds import horizon_bound
 from .instance import Instance
 from .router import all_pairs_distances
 from .schedule import (GateTask, Schedule, init_task, mix_task, ps_task,
@@ -53,12 +52,11 @@ class Model:
 
     instance: Instance
     horizon: int      # every gate ends by this time
-    swap_cap: int     # swap tasks allowed per swap gate
 
 
 def build_model(instance: Instance) -> Model:
-    """The spec for ``instance``: the sequential horizon and the swap cap."""
-    return Model(instance, horizon_bound(instance), swap_task_bound(instance))
+    """The spec for ``instance``: the sequential horizon."""
+    return Model(instance, horizon_bound(instance))
 
 
 def propagate(model: Model) -> str:
@@ -85,8 +83,8 @@ def _map_tasks(model: Model, schedule: Schedule):
     """Bind each scheduled task to a slot; returns (bindings, placement,
     reasons).
 
-    bindings: list of (slot name, slot duration, task). Swap tasks take a
-    gate's replica indices in increasing start order.
+    bindings: list of (slot name, slot duration, task). A swap's slot is
+    named by its gate and its index in the schedule.
     """
     instance = model.instance
     chip = instance.chip
@@ -97,17 +95,17 @@ def _map_tasks(model: Model, schedule: Schedule):
     bindings: list[tuple[str, int, GateTask]] = []
     init_states: dict[int, int] = {}
 
-    swaps_by_gate: dict[tuple[int, int], list[GateTask]] = {}
     ps_by_goal: dict[int, list[GateTask]] = {}
     mixes_by_state: dict[int, list[GateTask]] = {}
 
-    for t in schedule.tasks:
+    for i, t in enumerate(schedule.tasks):
         if t.kind == "swap":
             pair = t.location if isinstance(t.location, tuple) else None
-            if pair not in swap_gates:
+            if pair in swap_gates:
+                bindings.append((f"swap[{pair[0]},{pair[1]}]#{i}",
+                                 chip.swap_duration, t))
+            else:
                 reasons.append(f"no swap gate at {t.location}")
-                continue
-            swaps_by_gate.setdefault(pair, []).append(t)
         elif t.kind == "ps":
             g = t.goal_index
             if g is None or not 1 <= g <= instance.total_goals:
@@ -135,14 +133,6 @@ def _map_tasks(model: Model, schedule: Schedule):
         else:
             reasons.append(f"unknown task kind {t.kind!r}")
 
-    for pair, tasks in swaps_by_gate.items():
-        if len(tasks) > model.swap_cap:
-            reasons.append(f"{len(tasks)} swaps on gate {pair} exceed the "
-                           f"{model.swap_cap} replica slots")
-            continue
-        for m, t in enumerate(sorted(tasks, key=lambda t: t.start)):
-            bindings.append((f"swap[{pair[0]},{pair[1]}]#{m}",
-                             chip.swap_duration, t))
     for g in range(1, instance.total_goals + 1):
         tasks = ps_by_goal.get(g, [])
         if len(tasks) != 1:
@@ -305,7 +295,7 @@ class _Rec:
         self.qubits = qubits
         self.start = start
         self.end = end
-        self.payload = payload   # goal for ps, state for mix, gate for swap
+        self.payload = payload   # ps: goal, mix: state, swap: gate bit
         self.qmask = qmask
         self.zmask = zmask
         self.pbit = pbit
@@ -320,11 +310,14 @@ def search(model: Model, incumbent: Schedule | None = None,
 
     At each event time the search branches over every compatible set of gate
     starts (thereby deciding which edge hosts each goal, how many swaps each
-    gate runs up to the cap, and the full event order), prunes against
-    the lexicographic (makespan, swaps) incumbent with an admissible
-    lower bound, and memoizes dominated configurations.  Exhaustion yields
-    ``optimal`` (or ``infeasible`` with no solution); hitting the node or
-    wall-clock budget yields ``timeout`` with the best schedule so far.
+    gate runs, and the full event order), prunes against the lexicographic
+    (makespan, swaps) incumbent with an admissible lower bound, and
+    memoizes dominated configurations. No swap starts on a gate at the
+    instant the previous swap on that gate ends: deleting both keeps every
+    other task where it is and saves two swaps, so no lexicographic optimum
+    has such a pair. Exhaustion yields ``optimal`` (or ``infeasible`` with
+    no solution); hitting the node or wall-clock budget yields ``timeout``
+    with the best schedule so far.
     """
     engine = _Engine(model, budget_s, node_budget, on_incumbent)
     if incumbent is not None:
@@ -349,7 +342,8 @@ class _Engine:
       qubits only, where no running swap moves a state.
     - ``pending`` has bit ``g`` for each goal whose ps gate has not ended,
       ``mixed`` bit ``s`` for each state whose mix has ended, and
-      ``counts`` the swaps committed on each swap gate.
+      ``swaps`` counts the swaps committed so far. ``undo``, built at the
+      node, has the gate bit of each swap that ends at ``t``.
 
     Fit tests are on integer bit masks. A task's ``qmask`` has bit ``q`` for
     each of its qubits, and its ``zmask`` the bits of its crosstalk zone
@@ -379,8 +373,6 @@ class _Engine:
         self.zones = chip.crosstalk_zones
         self.free_placement = self.instance.variant == inst.QCC_I
         self.two_stage = self.instance.stages == 2
-        self.gate_order = sorted(e.pair for e in chip.swap_edges)
-        self.swap_cap = model.swap_cap
         self.goal_states = self.instance.goal_states
         goals = self.instance.total_goals
         mix_bit = {s: 1 << (goals + s) for s in self.goal_states}
@@ -410,27 +402,23 @@ class _Engine:
             row = (e.pair, e.ps_duration, (1 << e.u) | (1 << e.v),
                    zone(e.pair))
             self.ps_at[e.u][e.v] = self.ps_at[e.v][e.u] = row
-        gate_idx = {pair: i for i, pair in enumerate(self.gate_order)}
+        # per swap gate: (pair, qubit mask, zone mask, gate bit)
         self.swap_gates = tuple(
-            (e.pair, gate_idx[e.pair], (1 << e.u) | (1 << e.v), zone(e.pair))
-            for e in chip.swap_edges)
+            (e.pair, (1 << e.u) | (1 << e.v), zone(e.pair), 1 << i)
+            for i, e in enumerate(chip.swap_edges))
         self.budget_s = budget_s
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
         self.best: Schedule | None = None
         self.best_obj: tuple[int, int] | None = None
-        self.guide: dict[int, set] = {}
         self.incumbents: list[CPIncumbent] = []
         self.nodes = 0
         self.t0 = time.monotonic()
 
     def install(self, schedule: Schedule) -> None:
-        """Make a warm start the incumbent and the guide for candidate order."""
+        """Make a warm start the incumbent."""
         self.best = schedule
         self.best_obj = schedule.objective()
-        for t in schedule.tasks:
-            if t.kind != "init":
-                self.guide.setdefault(t.start, set()).add((t.kind, t.qubits))
 
     def run(self) -> SearchResult:
         if propagate(self.model) == CONFLICT:
@@ -445,9 +433,8 @@ class _Engine:
                 loc = [0] * (len(mapping) + 1)    # state -> qubit
                 for q, s in enumerate(mapping, 1):
                     loc[s] = q
-                counts = tuple(0 for _ in self.gate_order)
                 self._search(0, mapping, loc, (), (1 << (goals + 1)) - 2,
-                             0, counts, [])
+                             0, 0, [])
             status = OPTIMAL if self.best is not None else INFEASIBLE
         except _OutOfBudget:
             status = TIMEOUT
@@ -480,13 +467,14 @@ class _Engine:
                 raise _OutOfBudget
 
     # -- core DFS ---------------------------------------------------------
-    def _search(self, t, mapping, loc, running, pending, mixed, counts,
+    def _search(self, t, mapping, loc, running, pending, mixed, swaps,
                 committed):
         self.nodes += 1
         self._check_budget()
 
         still = []
         first = _IDLE        # the earliest end of what keeps running
+        undo = 0             # gates whose swap ends at t: none starts on them
         for r in running:    # t is the end of one or more of them
             if r.end > t:
                 still.append(r)
@@ -496,49 +484,51 @@ class _Engine:
                 pending &= ~r.pbit
             elif r.kind == "mix":
                 mixed |= 1 << r.payload
+            else:
+                undo |= r.payload
         running = tuple(still)
 
         if not pending:
-            self._complete(t, counts, committed)
+            self._complete(t, swaps, committed)
             return
 
         if self.best_obj is not None:
-            mk, swaps = self.best_obj
+            mk, most = self.best_obj
             mk_lb = t + self._makespan_lower_bound(t, loc, running, pending,
                                                    mixed)
-            if mk_lb > mk or mk_lb == mk and sum(counts) + \
-                    self._swap_lower_bound(loc, running, pending) >= swaps:
+            if mk_lb > mk or mk_lb == mk and swaps + \
+                    self._swap_lower_bound(loc, running, pending) >= most:
                 return
 
         key = (mapping, tuple(sorted([(r.sig, r.end - t) for r in running])),
                pending, mixed)
         entries = self.memo.get(key)
         if entries is not None:
-            for (t0, c0) in entries:
-                if t0 <= t and all(map(le, c0, counts)):
+            for (t0, s0) in entries:
+                if t0 <= t and s0 <= swaps:
                     return
-            entries.append((t, counts))
+            entries.append((t, swaps))
         else:
-            self.memo[key] = [(t, counts)]
+            self.memo[key] = [(t, swaps)]
 
-        candidates = self._candidates(t, loc, running, pending, mixed, counts)
+        candidates = self._candidates(t, loc, running, pending, mixed, undo)
         for chosen, next_t in self._subsets(candidates, first):
             if next_t == _IDLE:
                 continue         # idle forever: dead end
-            m, pos, c = mapping, loc, counts
+            m, pos, n = mapping, loc, swaps
             for r in chosen:     # a swap is applied when it is committed
                 if r.kind == "swap":
                     if m is mapping:
-                        m, pos, c = list(m), list(pos), list(c)
+                        m, pos = list(m), list(pos)
                     u, v = r.qubits
                     a, b = m[u - 1], m[v - 1]
                     m[u - 1], m[v - 1] = b, a
                     pos[a], pos[b] = v, u
-                    c[r.payload] += 1
+                    n += 1
             if m is not mapping:
-                m, c = tuple(m), tuple(c)
+                m = tuple(m)
             committed.extend(chosen)
-            self._search(next_t, m, pos, running + chosen, pending, mixed, c,
+            self._search(next_t, m, pos, running + chosen, pending, mixed, n,
                          committed)
             if chosen:
                 del committed[-len(chosen):]
@@ -569,9 +559,9 @@ class _Engine:
             yield chosen, first
 
     # -- leaf handling ----------------------------------------------------
-    def _complete(self, t, counts, committed):
-        # the last ps gate ended at t, and counts holds every swap
-        obj = (t, sum(counts))
+    def _complete(self, t, swaps, committed):
+        # the last ps gate ended at t, and swaps counts every swap
+        obj = (t, swaps)
         if self.best_obj is not None and obj >= self.best_obj:
             return
         tasks = []
@@ -625,8 +615,8 @@ class _Engine:
                          f"within horizon {self.horizon}")
 
     # -- candidate generation --------------------------------------------
-    def _candidates(self, t, loc, running, pending, mixed, counts):
-        """Gates that fit beside the running ones at ``t``: ps, mix, swap."""
+    def _candidates(self, t, loc, running, pending, mixed, undo):
+        """Gates that fit at ``t``: ps, mix, and swap on no gate of undo."""
         busy = blocked = started = 0
         for r in running:
             busy |= r.qmask
@@ -666,14 +656,10 @@ class _Engine:
                     if free & qm:
                         out.append(_Rec("mix", (q,), t, end, s, qm, 0, mbit))
         if t + self.tau_swap <= self.horizon:
-            for pair, gate, qm, zm in self.swap_gates:
-                if counts[gate] < self.swap_cap and not (
-                        (qm | zm) & busy or qm & blocked):
-                    out.append(_Rec("swap", pair, t, t + self.tau_swap, gate,
+            for pair, qm, zm, gbit in self.swap_gates:
+                if not (gbit & undo or (qm | zm) & busy or qm & blocked):
+                    out.append(_Rec("swap", pair, t, t + self.tau_swap, gbit,
                                     qm, zm, 0))
-        hints = self.guide.get(t)
-        if hints:
-            out.sort(key=lambda r: 0 if (r.kind, r.qubits) in hints else 1)
         return out
 
     # -- bounds -----------------------------------------------------------

@@ -318,7 +318,7 @@ def _chip_to_dict(chip: Chip) -> dict:
 
 
 def _require(d: dict, key: str, context: str):
-    if key not in d:
+    if not isinstance(d, dict) or key not in d:
         raise ParseError(f"missing field {key!r} in {context}")
     return d[key]
 
@@ -380,6 +380,8 @@ def write_instance(instance: Instance, path: str | Path) -> None:
 def read_instance(path: str | Path) -> Instance:
     try:
         data = json.loads(Path(path).read_text())
+        return _instance_from_dict(data, label=Path(path).stem)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return _instance_from_dict(data, label=Path(path).stem)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

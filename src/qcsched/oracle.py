@@ -2,8 +2,8 @@
 
 Iterative deepening over the makespan: for each candidate bound, a depth-first
 enumeration over event times tries every compatible set of gate starts. This
-is deliberately independent of the CP-style solver: no task-count caps, no
-replica symmetry, no incumbent reasoning. Intended for desk-size chips only.
+is deliberately independent of the CP-style solver: no swap dominance rule,
+no incumbent reasoning. Intended for desk-size chips only.
 """
 
 from __future__ import annotations

@@ -355,19 +355,30 @@ def _task_to_dict(t: GateTask) -> dict:
     }
 
 
+def _int_field(d: dict, key: str, default):
+    """``d[key]`` or ``default``: an int, or None where the default is."""
+    value = d.get(key, default)
+    if isinstance(value, int) or value is None and default is None:
+        return value
+    raise ParseError(f"task {key} {value!r} is not an integer")
+
+
 def _task_from_dict(d: dict) -> GateTask:
+    if not isinstance(d, dict) or not isinstance(d.get("kind", ""), str):
+        raise ParseError(f"task {d!r} is not an object with a string kind")
     loc = d.get("location")
-    if isinstance(loc, list):
-        if len(loc) != 2:
-            raise ParseError(f"task location {loc!r} is not an edge pair")
+    if isinstance(loc, list) and len(loc) == 2 and \
+            all(isinstance(q, int) for q in loc):
         loc = (loc[0], loc[1])
+    elif not isinstance(loc, int):
+        raise ParseError(f"task location {loc!r} is not a qubit or a pair")
     return GateTask(
         kind=d.get("kind", ""),
         location=loc,
-        start=d.get("start", 0),
-        duration=d.get("duration", 0),
-        goal_index=d.get("goal_index"),
-        state=d.get("state"),
+        start=_int_field(d, "start", 0),
+        duration=_int_field(d, "duration", 0),
+        goal_index=_int_field(d, "goal_index", None),
+        state=_int_field(d, "state", None),
     )
 
 
@@ -381,7 +392,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(d: dict) -> Schedule:
-    if "tasks" not in d:
+    if not isinstance(d, dict) or "tasks" not in d:
         raise ParseError("missing field 'tasks' in schedule")
     return Schedule(
         tasks=tuple(_task_from_dict(t) for t in d["tasks"]),
@@ -397,7 +408,8 @@ def write_schedule(schedule: Schedule, path: str | Path) -> None:
 
 def read_schedule(path: str | Path) -> Schedule:
     try:
-        data = json.loads(Path(path).read_text())
+        return schedule_from_dict(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return schedule_from_dict(data)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

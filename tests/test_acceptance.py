@@ -135,7 +135,6 @@ def test_criterion_4_model_validator_agreement():
                                      variant=variant,
                                      seed=rng.getrandbits(32))
         model = build_model(instance)
-        model = replace(model, swap_cap=2 * model.swap_cap)
         valid = solve_greedy(instance, seed=rng.getrandbits(32))
         mutated = _mutate(valid, instance, rng)
         for schedule in (valid, mutated):

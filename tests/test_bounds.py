@@ -1,4 +1,4 @@
-from qcsched.bounds import horizon_bound, max_swap_distance, swap_task_bound
+from qcsched.bounds import horizon_bound, max_swap_distance
 from qcsched.instance import Instance, build_grid_chip, build_preset_chip
 
 
@@ -36,12 +36,4 @@ def test_horizon_no_goals():
     chip = build_grid_chip(2)
     assert horizon_bound(_instance(chip, ())) == 0
     assert horizon_bound(_instance(chip, (), stages=2)) == 1
-
-
-def test_task_bounds():
-    chip = build_preset_chip("rigetti-8")
-    one = _instance(chip, ((1, 2), (3, 4), (5, 6), (7, 8), (1, 3)))
-    assert swap_task_bound(one) == 5
-    two = _instance(chip, ((1, 2), (3, 4)), stages=2)
-    assert swap_task_bound(two) == 4
 

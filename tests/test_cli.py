@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +154,61 @@ def test_bench_exits_nonzero_on_errors(tmp_path, capsys, monkeypatch):
     assert table == captured.out
     assert table.splitlines()[1].split()[-1] == "2"
     assert "2 cell(s) raised" in captured.err
+
+
+
+def _edit(change):
+    """Rewrite a JSON file with ``change`` applied to its data."""
+    def apply(path):
+        data = json.loads(path.read_text())
+        change(data)
+        path.write_text(json.dumps(data))
+    return apply
+
+
+def _first_task(**fields):
+    return _edit(lambda data: data["tasks"][0].update(fields))
+
+
+def _drop(field):
+    return _edit(lambda data: data.pop(field))
+
+
+# id: (command, file it breaks, how)
+MALFORMED = {
+    "start": ("validate", "schedule", _first_task(start="0")),
+    "goal_index": ("validate", "schedule", _first_task(goal_index="1")),
+    "duration": ("validate", "schedule", _first_task(duration=None)),
+    "kind": ("validate", "schedule", _first_task(kind=3)),
+    "location": ("validate", "schedule", _first_task(location=[1, "2"])),
+    "no-tasks": ("validate", "schedule", _drop("tasks")),
+    "no-schedule": ("validate", "schedule", Path.unlink),
+    "no-chip": ("validate", "instance", _drop("chip")),
+    "gantt-start": ("gantt", "schedule", _first_task(start="0")),
+    "gantt-no-instance": ("gantt", "instance", Path.unlink),
+    "solve-no-chip": ("solve", "instance", _drop("chip")),
+    "solve-no-instance": ("solve", "instance", Path.unlink),
+}
+
+
+@pytest.mark.parametrize("command,target,corrupt", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_input_exits_with_one_line(tmp_path, capsys, command,
+                                             target, corrupt):
+    assert main(["gen", "--chip", "grid:2", "--goals", "1", "--seed", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    instance = Path(capsys.readouterr().out.strip())
+    out = tmp_path / "runs"
+    assert main(["solve", str(instance), "--engine", "router",
+                 "--budget", "0.2", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    files = {"instance": instance,
+             "schedule": next(out.glob("*-schedule.json"))}
+    corrupt(files[target])
+    argv = ["solve", str(instance), "--out-dir", str(out)] \
+        if command == "solve" else [command, str(instance),
+                                    str(files["schedule"])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert str(files[target]) in message and "\n" not in message

@@ -23,7 +23,6 @@ def test_model_variable_counts():
     chip = build_preset_chip("rigetti-8")
     instance = generate_instance(chip, 5, stages=1, variant="qcc", seed=0)
     model = build_model(instance)
-    assert model.swap_cap == 5
     assert model.horizon == horizon_bound(instance)
 
 
@@ -31,8 +30,17 @@ def test_model_two_stage_counts():
     chip = build_grid_chip(2)
     instance = generate_instance(chip, 2, stages=2, variant="qcc", seed=0)
     model = build_model(instance)
-    assert model.swap_cap == 4
     assert model.horizon == horizon_bound(instance)
+
+
+def test_check_assignment_has_no_swap_cap():
+    # goals x stages is 1 here, and no rule limits the swaps on a gate
+    instance = Instance(chip=build_grid_chip(2), goals=((1, 2),))
+    tasks = [ps_task(1, 2, 0, 3, 1)] + \
+        [swap_task(3, 4, start, 2) for start in (0, 2, 4)]
+    schedule = Schedule.from_tasks(tasks)
+    assert validate(instance, schedule).valid
+    assert check_assignment(build_model(instance), schedule) == (True, ())
 
 
 def test_model_free_placement_tag():

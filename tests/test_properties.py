@@ -4,8 +4,9 @@ The references below are the straightforward algorithms the faster code
 replaced: a timeline that rescans every committed task on every probe, an
 R2 check that compares every pair of busy tasks, and the exact search's
 set-based gate fit and subset compatibility tests and its set-based lower
-bounds. Each must agree with the package exactly. A last test sends
-schedules through their JSON form and back.
+bounds. Each must agree with the package exactly. The last tests send
+schedules through their JSON form and back, and hold the greedy and searched
+schedules of small grid:2 instances to the brute-force oracle's optimum.
 """
 
 import json
@@ -15,9 +16,11 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from qcsched import instance as inst
-from qcsched.cpsolver import _IDLE, _Engine, _Rec, build_model, search
+from qcsched.cpsolver import (_IDLE, OPTIMAL, _Engine, _Rec, build_model,
+                              search)
 from qcsched.instance import build_grid_chip, build_preset_chip, \
     generate_instance
+from qcsched.oracle import optimal_makespan
 from qcsched.router import _Timeline, all_pairs_distances, solve_greedy
 from qcsched.schedule import (TWO_QUBIT_KINDS, GateTask, Schedule, Violation,
                               init_task, mix_task, ps_task, schedule_from_dict,
@@ -225,9 +228,10 @@ class SetPredicates:
             if self.compatible(task, chosen):
                 stack.append((idx + 1, chosen + (task,)))
 
-    def candidates(self, t, mapping, running, pending, mixed, counts):
+    def candidates(self, t, mapping, running, pending, mixed, ending):
         """(kind, qubits, start, end, payload) of every gate that fits, in
-        the search's order; a swap's payload is its gate index."""
+        the search's order; a swap's payload is its gate bit, and no swap
+        starts on a gate of ``ending``, whose swap ends at ``t``."""
         e = self.engine
         instance, chip = e.instance, e.chip
         busy, blocked = self.busy_and_blocked(running)
@@ -258,11 +262,10 @@ class SetPredicates:
                            for q in chip.qubits
                            if self.gate_ok((q,), busy, blocked, running))
         if t + e.tau_swap <= e.horizon:
-            for edge in chip.swap_edges:
-                index = e.gate_order.index(edge.pair)
-                if counts[index] < e.swap_cap and \
+            for i, edge in enumerate(chip.swap_edges):
+                if edge.pair not in ending and \
                         self.gate_ok(edge.pair, busy, blocked, running):
-                    out.append(("swap", edge.pair, t, t + e.tau_swap, index))
+                    out.append(("swap", edge.pair, t, t + e.tau_swap, 1 << i))
         return out
 
 
@@ -380,8 +383,8 @@ def _gates(engine, rng):
         s = rng.choice(engine.goal_states)
         out.append(_Rec("mix", (q,), 0, engine.tau_mix, s, 1 << q, 0,
                         1 << (goals + s)))
-    for pair, gate, qm, zm in engine.swap_gates:
-        out.append(_Rec("swap", pair, 0, engine.tau_swap, gate, qm, zm, 0))
+    for pair, qm, zm, gbit in engine.swap_gates:
+        out.append(_Rec("swap", pair, 0, engine.tau_swap, gbit, qm, zm, 0))
     return out
 
 
@@ -404,13 +407,15 @@ def test_mask_fit_matches_set_predicates(chip_name, variant, stages, goals,
     pending = frozenset(g for g in range(1, engine.instance.total_goals + 1)
                         if rng.random() < 0.7)
     mixed = frozenset(s for s in engine.goal_states if rng.random() < 0.4)
-    counts = tuple(rng.randint(0, engine.swap_cap)
-                   for _ in engine.gate_order)
-    args = (1, tuple(mapping), busy, pending, mixed, counts)
+    ending = frozenset(e.pair for e in engine.chip.swap_edges
+                       if rng.random() < 0.3)
+    undo = sum(gbit for pair, _, _, gbit in engine.swap_gates
+               if pair in ending)
+    args = (1, tuple(mapping), busy, pending, mixed, ending)
     loc = _placement(mapping, ())
     got = [(r.kind, r.qubits, r.start, r.end, r.payload)
            for r in engine._candidates(1, loc, busy, _bits(pending),
-                                       _bits(mixed), counts)]
+                                       _bits(mixed), undo)]
     assert got == SetPredicates(engine).candidates(*args)
 
 
@@ -472,12 +477,12 @@ def _search_state(engine, rng):
         end = t + rng.randint(1, engine.tau_mix)
         running.append(_Rec("mix", (q,), end - engine.tau_mix, end, s, 1 << q,
                             0, 1 << (instance.total_goals + s)))
-    for pair, gate, qm, zm in engine.swap_gates:
+    for pair, qm, zm, gbit in engine.swap_gates:
         if set(pair) <= free and rng.random() < 0.3:
             free -= set(pair)
             end = t + rng.randint(1, engine.tau_swap)
             running.append(_Rec("swap", pair, end - engine.tau_swap, end,
-                                gate, qm, zm, 0))
+                                gbit, qm, zm, 0))
     rest = [s for s in chip.qubits if s not in held]
     rng.shuffle(rest)
     mapping = [placed[q] if q in placed else rest.pop() for q in chip.qubits]
@@ -528,3 +533,25 @@ def test_schedule_json_round_trip(chip_name, variant, stages, goals, seed,
     assert back == schedule
     assert validate(instance, back).violations == \
         validate(instance, schedule).violations
+
+
+# The oracle takes up to about 15 s on a two-stage, three-goal grid:2
+# instance, so the draw is kept small.
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from([inst.QCC, inst.QCC_I, inst.QCC_X]),
+       stages=st.sampled_from([1, 2]), goals=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6))
+def test_schedules_respect_the_oracle_on_grid2(variant, stages, goals, seed):
+    instance = generate_instance(ROUND_TRIP_CHIPS["grid:2"], goals,
+                                 stages=stages, variant=variant, seed=seed)
+    best = optimal_makespan(instance)
+    greedy = solve_greedy(instance, seed=seed)
+    model = build_model(instance)
+    runs = [search(model, node_budget=2000),
+            search(model, greedy, node_budget=2000)]
+    for schedule in [greedy] + [r.best for r in runs if r.best is not None]:
+        assert validate(instance, schedule).valid
+        assert schedule.makespan >= best
+    for r in runs:
+        if r.status == OPTIMAL:
+            assert r.best.makespan == best
