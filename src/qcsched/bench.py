@@ -4,7 +4,8 @@ A matrix is (instances x engines); each cell runs one engine on one instance
 and persists a single JSON report, so a rerun of a finished matrix only
 reloads files and reproduces the identical table. A stored report is reused
 only when its engine, budgets, cell seed and instance content match the
-cell's; otherwise the cell runs again and its file is overwritten.  Scores
+cell's; otherwise, or when it cannot be read (a run killed mid-write leaves
+it truncated), the cell runs again and its file is overwritten.  Scores
 are the ratio of the best makespan found by any engine in the matrix to the
 engine's own makespan, averaged per problem class; hybrid rows also report
 the average improvement over their own first stage.  A cell whose engine
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .hybrid import (ENGINE_HALF, ENGINE_LAST, ENGINES, RunReport,
                      read_report, run_engine, write_report)
-from .instance import Chip, Instance, generate_instance
+from .instance import Chip, Instance, ParseError, generate_instance
 from .schedule import score
 
 ERROR = "error"   # status prefix of a cell whose engine raised
@@ -142,11 +143,14 @@ def _run_cell(instance: Instance, engine: str, budget_s: float,
     path = _report_path(out_dir, instance.instance_id, engine)
     cell_seed = _cell_seed(seed, instance.instance_id, engine)
     cell = (engine, budget_s, node_budget, cell_seed, instance.content_digest)
-    if path.exists():
-        stored = read_report(path)
-        if (stored.engine, stored.budget_s, stored.node_budget, stored.seed,
-                stored.instance_digest) == cell:
-            return stored
+    try:
+        stored = read_report(path) if path.exists() else None
+    except ParseError:   # e.g. cut short by a run killed mid-write
+        stored = None
+    if stored is not None and (stored.engine, stored.budget_s,
+                               stored.node_budget, stored.seed,
+                               stored.instance_digest) == cell:
+        return stored
     try:
         report = run_engine(instance, engine, budget_s, seed=cell_seed,
                             node_budget=node_budget)

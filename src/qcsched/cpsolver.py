@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import permutations
 
 from . import instance as inst
@@ -268,9 +269,15 @@ def warm_start(model: Model, schedule: Schedule) -> None:
 
 @dataclass(frozen=True)
 class CPIncumbent:
-    schedule: Schedule
+    makespan: int
+    swap_count: int
     found_at: float
     nodes: int
+    build: object = field(repr=False, compare=False)   # makes ``schedule``
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        return self.build()
 
 
 @dataclass
@@ -288,7 +295,7 @@ class _OutOfBudget(Exception):
 class _Rec:
     """A committed task during search, with its bits (see ``_Engine``)."""
     __slots__ = ("kind", "qubits", "start", "end", "payload", "qmask",
-                 "zmask", "pbit", "sig", "task")
+                 "zmask", "pbit", "sig")
 
     def __init__(self, kind, qubits, start, end, payload, qmask, zmask, pbit):
         self.kind = kind
@@ -300,7 +307,6 @@ class _Rec:
         self.zmask = zmask
         self.pbit = pbit
         self.sig = (kind, qubits, payload)   # with end - t, its memo key part
-        self.task = None         # its GateTask, built by the first leaf
 
 
 def search(model: Model, incumbent: Schedule | None = None,
@@ -310,19 +316,19 @@ def search(model: Model, incumbent: Schedule | None = None,
 
     At each event time the search branches over every compatible set of gate
     starts (thereby deciding which edge hosts each goal, how many swaps each
-    gate runs, and the full event order), prunes against the lexicographic
-    (makespan, swaps) incumbent with an admissible lower bound, and
-    memoizes dominated configurations. No swap starts on a gate at the
-    instant the previous swap on that gate ends: deleting both keeps every
-    other task where it is and saves two swaps, so no lexicographic optimum
-    has such a pair. Exhaustion yields ``optimal`` (or ``infeasible`` with
-    no solution); hitting the node or wall-clock budget yields ``timeout``
-    with the best schedule so far.
+    gate runs, and the full event order), prunes every node against the
+    (makespan, swaps) incumbent, or the horizon before there is one, with
+    an admissible lower bound, and memoizes dominated configurations. No
+    swap starts on a gate at the instant the previous swap on that gate
+    ends: deleting both keeps every other task where it is and saves two
+    swaps, so no lexicographic optimum has such a pair. Exhaustion yields
+    ``optimal`` (or ``infeasible`` with no solution); hitting the node or
+    wall-clock budget yields ``timeout`` with the best schedule so far.
     """
     engine = _Engine(model, budget_s, node_budget, on_incumbent)
     if incumbent is not None:
         warm_start(model, incumbent)   # loud divergence check
-        engine.install(incumbent)
+        engine.warm, engine.best_obj = incumbent, incumbent.objective()
     return engine.run()
 
 
@@ -351,9 +357,9 @@ class _Engine:
     runs at most once: bit ``g`` for the ps gate of goal ``g``, bit
     ``G + s`` for the mix of state ``s`` (``G`` goals in all), 0 for a swap.
 
-    A leaf becomes a ``Schedule`` only when it beats the incumbent, so
-    ``_place_trailing_mix`` (and its ``ModelError``) runs for improving
-    leaves only; each ``_Rec`` keeps the ``GateTask`` built for it.
+    ``best_obj`` bounds every node: the incumbent's (makespan, swaps), or
+    (horizon, ∞) before one. An improving leaf keeps its committed tasks;
+    ``_build`` makes them a ``Schedule`` only when the incumbent is read.
     """
 
     def __init__(self, model: Model, budget_s, node_budget, on_incumbent):
@@ -409,21 +415,16 @@ class _Engine:
         self.budget_s = budget_s
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
-        self.best: Schedule | None = None
-        self.best_obj: tuple[int, int] | None = None
+        self.warm: Schedule | None = None
+        self.best_obj = (self.horizon, float("inf"))
         self.incumbents: list[CPIncumbent] = []
         self.nodes = 0
         self.t0 = time.monotonic()
 
-    def install(self, schedule: Schedule) -> None:
-        """Make a warm start the incumbent."""
-        self.best = schedule
-        self.best_obj = schedule.objective()
-
     def run(self) -> SearchResult:
         if propagate(self.model) == CONFLICT:
-            status = TIMEOUT if self.best is not None else INFEASIBLE
-            return SearchResult(status, self.best, self.incumbents, 0)
+            status = TIMEOUT if self.warm is not None else INFEASIBLE
+            return SearchResult(status, self.warm, self.incumbents, 0)
         goals = self.instance.total_goals
         try:
             self._check_budget()
@@ -435,10 +436,14 @@ class _Engine:
                     loc[s] = q
                 self._search(0, mapping, loc, (), (1 << (goals + 1)) - 2,
                              0, 0, [])
-            status = OPTIMAL if self.best is not None else INFEASIBLE
+            status = OPTIMAL if self.incumbents or self.warm else INFEASIBLE
         except _OutOfBudget:
             status = TIMEOUT
-        return SearchResult(status, self.best, self.incumbents, self.nodes)
+        # each incumbent's build refers to the engine: hand the list over,
+        # so no cycle keeps the engine and its memo alive after the result
+        found, self.incumbents = self.incumbents, None
+        best = found[-1].schedule if found else self.warm
+        return SearchResult(status, best, found, self.nodes)
 
     # -- setup ------------------------------------------------------------
     def _initial_mappings(self):
@@ -488,17 +493,14 @@ class _Engine:
                 undo |= r.payload
         running = tuple(still)
 
+        mk, most = self.best_obj   # at a leaf: (t, swaps) >= best_obj
+        mk_lb = t + self._makespan_lower_bound(t, loc, running, pending, mixed)
+        if mk_lb > mk or mk_lb == mk and swaps + \
+                self._swap_lower_bound(loc, running, pending) >= most:
+            return
         if not pending:
             self._complete(t, swaps, committed)
             return
-
-        if self.best_obj is not None:
-            mk, most = self.best_obj
-            mk_lb = t + self._makespan_lower_bound(t, loc, running, pending,
-                                                   mixed)
-            if mk_lb > mk or mk_lb == mk and swaps + \
-                    self._swap_lower_bound(loc, running, pending) >= most:
-                return
 
         key = (mapping, tuple(sorted([(r.sig, r.end - t) for r in running])),
                pending, mixed)
@@ -560,15 +562,16 @@ class _Engine:
 
     # -- leaf handling ----------------------------------------------------
     def _complete(self, t, swaps, committed):
-        # the last ps gate ended at t, and swaps counts every swap
-        obj = (t, swaps)
-        if self.best_obj is not None and obj >= self.best_obj:
-            return
-        tasks = []
-        for r in committed:
-            if r.task is None:
-                r.task = self._to_gate_task(r)
-            tasks.append(r.task)
+        # the last ps gate ended at t; (t, swaps) passed _search's bound
+        self.best_obj = (t, swaps)
+        self.incumbents.append(CPIncumbent(
+            t, swaps, time.monotonic() - self.t0, self.nodes,
+            partial(self._build, tuple(committed), self._root_mapping)))
+        if self.on_incumbent:
+            self.on_incumbent(self.incumbents[-1])
+
+    def _build(self, committed, root) -> Schedule:
+        tasks = [self._to_gate_task(r) for r in committed]
         if self.two_stage:
             spans = [(r.start, r.end, r.qmask | r.zmask) for r in committed]
             mixed_states = {r.payload for r in committed if r.kind == "mix"}
@@ -576,17 +579,9 @@ class _Engine:
                 if s not in mixed_states:
                     tasks.append(self._place_trailing_mix(s, spans))
         if self.free_placement:
-            root = self._root_mapping
-            for q in self.chip.qubits:
-                tasks.append(init_task(q, root[q - 1]))
-        schedule = Schedule.from_tasks(tasks,
-                                       instance_id=self.instance.instance_id)
-        self.best = schedule
-        self.best_obj = obj
-        item = CPIncumbent(schedule, time.monotonic() - self.t0, self.nodes)
-        self.incumbents.append(item)
-        if self.on_incumbent:
-            self.on_incumbent(item)
+            tasks += [init_task(q, root[q - 1]) for q in self.chip.qubits]
+        return Schedule.from_tasks(tasks,
+                                   instance_id=self.instance.instance_id)
 
     def _to_gate_task(self, r: _Rec) -> GateTask:
         if r.kind == "swap":
@@ -616,14 +611,16 @@ class _Engine:
 
     # -- candidate generation --------------------------------------------
     def _candidates(self, t, loc, running, pending, mixed, undo):
-        """Gates that fit at ``t``: ps, mix, and swap on no gate of undo."""
+        """Gates that fit at ``t``: ps, mix, and swap on no gate of undo.
+        A ps gate ends by the bound's makespan; a swap or mix ends ``min_ps``
+        earlier, as goal gates of improving schedules all start by then."""
         busy = blocked = started = 0
         for r in running:
             busy |= r.qmask
             blocked |= r.zmask
             started |= r.pbit
-        ps_deadline = self.horizon if self.best_obj is None \
-            else min(self.horizon, self.best_obj[0])
+        ps_deadline = self.best_obj[0]
+        deadline = ps_deadline - self.min_ps   # for swaps and mixes
         two_stage, ps_at = self.two_stage, self.ps_at
         out = []
         for g, bit, s1, s2, later, sbits, mbits in self.goal_rows:
@@ -642,7 +639,7 @@ class _Engine:
                 if end <= ps_deadline and not ((qm | zm) & busy
                                                or qm & blocked):
                     out.append(_Rec("ps", pair, t, end, g, qm, zm, bit))
-        if two_stage and t + self.tau_mix <= self.horizon:
+        if two_stage and t + self.tau_mix <= deadline:
             free = ~(busy | blocked)
             held = mixed     # mixed states, and the states of running ps
             for r in running:
@@ -655,7 +652,7 @@ class _Engine:
                 for q, qm in self.qubit_bits:
                     if free & qm:
                         out.append(_Rec("mix", (q,), t, end, s, qm, 0, mbit))
-        if t + self.tau_swap <= self.horizon:
+        if t + self.tau_swap <= deadline:
             for pair, qm, zm, gbit in self.swap_gates:
                 if not (gbit & undo or (qm | zm) & busy or qm & blocked):
                     out.append(_Rec("swap", pair, t, t + self.tau_swap, gbit,

@@ -58,13 +58,6 @@ class RunReport:
     node_budget: int | None = None
     instance_digest: str = ""    # ``Instance.content_digest`` of the input
 
-    @property
-    def solved(self) -> bool:
-        return self.final is not None
-
-    def objective(self) -> tuple[int, int] | None:
-        return self.final.objective() if self.final else None
-
 
 def run_engine(instance: Instance, engine: str, budget_s: float,
                seed: int = 0, node_budget: int | None = None) -> RunReport:
@@ -100,8 +93,7 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
     if engine != ENGINE_ROUTER:
         result = search(build_model(instance), incumbent=report.handoff,
                         budget_s=cp_budget, node_budget=node_budget)
-        points = [TracePoint(i.found_at, i.schedule.makespan,
-                             i.schedule.swap_count, "cp")
+        points = [TracePoint(i.found_at, i.makespan, i.swap_count, "cp")
                   for i in result.incumbents]
         if report.handoff is None:
             report.stage1 = points
@@ -157,6 +149,8 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_from_dict(d: dict) -> RunReport:
+    if not isinstance(d, dict):
+        raise ParseError("run report is not an object")
     try:
         report = RunReport(
             instance_id=d["instance_id"],
@@ -178,6 +172,8 @@ def report_from_dict(d: dict) -> RunReport:
         )
     except KeyError as exc:
         raise ParseError(f"missing field {exc} in run report") from exc
+    except TypeError as exc:   # a field of the wrong type
+        raise ParseError(f"malformed run report: {exc}") from exc
     return report
 
 

@@ -317,27 +317,52 @@ def _chip_to_dict(chip: Chip) -> dict:
     }
 
 
+def parse_int(value, what: str) -> int:
+    """``value`` if it is an int (a bool is not one), else a ParseError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{what} {value!r} is not an integer")
+
+
 def _require(d: dict, key: str, context: str):
     if not isinstance(d, dict) or key not in d:
         raise ParseError(f"missing field {key!r} in {context}")
     return d[key]
 
 
+def _require_int(d: dict, key: str, context: str) -> int:
+    return parse_int(_require(d, key, context), f"{context} {key}")
+
+
+def require_list(d: dict, key: str, context: str) -> list:
+    value = _require(d, key, context)
+    if not isinstance(value, list):
+        raise ParseError(f"{context} {key} {value!r} is not a list")
+    return value
+
+
 def _chip_from_dict(d: dict) -> Chip:
     # Unknown keys are ignored, so older files with a side_length still load.
     edges = []
-    for raw in _require(d, "edges", "chip"):
+    for raw in require_list(d, "edges", "chip"):
+        u = _require_int(raw, "u", "edge")    # so raw is an object
+        swap_enabled = raw.get("swap_enabled", True)
+        if not isinstance(swap_enabled, bool):
+            raise ParseError(f"edge swap_enabled {swap_enabled!r} is not a "
+                             "boolean")
         edges.append(Edge(
-            u=_require(raw, "u", "edge"),
-            v=_require(raw, "v", "edge"),
+            u=u,
+            v=_require_int(raw, "v", "edge"),
             ps_color=_require(raw, "ps_color", "edge"),
-            ps_duration=_require(raw, "ps_duration", "edge"),
-            swap_enabled=raw.get("swap_enabled", True),
+            ps_duration=_require_int(raw, "ps_duration", "edge"),
+            swap_enabled=swap_enabled,
         ))
     return Chip(
-        qubit_count=_require(d, "qubit_count", "chip"),
-        swap_duration=d.get("swap_duration", DEFAULT_SWAP_DURATION),
-        mix_duration=d.get("mix_duration", DEFAULT_MIX_DURATION),
+        qubit_count=_require_int(d, "qubit_count", "chip"),
+        swap_duration=parse_int(d.get("swap_duration", DEFAULT_SWAP_DURATION),
+                                "chip swap_duration"),
+        mix_duration=parse_int(d.get("mix_duration", DEFAULT_MIX_DURATION),
+                               "chip mix_duration"),
         edges=tuple(edges),
     )
 
@@ -353,10 +378,11 @@ def _instance_to_dict(instance: Instance) -> dict:
 
 def _instance_from_dict(d: dict, label: str = "") -> Instance:
     goals = []
-    for raw in _require(d, "goals", "instance"):
-        if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+    for raw in require_list(d, "goals", "instance"):
+        if not (isinstance(raw, list) and len(raw) == 2):
             raise ParseError(f"goal entry {raw!r} is not a pair")
-        goals.append((raw[0], raw[1]))
+        goals.append((parse_int(raw[0], "goal state"),
+                      parse_int(raw[1], "goal state")))
     variant = _require(d, "variant", "instance")
     # Older files name the placement too; it must agree with the variant.
     placement = "free" if variant == QCC_I else "identity"
@@ -367,7 +393,7 @@ def _instance_from_dict(d: dict, label: str = "") -> Instance:
     return Instance(
         chip=_chip_from_dict(_require(d, "chip", "instance")),
         goals=tuple(goals),
-        stages=_require(d, "stages", "instance"),
+        stages=_require_int(d, "stages", "instance"),
         variant=variant,
         label=label,
     )

@@ -219,7 +219,7 @@ class _Searcher:
                 if s in running_ps_states:
                     continue
                 if any(g in pending and instance.goal_stage(g) == 1
-                       for g in self._goals_of(s)):
+                       for g in instance.state_goals[s]):
                     continue
                 for q in chip.qubits:
                     if self._gate_ok((q,), busy, blocked, running):
@@ -230,11 +230,6 @@ class _Searcher:
                 if self._gate_ok(e.pair, busy, blocked, running):
                     out.append(_Task("swap", e.pair, t + self.tau_swap, None))
         return out
-
-    def _goals_of(self, state):
-        for g in range(1, self.instance.total_goals + 1):
-            if state in self.instance.goal_pair(g):
-                yield g
 
     def _remaining_lower_bound(self, t, mapping, running, pending,
                                mixed) -> int:
@@ -277,7 +272,7 @@ class _Searcher:
         for s in self.goal_states:
             base = 0
             n1 = n2 = 0
-            for g in self._goals_of(s):
+            for g in instance.state_goals[s]:
                 if g not in pending:
                     continue
                 if g in running_ps:

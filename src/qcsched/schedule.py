@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import instance as inst
 from .bounds import horizon_bound
-from .instance import Instance, ParseError
+from .instance import Instance, ParseError, parse_int, require_list
 
 SWAP = "swap"
 PS = "ps"
@@ -358,9 +358,9 @@ def _task_to_dict(t: GateTask) -> dict:
 def _int_field(d: dict, key: str, default):
     """``d[key]`` or ``default``: an int, or None where the default is."""
     value = d.get(key, default)
-    if isinstance(value, int) or value is None and default is None:
+    if value is None and default is None:
         return value
-    raise ParseError(f"task {key} {value!r} is not an integer")
+    return parse_int(value, f"task {key}")
 
 
 def _task_from_dict(d: dict) -> GateTask:
@@ -392,10 +392,9 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(d: dict) -> Schedule:
-    if not isinstance(d, dict) or "tasks" not in d:
-        raise ParseError("missing field 'tasks' in schedule")
     return Schedule(
-        tasks=tuple(_task_from_dict(t) for t in d["tasks"]),
+        tasks=tuple(_task_from_dict(t)
+                    for t in require_list(d, "tasks", "schedule")),
         makespan=d.get("makespan", 0),
         swap_count=d.get("swap_count", 0),
         instance_id=d.get("instance_id", ""),

@@ -46,7 +46,8 @@ def test_run_matrix_and_resume(tmp_path, chip):
 
 
 @pytest.mark.parametrize("change", ["seed", "budget", "node_budget", "chip",
-                                    "old_file"])
+                                    "old_file", "truncated",
+                                    "not-an-object", "bad-field"])
 def test_resume_reruns_a_cell_whose_settings_changed(tmp_path, chip, change):
     settings = dict(budget_s=0.3, seed=1, node_budget=40)
     suite = gen_suite(chip, 1, 2, "qcc", 1, seed=1)
@@ -61,6 +62,14 @@ def test_resume_reruns_a_cell_whose_settings_changed(tmp_path, chip, change):
         settings["node_budget"] = 20
     elif change == "chip":
         suite = gen_suite(build_grid_chip(3), 1, 2, "qcc", 1, seed=1)
+    elif change == "truncated":   # as a run killed mid-write leaves it
+        path.write_text(path.read_text()[:40])
+    elif change == "not-an-object":
+        path.write_text("[]")
+    elif change == "bad-field":
+        data = json.loads(path.read_text())
+        data["stage1"] = 5
+        path.write_text(json.dumps(data))
     else:                     # a report stored before these fields existed
         data = json.loads(path.read_text())
         del data["node_budget"], data["instance_digest"]

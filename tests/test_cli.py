@@ -174,27 +174,59 @@ def _drop(field):
     return _edit(lambda data: data.pop(field))
 
 
-# id: (command, file it breaks, how)
+def _set(**fields):
+    return _edit(lambda data: data.update(fields))
+
+
+def _chip(**fields):
+    return _edit(lambda data: data["chip"].update(fields))
+
+
+def _first_edge(**fields):
+    return _edit(lambda data: data["chip"]["edges"][0].update(fields))
+
+
+# id: (command, file it breaks, how, what the message says)
 MALFORMED = {
-    "start": ("validate", "schedule", _first_task(start="0")),
-    "goal_index": ("validate", "schedule", _first_task(goal_index="1")),
-    "duration": ("validate", "schedule", _first_task(duration=None)),
-    "kind": ("validate", "schedule", _first_task(kind=3)),
-    "location": ("validate", "schedule", _first_task(location=[1, "2"])),
-    "no-tasks": ("validate", "schedule", _drop("tasks")),
-    "no-schedule": ("validate", "schedule", Path.unlink),
-    "no-chip": ("validate", "instance", _drop("chip")),
-    "gantt-start": ("gantt", "schedule", _first_task(start="0")),
-    "gantt-no-instance": ("gantt", "instance", Path.unlink),
-    "solve-no-chip": ("solve", "instance", _drop("chip")),
-    "solve-no-instance": ("solve", "instance", Path.unlink),
+    "start": ("validate", "schedule", _first_task(start="0"), "task start"),
+    "goal_index": ("validate", "schedule", _first_task(goal_index="1"),
+                   "task goal_index"),
+    "duration": ("validate", "schedule", _first_task(duration=None),
+                 "task duration"),
+    "kind": ("validate", "schedule", _first_task(kind=3), "string kind"),
+    "location": ("validate", "schedule", _first_task(location=[1, "2"]),
+                 "task location"),
+    "no-tasks": ("validate", "schedule", _drop("tasks"), "'tasks'"),
+    "tasks": ("validate", "schedule", _set(tasks=3), "tasks 3"),
+    "no-schedule": ("validate", "schedule", Path.unlink, "No such file"),
+    "no-chip": ("validate", "instance", _drop("chip"), "'chip'"),
+    "gantt-start": ("gantt", "schedule", _first_task(start="0"), "task start"),
+    "gantt-no-instance": ("gantt", "instance", Path.unlink, "No such file"),
+    "solve-no-chip": ("solve", "instance", _drop("chip"), "'chip'"),
+    "solve-no-instance": ("solve", "instance", Path.unlink, "No such file"),
+    "goal-state": ("solve", "instance", _set(goals=[[1, "a"]]),
+                   "goal state 'a'"),
+    "goal-bool": ("solve", "instance", _set(goals=[[True, 2]]),
+                  "goal state True"),
+    "goals": ("solve", "instance", _set(goals=7), "goals 7"),
+    "stages": ("solve", "instance", _set(stages="1"), "stages '1'"),
+    "qubit_count": ("solve", "instance", _chip(qubit_count="4"),
+                    "qubit_count '4'"),
+    "edges": ("solve", "instance", _chip(edges=5), "edges 5"),
+    "swap_duration": ("solve", "instance", _chip(swap_duration="2"),
+                      "swap_duration '2'"),
+    "edge-u": ("solve", "instance", _first_edge(u="1"), "edge u '1'"),
+    "ps_duration": ("solve", "instance", _first_edge(ps_duration="3"),
+                    "ps_duration '3'"),
+    "swap_enabled": ("solve", "instance", _first_edge(swap_enabled="false"),
+                     "swap_enabled 'false'"),
 }
 
 
-@pytest.mark.parametrize("command,target,corrupt", MALFORMED.values(),
+@pytest.mark.parametrize("command,target,corrupt,says", MALFORMED.values(),
                          ids=MALFORMED.keys())
 def test_malformed_input_exits_with_one_line(tmp_path, capsys, command,
-                                             target, corrupt):
+                                             target, corrupt, says):
     assert main(["gen", "--chip", "grid:2", "--goals", "1", "--seed", "2",
                  "--out-dir", str(tmp_path)]) == 0
     instance = Path(capsys.readouterr().out.strip())
@@ -212,3 +244,4 @@ def test_malformed_input_exits_with_one_line(tmp_path, capsys, command,
         main(argv)
     message = str(exc.value.code)
     assert str(files[target]) in message and "\n" not in message
+    assert says in message

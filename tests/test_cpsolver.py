@@ -116,6 +116,15 @@ def test_search_infeasible_on_tiny_horizon():
     assert result.best is None
 
 
+def test_tight_horizon_is_refuted_at_the_root():
+    # states 1 and 9 sit in opposite corners of grid:3: two swap rounds and
+    # a ps gate take 7, so with no incumbent the horizon 6 bounds the root
+    instance = Instance(build_grid_chip(3), ((1, 9),))
+    result = search(replace(build_model(instance), horizon=6),
+                    node_budget=1000)
+    assert (result.status, result.best, result.nodes) == (INFEASIBLE, None, 1)
+
+
 def test_search_no_goals_two_stages():
     chip = build_grid_chip(2)
     instance = Instance(chip=chip, goals=(), stages=2)
@@ -126,14 +135,22 @@ def test_search_no_goals_two_stages():
 
 
 def test_incumbents_strictly_improve():
+    # with two stages, trailing mixes; with free placement, init tasks
     chip = build_preset_chip("rigetti-8")
-    instance = generate_instance(chip, 3, stages=1, variant="qcc", seed=2)
-    result = search(build_model(instance), node_budget=50000)
-    objectives = [i.schedule.objective() for i in result.incumbents]
-    for a, b in zip(objectives, objectives[1:]):
-        assert b < a
-    for item in result.incumbents:
-        assert validate(instance, item.schedule).valid
+    for stages, variant, nodes in ((1, "qcc", 50000), (2, "qcc", 5000),
+                                   (1, "qcc-i", 20000)):
+        instance = generate_instance(chip, 3, stages=stages, variant=variant,
+                                     seed=2)
+        result = search(build_model(instance), node_budget=nodes)
+        objectives = [i.schedule.objective() for i in result.incumbents]
+        assert len(objectives) > 1
+        for a, b in zip(objectives, objectives[1:]):
+            assert b < a
+        for item in result.incumbents:   # each built after the search ended
+            assert (item.makespan, item.swap_count) == \
+                item.schedule.objective()
+            assert validate(instance, item.schedule).valid
+        assert result.best is result.incumbents[-1].schedule
 
 
 def test_warm_start_rejects_divergent(example):

@@ -234,6 +234,8 @@ class SetPredicates:
         starts on a gate of ``ending``, whose swap ends at ``t``."""
         e = self.engine
         instance, chip = e.instance, e.chip
+        ps_deadline = e.best_obj[0]     # the incumbent's, or the horizon
+        deadline = ps_deadline - e.min_ps
         busy, blocked = self.busy_and_blocked(running)
         started = mixed | {r.payload for r in running if r.kind == "mix"}
         running_ps_states = {s for r in running if r.kind == "ps"
@@ -249,10 +251,10 @@ class SetPredicates:
                     continue
             for edge in chip.edges:
                 if {mapping[edge.u - 1], mapping[edge.v - 1]} == {s1, s2} \
-                        and t + edge.ps_duration <= e.horizon \
+                        and t + edge.ps_duration <= ps_deadline \
                         and self.gate_ok(edge.pair, busy, blocked, running):
                     out.append(("ps", edge.pair, t, t + edge.ps_duration, g))
-        if instance.stages == 2 and t + e.tau_mix <= e.horizon:
+        if instance.stages == 2 and t + e.tau_mix <= deadline:
             for s in instance.goal_states:
                 if s in started or s in running_ps_states or any(
                         g in pending and instance.goal_stage(g) == 1
@@ -261,7 +263,7 @@ class SetPredicates:
                 out.extend(("mix", (q,), t, t + e.tau_mix, s)
                            for q in chip.qubits
                            if self.gate_ok((q,), busy, blocked, running))
-        if t + e.tau_swap <= e.horizon:
+        if t + e.tau_swap <= deadline:
             for i, edge in enumerate(chip.swap_edges):
                 if edge.pair not in ending and \
                         self.gate_ok(edge.pair, busy, blocked, running):
@@ -411,6 +413,8 @@ def test_mask_fit_matches_set_predicates(chip_name, variant, stages, goals,
                        if rng.random() < 0.3)
     undo = sum(gbit for pair, _, _, gbit in engine.swap_gates
                if pair in ending)
+    if rng.random() < 0.5:   # an incumbent whose deadlines bind at t = 1
+        engine.best_obj = (rng.randint(2, 10), 0)
     args = (1, tuple(mapping), busy, pending, mixed, ending)
     loc = _placement(mapping, ())
     got = [(r.kind, r.qubits, r.start, r.end, r.payload)

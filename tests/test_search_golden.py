@@ -17,13 +17,13 @@ from qcsched.router import solve_greedy
 
 CASES = [
     # (chip, goals, variant, stages, seed, warm, node budget), expected
-    (("rigetti-8", 2, "qcc", 1, 15, True, 5000), ("optimal", 8, 3, 1133)),
-    (("rigetti-8", 3, "qcc-x", 1, 22, False, 5000), ("optimal", 9, 1, 3751)),
+    (("rigetti-8", 2, "qcc", 1, 15, True, 5000), ("optimal", 8, 3, 800)),
+    (("rigetti-8", 3, "qcc-x", 1, 22, False, 5000), ("optimal", 9, 1, 1724)),
     (("rigetti-8", 2, "qcc-i", 2, 2, True, 3000), ("optimal", 7, 0, 1680)),
-    (("rigetti-8", 2, "qcc", 2, 16, False, 3000), ("timeout", 33, 47, 3000)),
-    (("grid:3", 2, "qcc", 1, 15, False, 10000), ("optimal", 7, 1, 7862)),
+    (("rigetti-8", 2, "qcc", 2, 16, False, 3000), ("timeout", 33, 46, 3000)),
+    (("grid:3", 2, "qcc", 1, 15, False, 10000), ("optimal", 7, 1, 1445)),
     (("grid:3", 2, "qcc-x", 1, 15, True, 5000), ("optimal", 8, 1, 38)),
-    (("grid:3", 3, "qcc-i", 1, 3, False, 3000), ("timeout", None, None, 3000)),
+    (("grid:3", 3, "qcc-i", 1, 3, False, 3000), ("timeout", 13, 10, 3000)),
     (("grid:3", 2, "qcc-x", 2, 16, True, 3000), ("timeout", 20, 3, 3000)),
 ]
 
@@ -57,64 +57,74 @@ TRACE_CASES = [
     # (chip, goals, variant, stages, seed, warm, node budget), best hash,
     # incumbent trace
     (("rigetti-8", 2, "qcc", 1, 15, True, 5000), "f7ab13f03ac69084",
-     [(8, 12, 8), (8, 11, 10), (8, 10, 13), (8, 9, 25), (8, 8, 35), (8, 7, 54),
-      (8, 6, 99), (8, 5, 188), (8, 4, 332), (8, 3, 831)]),
+     [(8, 10, 8), (8, 9, 11), (8, 8, 14), (8, 7, 24), (8, 6, 27), (8, 5, 58),
+      (8, 4, 144), (8, 3, 531)]),
     (("rigetti-8", 3, "qcc-x", 1, 22, False, 5000), "bf2fe72682e1b0fa",
-     [(30, 25, 907), (30, 24, 909), (30, 23, 918), (30, 22, 956),
-      (30, 21, 1087), (29, 24, 1248), (29, 23, 1250), (29, 22, 1252),
-      (29, 21, 1271), (29, 20, 1324), (26, 21, 1355), (26, 20, 1357),
-      (26, 19, 1366), (25, 20, 1385), (25, 19, 1387), (25, 18, 1395),
-      (25, 17, 1429), (23, 18, 1454), (23, 17, 1456), (23, 16, 1458),
-      (23, 15, 1466), (22, 17, 1486), (22, 16, 1488), (22, 15, 1490),
-      (22, 14, 1498), (21, 16, 1518), (21, 15, 1520), (21, 14, 1522),
-      (21, 13, 1530), (20, 15, 1550), (20, 14, 1552), (20, 13, 1561),
-      (20, 12, 1611), (19, 14, 1742), (19, 13, 1744), (19, 12, 1753),
-      (18, 13, 1772), (18, 12, 1774), (18, 11, 1782), (18, 10, 1823),
-      (18, 9, 1934), (17, 12, 1990), (17, 11, 1992), (17, 10, 1994),
-      (17, 9, 2002), (16, 11, 2022), (16, 10, 2024), (16, 9, 2033),
-      (16, 8, 2088), (16, 7, 2188), (15, 10, 2253), (15, 9, 2255),
-      (15, 8, 2263), (15, 7, 2299), (15, 6, 2473), (14, 9, 2509),
-      (14, 8, 2511), (14, 7, 2514), (14, 6, 2540), (14, 5, 2579),
-      (11, 6, 2617), (11, 5, 2619), (11, 4, 2621), (11, 3, 2635),
-      (10, 5, 2666), (10, 4, 2669), (9, 4, 2706), (9, 3, 2709), (9, 2, 2780),
-      (9, 1, 3104)]),
+     [(30, 23, 54), (30, 22, 73), (30, 21, 185), (29, 22, 279), (29, 21, 282),
+      (29, 20, 300), (26, 21, 315), (26, 20, 317), (26, 19, 323),
+      (25, 19, 326), (25, 18, 329), (25, 17, 344), (23, 17, 353),
+      (23, 16, 355), (23, 15, 360), (22, 15, 363), (22, 14, 368),
+      (21, 14, 371), (21, 13, 376), (20, 14, 380), (20, 13, 384),
+      (20, 12, 399), (19, 13, 514), (19, 12, 518), (18, 12, 521),
+      (18, 11, 524), (18, 10, 544), (18, 9, 636), (17, 10, 652), (17, 9, 657),
+      (16, 10, 661), (16, 9, 665), (16, 8, 685), (16, 7, 766), (15, 9, 790),
+      (15, 8, 793), (15, 7, 808), (15, 6, 963), (14, 7, 982), (14, 6, 992),
+      (14, 5, 1012), (11, 5, 1034), (11, 4, 1036), (11, 3, 1044),
+      (10, 4, 1055), (9, 3, 1069), (9, 2, 1117), (9, 1, 1246)]),
     (("rigetti-8", 2, "qcc-i", 2, 2, True, 3000), "89cb5d9aaeb4be67",
      []),
-    (("rigetti-8", 2, "qcc", 2, 16, False, 3000), "315258dcc827f515",
-     [(39, 65, 1594), (39, 64, 1595), (39, 63, 1597), (39, 62, 1603),
-      (39, 61, 1613), (39, 60, 1617), (39, 59, 1647), (39, 58, 1696),
-      (39, 57, 1770), (38, 61, 1855), (38, 60, 1856), (38, 59, 1860),
-      (38, 58, 1872), (38, 57, 1882), (38, 56, 1902), (38, 55, 1999),
-      (38, 54, 2216), (35, 57, 2315), (35, 56, 2316), (35, 55, 2325),
-      (35, 54, 2332), (35, 53, 2351), (35, 52, 2377), (35, 51, 2446),
-      (35, 50, 2529), (33, 53, 2566), (33, 52, 2567), (33, 51, 2569),
-      (33, 50, 2576), (33, 49, 2586), (33, 48, 2590), (33, 47, 2779)]),
+    (("rigetti-8", 2, "qcc", 2, 16, False, 3000), "051449f287e1f9e7",
+     [(39, 63, 110), (39, 62, 112), (39, 61, 115), (39, 60, 119),
+      (39, 59, 140), (39, 58, 153), (39, 57, 182), (38, 59, 234),
+      (38, 58, 237), (38, 57, 240), (38, 56, 251), (38, 55, 272),
+      (38, 54, 305), (35, 56, 371), (35, 55, 373), (35, 54, 375),
+      (35, 53, 383), (35, 52, 388), (35, 51, 403), (35, 50, 441),
+      (33, 51, 445), (33, 50, 447), (33, 49, 450), (33, 48, 454),
+      (33, 47, 570), (33, 46, 1186)]),
     (("grid:3", 2, "qcc", 1, 15, False, 10000), "04d7e41e0695fc48",
-     [(16, 28, 11), (16, 27, 12), (16, 26, 15), (16, 25, 23), (16, 24, 41),
-      (16, 23, 68), (16, 22, 78), (16, 21, 151), (16, 20, 399), (16, 19, 1204),
-      (13, 23, 1317), (13, 22, 1318), (13, 21, 1321), (13, 20, 1331),
-      (13, 19, 1352), (13, 18, 1379), (13, 17, 1392), (13, 16, 1485),
-      (13, 15, 1618), (13, 14, 1807), (12, 18, 1936), (12, 17, 1938),
-      (12, 16, 1941), (12, 15, 1951), (12, 14, 1967), (12, 13, 1973),
-      (12, 12, 2118), (12, 11, 2400), (11, 19, 3060), (11, 18, 3061),
-      (11, 17, 3066), (11, 16, 3073), (11, 15, 3092), (11, 14, 3118),
-      (11, 13, 3128), (11, 12, 3213), (11, 11, 3330), (11, 10, 3751),
-      (8, 12, 3879), (8, 11, 3881), (8, 10, 3886), (8, 9, 3899), (8, 8, 3936),
-      (8, 7, 4000), (8, 6, 4158), (8, 5, 4357), (8, 4, 4950), (8, 3, 5403),
-      (7, 10, 5531), (7, 9, 5532), (7, 8, 5543), (7, 7, 5562), (7, 6, 5577),
-      (7, 5, 5590), (7, 4, 5622), (7, 3, 5754), (7, 2, 6108), (7, 1, 7597)]),
+     [(16, 28, 11), (16, 27, 12), (16, 26, 15), (16, 25, 23), (16, 24, 25),
+      (16, 23, 29), (16, 22, 39), (16, 21, 92), (16, 20, 100), (16, 19, 139),
+      (13, 20, 154), (13, 19, 157), (13, 18, 163), (13, 17, 176),
+      (13, 16, 245), (13, 15, 271), (13, 14, 331), (12, 16, 362),
+      (12, 15, 365), (12, 14, 369), (12, 13, 375), (12, 12, 435),
+      (12, 11, 445), (11, 13, 484), (11, 12, 487), (11, 11, 491),
+      (11, 10, 576), (8, 12, 595), (8, 11, 597), (8, 10, 602), (8, 9, 615),
+      (8, 8, 622), (8, 7, 634), (8, 6, 642), (8, 5, 672), (8, 4, 1002),
+      (8, 3, 1061), (7, 6, 1079), (7, 5, 1081), (7, 4, 1094), (7, 3, 1103),
+      (7, 2, 1139), (7, 1, 1310)]),
     (("grid:3", 2, "qcc-x", 1, 15, True, 5000), "b1135591484c405d",
      []),
-    (("grid:3", 3, "qcc-i", 1, 3, False, 3000), None,
-     []),
+    (("grid:3", 3, "qcc-i", 1, 3, False, 3000), "a359e8ad3b6c00c2",
+     [(30, 45, 43), (30, 44, 45), (30, 43, 67), (30, 42, 190), (29, 45, 201),
+      (29, 44, 215), (29, 43, 247), (27, 45, 254), (27, 44, 256),
+      (27, 43, 259), (27, 42, 263), (27, 41, 312), (27, 40, 317),
+      (27, 39, 358), (25, 41, 378), (25, 40, 381), (25, 39, 387),
+      (25, 38, 400), (25, 37, 468), (25, 36, 493), (25, 35, 556),
+      (25, 34, 633), (24, 38, 665), (24, 37, 667), (24, 36, 671),
+      (24, 35, 681), (24, 34, 733), (24, 33, 737), (24, 32, 757),
+      (24, 31, 828), (24, 30, 1182), (23, 33, 1264), (23, 32, 1267),
+      (23, 31, 1293), (23, 30, 1376), (21, 33, 1395), (21, 32, 1397),
+      (21, 31, 1403), (21, 30, 1417), (21, 29, 1483), (21, 28, 1489),
+      (21, 27, 1549), (20, 29, 1594), (20, 28, 1596), (20, 27, 1600),
+      (20, 26, 1605), (20, 25, 1669), (20, 24, 1689), (19, 26, 1691),
+      (19, 25, 1694), (19, 24, 1701), (19, 23, 1763), (19, 22, 2018),
+      (18, 25, 2157), (18, 24, 2159), (18, 23, 2164), (18, 22, 2170),
+      (18, 21, 2237), (18, 20, 2259), (18, 19, 2382), (15, 22, 2391),
+      (15, 21, 2393), (15, 20, 2396), (15, 19, 2400), (15, 18, 2449),
+      (15, 17, 2453), (15, 16, 2485), (15, 15, 2546), (13, 17, 2649),
+      (13, 16, 2651), (13, 15, 2654), (13, 14, 2662), (13, 13, 2733),
+      (13, 12, 2765), (13, 11, 2822), (13, 10, 2908)]),
     (("grid:3", 2, "qcc-x", 2, 16, True, 3000), "4901eb35bcc5f9fe",
      []),
-    (("rigetti-21", 1, "qcc-x", 2, 8, False, 3000), "f2681f314c1f3e21",
+    (("rigetti-21", 1, "qcc-x", 2, 8, False, 3000), "eb779597c6dfcaf5",
      [(7, 16, 6), (7, 15, 8), (7, 14, 14), (7, 13, 26), (7, 12, 208),
-      (7, 11, 471), (7, 10, 783), (7, 9, 1186), (7, 8, 1352), (7, 7, 2842)]),
-    (("rigetti-21", 2, "qcc", 1, 8, True, 3000), "11f4caee2c5e48bc",
-     [(11, 51, 701), (11, 50, 702), (11, 49, 704), (11, 48, 712),
-      (11, 47, 736), (11, 46, 772), (11, 45, 989), (11, 44, 1909)]),
+      (7, 11, 211), (7, 10, 237), (7, 9, 272), (7, 8, 438), (7, 7, 1647),
+      (7, 6, 1727), (7, 5, 1873), (7, 4, 2297)]),
+    (("rigetti-21", 2, "qcc", 1, 8, True, 3000), "00d529b36f55de02",
+     [(11, 43, 701), (11, 42, 704), (11, 41, 710), (11, 40, 727),
+      (11, 39, 750), (11, 38, 794), (11, 37, 1131), (11, 36, 2226),
+      (11, 35, 2230), (11, 34, 2245), (11, 33, 2273), (11, 32, 2355),
+      (11, 31, 2491)]),
 ]
 
 
