@@ -27,7 +27,9 @@ from itertools import permutations
 from . import instance as inst
 from .bounds import horizon_bound
 from .instance import Instance
-from .router import all_pairs_distances
+# the search reads chip.swap_hops; all_pairs_distances stays importable
+# here because perfbench/tracing.py wraps it under this module's name
+from .router import all_pairs_distances, require_routable  # noqa: F401
 from .schedule import (GateTask, Schedule, init_task, mix_task, ps_task,
                        swap_task)
 
@@ -56,7 +58,9 @@ class Model:
 
 
 def build_model(instance: Instance) -> Model:
-    """The spec for ``instance``: the sequential horizon."""
+    """The spec for ``instance``: the sequential horizon. Raises
+    ``RoutingError`` when the swap edges keep a goal's states apart."""
+    require_routable(instance)
     return Model(instance, horizon_bound(instance))
 
 
@@ -343,7 +347,7 @@ class _Engine:
 
     - ``mapping`` (qubit - 1 -> state) and its inverse ``loc`` (state ->
       qubit) include every committed swap, running ones too, so ``loc`` is
-      the placement both bounds need. The memo key stays exact, as running
+      the placement the bound needs. The memo key stays exact, as running
       swaps are in it and sit on disjoint qubits; ps candidates use free
       qubits only, where no running swap moves a state.
     - ``pending`` has bit ``g`` for each goal whose ps gate has not ended,
@@ -358,8 +362,15 @@ class _Engine:
     ``G + s`` for the mix of state ``s`` (``G`` goals in all), 0 for a swap.
 
     ``best_obj`` bounds every node: the incumbent's (makespan, swaps), or
-    (horizon, ∞) before one. An improving leaf keeps its committed tasks;
-    ``_build`` makes them a ``Schedule`` only when the incumbent is read.
+    (horizon, ∞) before one. One pass over the running tasks retires what
+    ends at ``t`` and gathers what the bound reads; then each term of the
+    makespan lower bound (the longest running ps gate, the swap rounds of
+    the farthest waiting goal plus a ps gate, each state's chain of ps
+    gates) is tested against the room left, and the first that exceeds it
+    prunes. A tie is broken by the swaps plus those rounds. ``chip.swap_hops``
+    gives the rounds, and is infinite for states the swap edges keep apart.
+    An improving leaf keeps its committed tasks; ``_build`` makes them a
+    ``Schedule`` only when the incumbent is read.
     """
 
     def __init__(self, model: Model, budget_s, node_budget, on_incumbent):
@@ -371,11 +382,7 @@ class _Engine:
         self.tau_swap = chip.swap_duration
         self.tau_mix = chip.mix_duration
         self.min_ps = chip.min_ps_duration
-        # rounds of swaps before states d hops apart share an edge:
-        # ceil((d - 1) / 2), which is d // 2; indexed [qubit][qubit]
-        dist = all_pairs_distances(chip)
-        self.hops = [{}] + [{p: d // 2 for p, d in dist[q].items()}
-                            for q in chip.qubits]
+        self.hops = chip.swap_hops
         self.zones = chip.crosstalk_zones
         self.free_placement = self.instance.variant == inst.QCC_I
         self.two_stage = self.instance.stages == 2
@@ -480,11 +487,17 @@ class _Engine:
         still = []
         first = _IDLE        # the earliest end of what keeps running
         undo = 0             # gates whose swap ends at t: none starts on them
+        started = 0          # pbits of what keeps running
+        last = t             # the latest end of a running ps gate
         for r in running:    # t is the end of one or more of them
-            if r.end > t:
+            end = r.end
+            if end > t:
                 still.append(r)
-                if r.end < first:
-                    first = r.end
+                started |= r.pbit
+                if end < first:
+                    first = end
+                if end > last and r.kind == "ps":
+                    last = end
             elif r.kind == "ps":
                 pending &= ~r.pbit
             elif r.kind == "mix":
@@ -493,10 +506,45 @@ class _Engine:
                 undo |= r.payload
         running = tuple(still)
 
-        mk, most = self.best_obj   # at a leaf: (t, swaps) >= best_obj
-        mk_lb = t + self._makespan_lower_bound(t, loc, running, pending, mixed)
-        if mk_lb > mk or mk_lb == mk and swaps + \
-                self._swap_lower_bound(loc, running, pending) >= most:
+        # Prune when the time left to the last goal gate, lb, exceeds the
+        # room to the bound's makespan, or ties it and the swaps cannot beat
+        # the bound's; each term of lb is tested as it is found.
+        room = self.best_obj[0] - t   # at a leaf: (t, swaps) >= best_obj
+        lb = last - t
+        if lb > room:
+            return
+        waiting = pending & ~started  # goals whose ps gate has not started
+        rounds = 0           # the most swap rounds a waiting goal needs
+        if waiting:
+            hops = self.hops
+            for _, bit, s1, s2, _, _, _ in self.goal_rows:
+                if waiting & bit:
+                    h = hops[loc[s1]][loc[s2]]
+                    if h > rounds:
+                        rounds = h
+            min_ps = self.min_ps
+            term = rounds * self.tau_swap + min_ps
+            if term > room:
+                return
+            if term > lb:
+                lb = term
+            # a state's waiting ps gates run one after another, after its
+            # running ps gate and, before stage 2, its mix
+            for s, sbit, mbit, goals, _, later in self.state_rows:
+                chain = waiting & goals
+                if not chain:
+                    continue
+                term = chain.bit_count() * min_ps
+                if started & goals:
+                    term += self._left(running, goals, t)
+                if chain & later and not mixed & sbit:
+                    term += self._left(running, mbit, t) if started & mbit \
+                        else self.tau_mix
+                if term > room:
+                    return
+                if term > lb:
+                    lb = term
+        if lb == room and swaps + rounds >= self.best_obj[1]:
             return
         if not pending:
             self._complete(t, swaps, committed)
@@ -534,6 +582,13 @@ class _Engine:
                          committed)
             if chosen:
                 del committed[-len(chosen):]
+
+    @staticmethod
+    def _left(running, bits, t):
+        """Time left on the running task whose pbit is in ``bits``."""
+        for r in running:
+            if r.pbit & bits:
+                return r.end - t
 
     @staticmethod
     def _subsets(candidates, first):
@@ -658,56 +713,3 @@ class _Engine:
                     out.append(_Rec("swap", pair, t, t + self.tau_swap, gbit,
                                     qm, zm, 0))
         return out
-
-    # -- bounds -----------------------------------------------------------
-    def _makespan_lower_bound(self, t, loc, running, pending, mixed):
-        """Time from ``t`` to the end of the last pending goal gate: the
-        most of any goal's routing plus a ps gate, and of any state's ps
-        gates in a row (plus its mix before stage 2, which also bounds the
-        wait of each of its stage-2 goals)."""
-        tau_mix, min_ps = self.tau_mix, self.min_ps
-        ps_left = {}    # state -> time left on its running ps gate
-        mix_left = {}   # state -> time left on its running mix
-        waiting = pending
-        lb = 0
-        for r in running:
-            if r.kind == "ps":
-                left = r.end - t
-                waiting &= ~r.pbit
-                row = self.goal_rows[r.payload - 1]
-                ps_left[row[2]] = ps_left[row[3]] = left
-                if left > lb:
-                    lb = left
-            elif r.kind == "mix":
-                mix_left[r.payload] = r.end - t
-        if waiting:
-            route = self._rounds(loc, waiting) * self.tau_swap + min_ps
-            if route > lb:
-                lb = route
-        for s, sbit, _, goals, _, later in self.state_rows:
-            chain = waiting & goals
-            if not chain:
-                continue
-            base = ps_left.get(s, 0) + chain.bit_count() * min_ps
-            if chain & later and not mixed & sbit:
-                base += mix_left.get(s, tau_mix)
-            if base > lb:
-                lb = base
-        return lb
-
-    def _swap_lower_bound(self, loc, running, pending):
-        waiting = pending
-        for r in running:
-            waiting &= ~r.pbit
-        return self._rounds(loc, waiting)
-
-    def _rounds(self, loc, waiting):
-        """The most swap rounds a goal of ``waiting`` needs at ``loc``."""
-        hops = self.hops
-        most = 0
-        for _, bit, s1, s2, _, _, _ in self.goal_rows:
-            if waiting & bit:
-                h = hops[loc[s1]][loc[s2]]
-                if h > most:
-                    most = h
-        return most

@@ -75,10 +75,10 @@ class Chip:
     """Qubits 1..qubit_count joined by colored gate edges.
 
     Tables that depend only on the graph (edge lookup, neighbors, the swap
-    adjacency, all-pairs swap distances and their diameter, crosstalk zones)
-    are computed on first use and cached on the instance; callers must not
-    mutate them. They are not fields, so two chips with the same graph
-    compare equal.
+    adjacency, all-pairs swap distances, their swap rounds and their
+    diameter, crosstalk zones) are computed on first use and cached on the
+    instance; callers must not mutate them. They are not fields, so two
+    chips with the same graph compare equal.
     """
 
     qubit_count: int
@@ -138,6 +138,15 @@ class Chip:
     def swap_distances(self) -> dict[int, dict[int, int]]:
         """Swap-edge hop counts, source -> {reachable qubit: distance}."""
         return {q: _hop_counts(self.swap_neighbors, q) for q in self.qubits}
+
+    @cached_property
+    def swap_hops(self) -> list[list[float]]:
+        """Rounds of swaps before the states on two qubits share an edge,
+        ceil((d - 1) / 2) = d // 2 for swap distance d; indexed
+        [qubit][qubit], infinite where the swap edges do not connect them."""
+        return [[]] + [[0] + [d[p] // 2 if p in d else float("inf")
+                              for p in self.qubits]
+                       for d in self.swap_distances.values()]
 
     @cached_property
     def swap_diameter(self) -> int:

@@ -14,7 +14,7 @@ from math import ceil
 from . import instance as inst
 from .bounds import horizon_bound
 from .instance import Instance
-from .router import all_pairs_distances
+from .router import all_pairs_distances, require_routable
 
 
 class _Task:
@@ -32,7 +32,9 @@ class _Task:
 
 def optimal_makespan(instance: Instance, horizon: int | None = None,
                      ) -> int | None:
-    """Smallest achievable makespan, or None if nothing fits the horizon."""
+    """Smallest achievable makespan, or None if nothing fits the horizon.
+    Raises ``RoutingError`` when the swap edges keep a goal's states apart."""
+    require_routable(instance)
     if instance.goal_count == 0:
         return 0
     if horizon is None:
@@ -259,7 +261,9 @@ class _Searcher:
                 if g in running_ps:
                     continue  # in flight; ends by task.end <= bound
                 s1, s2 = instance.goal_pair(g)
-                d = self.dist[loc[s1]][loc[s2]]
+                d = self.dist[loc[s1]].get(loc[s2])
+                if d is None:   # a free placement the swap edges split
+                    return float("inf")
                 goal_lb = ceil((d - 1) / 2) * self.tau_swap
                 if instance.stages == 2 and instance.goal_stage(g) == 2:
                     wait = 0

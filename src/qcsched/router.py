@@ -28,6 +28,18 @@ def all_pairs_distances(chip: Chip) -> dict[int, dict[int, int]]:
     return chip.swap_distances
 
 
+def require_routable(instance: Instance) -> None:
+    """Raise ``RoutingError`` for the first goal whose states sit on qubits
+    the swap edges do not connect. Free placement (qcc-i) puts the states
+    anywhere, so it is left to the solvers."""
+    if instance.variant == inst.QCC_I:
+        return
+    dist = instance.chip.swap_distances
+    for g, (s1, s2) in instance.goal_pairs.items():
+        if s2 not in dist[s1]:
+            raise RoutingError(f"goal {g} is unreachable on the swap graph")
+
+
 def shortest_path(chip: Chip, a: int, b: int,
                   rng: random.Random | None = None) -> list[int]:
     """A shortest swap path from a to b; rng picks among equal-length ones."""

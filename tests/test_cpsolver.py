@@ -7,10 +7,11 @@ from qcsched.cpsolver import (CONFLICT, FIXPOINT, INFEASIBLE, ModelError,
                               OPTIMAL, TIMEOUT, build_model, check_assignment,
                               propagate, search, warm_start)
 from qcsched.fixtures import worked_example
-from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
-                              generate_instance)
+from qcsched.instance import (BLUE, Chip, Edge, Instance, build_grid_chip,
+                              build_preset_chip, generate_instance)
 from qcsched.oracle import optimal_makespan
-from qcsched.router import solve_greedy, solve_sequential_baseline
+from qcsched.router import (RoutingError, solve_greedy,
+                            solve_sequential_baseline)
 from qcsched.schedule import Schedule, mix_task, ps_task, swap_task, validate
 
 
@@ -54,6 +55,48 @@ def test_model_free_placement_tag():
     ok, reasons = check_assignment(build_model(fixed), result.best)
     assert not ok
     assert any("fixed-placement" in r for r in reasons)
+
+
+def _chip(swaps, fixed):
+    """Blue edges among ``swaps`` (swap-enabled) and ``fixed`` (ps only)."""
+    edges = [Edge(u, v, BLUE, 3) for u, v in swaps] + \
+        [Edge(u, v, BLUE, 3, swap_enabled=False) for u, v in fixed]
+    return Chip(qubit_count=max(max(e.pair) for e in edges),
+                edges=tuple(edges))
+
+
+# goal 1's states sit on qubits the swap edges do not connect: a path whose
+# edge (2, 3) swaps nothing, and a square with no swap edge at all
+UNROUTABLE = [
+    Instance(chip=_chip([(1, 2)], [(2, 3)]), goals=((1, 3),)),
+    Instance(chip=_chip([], [(1, 2), (1, 3), (2, 4), (3, 4)]),
+             goals=((1, 4),)),
+]
+
+
+@pytest.mark.parametrize("instance", UNROUTABLE)
+def test_unroutable_goal_is_rejected_by_the_model(instance):
+    with pytest.raises(RoutingError, match="goal 1 "):
+        solve_greedy(instance)
+    with pytest.raises(RoutingError, match="goal 1 "):
+        build_model(instance)
+
+
+@pytest.mark.parametrize("instance", UNROUTABLE)
+def test_unroutable_goal_is_rejected_by_the_oracle(instance):
+    with pytest.raises(RoutingError, match="goal 1 "):
+        optimal_makespan(instance)
+
+
+def test_free_placement_prunes_a_split_goal():
+    # qcc-i may put goal (1, 3) on the swap edge (1, 2) or split it over the
+    # fixed edge; the split placements are pruned, not looked up
+    instance = Instance(chip=_chip([(1, 2)], [(2, 3)]), goals=((1, 3),),
+                        variant="qcc-i")
+    result = search(build_model(instance))
+    assert result.status == OPTIMAL
+    assert result.best.objective() == (3, 0)
+    assert optimal_makespan(instance) == 3
 
 
 def test_propagate_overload_conflict():
