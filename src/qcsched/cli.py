@@ -198,12 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[QCC, QCC_I, QCC_X], action="append",
                    default=None, help="repeatable; defaults to qcc")
     p.add_argument("--stages", type=int, choices=[1, 2], default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_engine_flags(p)
     p.add_argument("--count", type=_COUNT, default=5)
     p.add_argument("--engine", choices=ENGINES, action="append",
                    required=True)
-    p.add_argument("--budget", type=_SECONDS, default=10.0)
-    p.add_argument("--node-budget", type=_NON_NEGATIVE, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench)
 

@@ -9,9 +9,8 @@ proves optimality on exhaustion; a warm-start schedule can be installed as
 the initial incumbent.
 
 ``check_assignment`` is a second, independent checker of the same rules: it
-binds each task of a finished schedule to a slot of the spec (a swap gate,
-an edge and goal, a state and qubit) and checks every rule against those
-slots.
+reads a finished schedule's tasks directly and checks each rule once, in one
+section per rule.
 
 Everything here is written from scratch: no external solver is involved, and
 no code is shared with the independent validator or the brute-force oracle.
@@ -42,7 +41,7 @@ CONFLICT = "conflict"
 
 
 class ModelError(ValueError):
-    """A schedule cannot be mapped onto the model, or the model is malformed."""
+    """A schedule breaks a rule of the model, or the model is malformed."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,178 +80,138 @@ def propagate(model: Model) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the independent checker (schedule -> spec slots)
+# the independent checker (schedule -> rules)
 
 
-def _map_tasks(model: Model, schedule: Schedule):
-    """Bind each scheduled task to a slot; returns (bindings, placement,
-    reasons).
-
-    bindings: list of (slot name, slot duration, task). A swap's slot is
-    named by its gate and its index in the schedule.
-    """
-    instance = model.instance
-    chip = instance.chip
-    free_placement = instance.variant == inst.QCC_I
-    swap_gates = {e.pair for e in chip.swap_edges}
-    ps_gates = {e.pair: e for e in chip.edges}
-    reasons: list[str] = []
-    bindings: list[tuple[str, int, GateTask]] = []
-    init_states: dict[int, int] = {}
-
-    ps_by_goal: dict[int, list[GateTask]] = {}
-    mixes_by_state: dict[int, list[GateTask]] = {}
-
-    for i, t in enumerate(schedule.tasks):
-        if t.kind == "swap":
-            pair = t.location if isinstance(t.location, tuple) else None
-            if pair in swap_gates:
-                bindings.append((f"swap[{pair[0]},{pair[1]}]#{i}",
-                                 chip.swap_duration, t))
-            else:
-                reasons.append(f"no swap gate at {t.location}")
-        elif t.kind == "ps":
-            g = t.goal_index
-            if g is None or not 1 <= g <= instance.total_goals:
-                reasons.append(f"ps task has no valid goal index ({g})")
-                continue
-            ps_by_goal.setdefault(g, []).append(t)
-        elif t.kind == "mix":
-            s = t.state
-            if s is None or not 1 <= s <= instance.state_count:
-                reasons.append(f"mix task has no valid state ({s})")
-                continue
-            if instance.stages == 1:
-                reasons.append("mix task in a single-stage model")
-                continue
-            mixes_by_state.setdefault(s, []).append(t)
-        elif t.kind == "init":
-            if not free_placement:
-                reasons.append("init task in a fixed-placement model")
-            elif not isinstance(t.location, int) or t.location not in chip.qubits:
-                reasons.append(f"init task on unknown qubit {t.location}")
-            elif t.location in init_states:
-                reasons.append(f"qubit {t.location} initialized twice")
-            else:
-                init_states[t.location] = t.state
-        else:
-            reasons.append(f"unknown task kind {t.kind!r}")
-
-    for g in range(1, instance.total_goals + 1):
-        tasks = ps_by_goal.get(g, [])
-        if len(tasks) != 1:
-            reasons.append(f"goal {g} has {len(tasks)} ps tasks, needs exactly 1")
-            continue
-        t = tasks[0]
-        edge = ps_gates.get(t.location) if isinstance(t.location, tuple) \
-            else None
-        if edge is None:
-            reasons.append(f"ps task for goal {g} on non-edge {t.location}")
-            continue
-        bindings.append((f"ps[{edge.u},{edge.v}]@{g}", edge.ps_duration, t))
-    if instance.stages == 2:
-        for s in range(1, instance.state_count + 1):
-            tasks = mixes_by_state.get(s, [])
-            if len(tasks) != 1:
-                reasons.append(f"state {s} has {len(tasks)} mixes, needs exactly 1")
-                continue
-            t = tasks[0]
-            if not isinstance(t.location, int) or t.location not in chip.qubits:
-                reasons.append(f"mix of state {s} on unknown qubit {t.location}")
-                continue
-            bindings.append((f"mix[{s}]@q{t.location}", chip.mix_duration, t))
-
-    init_placement = None
-    if free_placement:
-        missing = set(chip.qubits) - set(init_states)
-        if missing:
-            reasons.append(f"qubits {sorted(missing)} have no init task")
-        elif sorted(init_states.values()) != list(range(1, instance.state_count + 1)):
-            reasons.append("init states are not a permutation of all states")
-        else:
-            init_placement = tuple(init_states[q] for q in chip.qubits)
-    return bindings, init_placement, reasons
-
-
-def _trace_states(instance: Instance, bindings, init_placement):
-    """States held by each binding's qubits when its task starts."""
-    if init_placement is not None:
-        states = {q: s for q, s in zip(instance.chip.qubits, init_placement)}
-    else:
-        states = {q: q for q in instance.chip.qubits}
-    at_start = {}
-    for name, _, t in sorted(bindings, key=lambda b: (b[2].start, b[2].qubits)):
-        at_start[name] = tuple(states[q] for q in t.qubits)
-        if t.kind == "swap":
-            u, v = t.location
-            states[u], states[v] = states[v], states[u]
-    return at_start
+def _label(t: GateTask) -> str:
+    return f"{t.kind} at {t.location} from {t.start}"
 
 
 def check_assignment(model: Model, schedule: Schedule):
-    """Evaluate every rule against a schedule's slots; (ok, reasons)."""
+    """Evaluate every rule against a schedule's tasks; (ok, reasons)."""
     instance = model.instance
     chip = instance.chip
-    bindings, init_placement, reasons = _map_tasks(model, schedule)
+    goal_pairs = instance.goal_pairs
+    states = range(1, instance.state_count + 1)
+    free_placement = instance.variant == inst.QCC_I
+    reasons: list[str] = []
+    placed: list[GateTask] = []       # tasks on a gate of the chip
+    ps_of: dict[int, list[GateTask]] = {}      # goal -> its ps tasks
+    mixes_of: dict[int, list[GateTask]] = {}   # state -> its mixes
+    inits: dict[int, int] = {}                 # qubit -> state
 
-    for name, length, t in bindings:
-        if t.duration != length:
-            reasons.append(f"{name}: duration {t.duration} != {length}")
-        if t.start < 0 or t.start + length > model.horizon:
-            reasons.append(f"{name}: window [{t.start}, "
-                           f"{t.start + t.duration}) outside [0, {model.horizon}]")
-
-    # disjunctive resources (with the crosstalk extension when applicable)
-    crosstalk = instance.variant == inst.QCC_X
-    per_qubit: dict[int, list[tuple[str, GateTask, bool]]] = \
-        {q: [] for q in chip.qubits}
-    for name, _, t in bindings:
-        for q in t.qubits:
-            if q in per_qubit:
-                per_qubit[q].append((name, t, True))
-        if crosstalk and isinstance(t.location, tuple):
-            for q in chip.crosstalk_zone(*t.location):
-                if q in per_qubit:
-                    per_qubit[q].append((name, t, False))
-    for q, entries in per_qubit.items():
-        for i, (na, ta, occ_a) in enumerate(entries):
-            for nb, tb, occ_b in entries[i + 1:]:
-                if (occ_a or occ_b) and na != nb and ta.overlaps(tb):
-                    reasons.append(f"{na} and {nb} collide on qubit {q}")
-
-    # goal endpoints must hold the goal's state pair at gate start
-    at_start = _trace_states(instance, bindings, init_placement)
-    for name, _, t in bindings:
-        if t.kind != "ps":
+    # each task: kind, gate and location, duration, and the window
+    for t in schedule.tasks:
+        on_qubit = isinstance(t.location, int) and t.location in chip.qubits
+        if t.kind == "swap":
+            edge = chip.edge_map.get(t.location)
+            if edge is None or not edge.swap_enabled:
+                reasons.append(f"no swap gate at {t.location}")
+                continue
+            length = chip.swap_duration
+        elif t.kind == "ps":
+            g, edge = t.goal_index, chip.edge_map.get(t.location)
+            if g not in goal_pairs:
+                reasons.append(f"ps task has no valid goal index ({g})")
+                continue
+            ps_of.setdefault(g, []).append(t)
+            if edge is None:
+                reasons.append(f"ps task for goal {g} on non-edge {t.location}")
+                continue
+            length = edge.ps_duration
+        elif t.kind == "mix":
+            if t.state not in states:
+                reasons.append(f"mix task has no valid state ({t.state})")
+                continue
+            mixes_of.setdefault(t.state, []).append(t)
+            if not on_qubit:
+                reasons.append(f"mix of state {t.state} on unknown qubit "
+                               f"{t.location}")
+                continue
+            length = chip.mix_duration
+        elif t.kind == "init":
+            if not free_placement:
+                reasons.append("init task in a fixed-placement model")
+            elif not on_qubit:
+                reasons.append(f"init task on unknown qubit {t.location}")
+            elif t.location in inits:
+                reasons.append(f"qubit {t.location} initialized twice")
+            elif t.start or t.duration:
+                reasons.append(f"init of qubit {t.location} is not "
+                               f"zero-length at time 0")
+            else:
+                inits[t.location] = t.state
             continue
-        pair = instance.goal_pair(t.goal_index)
-        held = at_start.get(name, ())
-        if set(held) != set(pair):
-            reasons.append(f"{name}: goal {t.goal_index} needs states "
-                           f"{pair}, found {held}")
+        else:
+            reasons.append(f"unknown task kind {t.kind!r}")
+            continue
+        if t.duration != length:
+            reasons.append(f"{_label(t)}: duration {t.duration} != {length}")
+        if t.start < 0 or t.end > model.horizon:
+            reasons.append(f"{_label(t)}: window [{t.start}, {t.end}) "
+                           f"outside [0, {model.horizon}]")
+        placed.append(t)
+
+    for g in goal_pairs:
+        if len(ps_of.get(g, ())) != 1:
+            reasons.append(f"goal {g} has {len(ps_of.get(g, ()))} ps tasks, "
+                           f"needs exactly 1")
+    for s in states:    # one mix between two stages, none in one stage
+        if len(mixes_of.get(s, ())) != instance.stages - 1:
+            reasons.append(f"state {s} has {len(mixes_of.get(s, ()))} mixes, "
+                           f"needs {instance.stages - 1}")
+    if free_placement and (len(inits) != len(states)
+                           or set(inits.values()) != set(states)):
+        reasons.append("init tasks do not put each state on its own qubit")
+
+    # each qubit runs one task at a time; under qcc-x, nothing runs in the
+    # crosstalk zone of a running two-qubit gate
+    crosstalk = instance.variant == inst.QCC_X
+    bucket = {q: [] for q in chip.qubits}    # (task, runs on q?)
+    for t in placed:
+        for q in t.qubits:
+            bucket[q].append((t, True))
+        if crosstalk and t.kind != "mix":
+            for q in chip.crosstalk_zones[t.location]:
+                bucket[q].append((t, False))
+    for q, entries in bucket.items():
+        for i, (a, a_uses) in enumerate(entries):
+            for b, b_uses in entries[i + 1:]:
+                if (a_uses or b_uses) and a.overlaps(b):
+                    reasons.append(f"{_label(a)} and {_label(b)} collide on "
+                                   f"qubit {q}")
+
+    # replaying the swaps, each goal's ps gate starts on the goal's states
+    held = {q: inits.get(q) if free_placement else q for q in chip.qubits}
+    for t in sorted(placed, key=lambda t: (t.start, t.qubits)):
+        if t.kind == "swap":
+            u, v = t.location
+            held[u], held[v] = held[v], held[u]
+        elif t.kind == "ps":
+            pair = goal_pairs[t.goal_index]
+            found = tuple(held[q] for q in t.qubits)
+            if set(found) != set(pair):
+                reasons.append(f"{_label(t)}: goal {t.goal_index} needs "
+                               f"states {pair}, found {found}")
 
     # each state's mix sits between its stage-1 and stage-2 goals
-    if instance.stages == 2:
-        ps_of = {t.goal_index: t for _, _, t in bindings if t.kind == "ps"}
-        mix_of = {t.state: t for _, _, t in bindings if t.kind == "mix"}
-        for g, t in ps_of.items():
-            for s in instance.goal_pair(g):
-                m = mix_of.get(s)
-                if m is None:
-                    continue
-                if instance.goal_stage(g) == 1 and t.end > m.start:
-                    reasons.append(f"mix of state {s} starts before stage-1 "
-                                   f"goal {g} ends")
-                if instance.goal_stage(g) == 2 and m.end > t.start:
-                    reasons.append(f"stage-2 goal {g} starts before mix of "
-                                   f"state {s} ends")
+    for g, tasks in ps_of.items():
+        stage = instance.goal_stage(g)
+        for t in tasks:
+            for s in goal_pairs[g]:
+                for m in mixes_of.get(s, ()):
+                    if stage == 1 and t.end > m.start:
+                        reasons.append(f"mix of state {s} starts before "
+                                       f"stage-1 goal {g} ends")
+                    if stage == 2 and m.end > t.start:
+                        reasons.append(f"stage-2 goal {g} starts before mix "
+                                       f"of state {s} ends")
 
-    # objective channel consistency
-    goal_ends = [t.end for _, _, t in bindings if t.kind == "ps"]
-    if schedule.makespan != max(goal_ends, default=0):
-        reasons.append(f"stored makespan {schedule.makespan} != "
-                       f"{max(goal_ends, default=0)}")
-    swaps = sum(1 for _, _, t in bindings if t.kind == "swap")
+    # the stored objective
+    makespan = max((t.end for ts in ps_of.values() for t in ts), default=0)
+    if schedule.makespan != makespan:
+        reasons.append(f"stored makespan {schedule.makespan} != {makespan}")
+    swaps = sum(1 for t in schedule.tasks if t.kind == "swap")
     if schedule.swap_count != swaps:
         reasons.append(f"stored swap count {schedule.swap_count} != {swaps}")
 

@@ -159,21 +159,13 @@ def render_svg(instance: Instance, schedule: Schedule) -> str:
             label = f"m{t.state}"
         for q in t.qubits:
             block(q, t.start, t.end, color, label)
-    if instance.variant == inst.QCC_X:
-        occupied = {(q, c) for t in schedule.tasks if t.duration
-                    for q in t.qubits for c in range(t.start, t.end)}
-        for t in schedule.tasks:
-            if t.duration == 0 or not isinstance(t.location, tuple):
-                continue
-            for q in chip.crosstalk_zone(*t.location):
-                for c in range(t.start, t.end):
-                    if (q, c) in occupied:
-                        continue
-                    x = LEFT_PAD + c * CELL_W + CELL_W // 2
-                    y = lane[q] + ROW_H // 2
-                    parts.append(
-                        f'<text x="{x - 4}" y="{y + 4}" '
-                        f'fill="{SVG_COLORS["blocked"]}">x</text>')
+    for q, row in _grid(instance, schedule).items():
+        for c, char in enumerate(row):
+            if char == BLOCKED_CHAR:
+                x = LEFT_PAD + c * CELL_W + CELL_W // 2
+                y = lane[q] + ROW_H // 2
+                parts.append(f'<text x="{x - 4}" y="{y + 4}" '
+                             f'fill="{SVG_COLORS["blocked"]}">x</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -53,9 +53,6 @@ class Edge:
     def pair(self) -> tuple[int, int]:
         return (min(self.u, self.v), max(self.u, self.v))
 
-    def other(self, qubit: int) -> int:
-        return self.v if qubit == self.u else self.u
-
 
 def _hop_counts(adj: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
     """Breadth-first hop counts from source to every qubit it reaches."""

@@ -156,6 +156,14 @@ def _initial_locations(instance: Instance,
     return {s: s for s in range(1, instance.state_count + 1)}
 
 
+def _swap_states(loc: dict[int, int], holder: dict[int, int], u: int,
+                 v: int) -> None:
+    """Exchange the states on qubits u and v; every qubit holds a state."""
+    su, sv = holder[u], holder[v]
+    holder[u], holder[v] = sv, su
+    loc[su], loc[sv] = v, u
+
+
 def solve_sequential_baseline(instance: Instance) -> Schedule:
     """One goal after another along shortest paths; certifies the horizon bound."""
     chip = instance.chip
@@ -181,12 +189,7 @@ def solve_sequential_baseline(instance: Instance) -> Schedule:
 
     def _seq_swap(u: int, v: int, t: int) -> int:
         tasks.append(swap_task(u, v, t, chip.swap_duration))
-        su, sv = holder.get(u), holder.get(v)
-        holder[u], holder[v] = sv, su
-        if su is not None:
-            loc[su] = v
-        if sv is not None:
-            loc[sv] = u
+        _swap_states(loc, holder, u, v)
         return t + chip.swap_duration
 
     for o in range(1, instance.goal_count + 1):
@@ -224,12 +227,7 @@ def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
     def do_swap(u: int, v: int) -> None:
         start = tl.earliest({u, v}, chip.swap_duration, 0, (u, v))
         commit(swap_task(u, v, start, chip.swap_duration))
-        su, sv = holder.get(u), holder.get(v)
-        holder[u], holder[v] = sv, su
-        if su is not None:
-            loc[su] = v
-        if sv is not None:
-            loc[sv] = u
+        _swap_states(loc, holder, u, v)
 
     def run_goal(goal_index: int, stage: int) -> None:
         s1, s2 = instance.goal_pair(goal_index)

@@ -12,7 +12,8 @@ from qcsched.instance import (BLUE, Chip, Edge, Instance, build_grid_chip,
 from qcsched.oracle import optimal_makespan
 from qcsched.router import (RoutingError, solve_greedy,
                             solve_sequential_baseline)
-from qcsched.schedule import Schedule, mix_task, ps_task, swap_task, validate
+from qcsched.schedule import (GateTask, Schedule, init_task, mix_task, ps_task,
+                              swap_task, validate)
 
 
 @pytest.fixture
@@ -265,3 +266,81 @@ def test_many_candidates_do_not_exhaust_the_stack():
     result = search(build_model(instance), node_budget=1000)
     assert result.status == TIMEOUT
     assert result.nodes == 1000
+
+
+# The path 1-2-3-4, whose edge (3, 4) runs ps gates but no swap.
+PATH = _chip([(1, 2), (2, 3)], [(3, 4)])
+ONE = Instance(chip=PATH, goals=((1, 2),))
+TWO = Instance(chip=PATH, goals=((1, 2),), stages=2)
+FREE = Instance(chip=PATH, goals=((1, 2),), variant="qcc-i")
+CROSSTALK = Instance(chip=build_grid_chip(2), goals=((1, 2),),
+                     variant="qcc-x")
+GOAL = ps_task(1, 2, 0, 3, 1)
+MIXES = [mix_task(q, 3, 1, q) for q in PATH.qubits]
+INITS = [init_task(q, q) for q in PATH.qubits]
+
+# (instance, tasks) that keep every rule
+GOOD = {
+    "one stage": (ONE, [GOAL, swap_task(2, 3, 3, 2)]),
+    "two stages": (TWO, [GOAL] + MIXES + [ps_task(1, 2, 4, 3, 2)]),
+    "free placement": (FREE, INITS + [GOAL]),
+    "crosstalk": (CROSSTALK, [GOAL, swap_task(3, 4, 3, 2)]),
+}
+
+# (instance, tasks) that break one rule each
+BROKEN = {
+    "swap on a ps-only edge": (ONE, [GOAL, swap_task(3, 4, 0, 2)]),
+    "ps on a non-edge": (Instance(chip=PATH, goals=((1, 3),)),
+                         [ps_task(1, 3, 0, 3, 1)]),
+    "ps with no goal": (ONE, [GateTask("ps", (1, 2), 0, 3)]),
+    "unknown kind": (ONE, [GOAL, GateTask("cz", (3, 4), 0, 3)]),
+    "mix on a pair": (TWO, [GOAL] + MIXES[:3]
+                      + [GateTask("mix", (3, 4), 4, 1, state=4),
+                         ps_task(1, 2, 4, 3, 2)]),
+    "mix in one stage": (ONE, [GOAL, mix_task(3, 0, 1, 3)]),
+    "mix before its stage-1 gate": (
+        TWO, [mix_task(1, 0, 1, 1), ps_task(1, 2, 1, 3, 1)]
+        + [mix_task(q, 4, 1, q) for q in (2, 3, 4)]
+        + [ps_task(1, 2, 5, 3, 2)]),
+    "init under fixed placement": (ONE, INITS + [GOAL]),
+    "duplicate init": (FREE, INITS + [init_task(4, 4), GOAL]),
+    "missing init": (FREE, INITS[:3] + [GOAL]),
+    "init out of range": (FREE, INITS[:3] + [init_task(4, 5), GOAL]),
+    "init with no state": (FREE, INITS[:3]
+                           + [GateTask("init", 4, 0, 0), GOAL]),
+    "init after time 0": (FREE, INITS[:3]
+                          + [GateTask("init", 4, 1, 0, state=4), GOAL]),
+    "wrong states at a ps gate": (ONE, [ps_task(2, 3, 0, 3, 1)]),
+    "ps duration": (ONE, [ps_task(1, 2, 0, 4, 1)]),
+    "swap duration": (ONE, [GOAL, swap_task(2, 3, 3, 1)]),
+    "zero-length swap": (ONE, [GOAL, swap_task(2, 3, 3, 0)]),
+    "negative start": (ONE, [ps_task(1, 2, -1, 3, 1)]),
+    "overlap": (ONE, [GOAL, swap_task(2, 3, 1, 2)]),
+    "crosstalk": (CROSSTALK, [GOAL, swap_task(3, 4, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(GOOD))
+def test_both_checkers_accept_each_rule_table_base(row):
+    instance, tasks = GOOD[row]
+    schedule = Schedule.from_tasks(tasks)
+    assert validate(instance, schedule).valid
+    assert check_assignment(build_model(instance), schedule) == (True, ())
+
+
+@pytest.mark.parametrize("row", sorted(BROKEN))
+def test_both_checkers_reject_each_broken_rule(row):
+    instance, tasks = BROKEN[row]
+    schedule = Schedule.from_tasks(tasks)
+    assert not check_assignment(build_model(instance), schedule)[0]
+    assert not validate(instance, schedule).valid
+
+
+@pytest.mark.parametrize("row", sorted(GOOD))
+def test_both_checkers_agree_on_a_tightened_horizon(row):
+    instance, tasks = GOOD[row]
+    schedule = Schedule.from_tasks(tasks)
+    model = build_model(instance)
+    for horizon in range(3, 7):
+        assert check_assignment(replace(model, horizon=horizon), schedule)[0] \
+            == validate(instance, schedule, horizon=horizon).valid
