@@ -71,11 +71,12 @@ def _hop_counts(adj: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
 class Chip:
     """Qubits 1..qubit_count joined by colored gate edges.
 
-    Tables that depend only on the graph (edge lookup, neighbors, the swap
-    adjacency, all-pairs swap distances, their swap rounds and their
-    diameter, crosstalk zones) are computed on first use and cached on the
-    instance; callers must not mutate them. They are not fields, so two
-    chips with the same graph compare equal.
+    Tables that depend only on the graph (edge lookup, ps durations by
+    qubit pair, neighbors, the swap adjacency, all-pairs swap distances,
+    their swap rounds, next hops and diameter, crosstalk zones) are
+    computed on first use and cached on the instance; callers must not
+    mutate them. They are not fields, so two chips with the same graph
+    compare equal.
     """
 
     qubit_count: int
@@ -144,6 +145,28 @@ class Chip:
         return [[]] + [[0] + [d[p] // 2 if p in d else float("inf")
                               for p in self.qubits]
                        for d in self.swap_distances.values()]
+
+    @cached_property
+    def swap_next_hops(self) -> list[list[tuple[int, ...]]]:
+        """Indexed [target][qubit]: the qubit's swap neighbors one hop
+        closer to the target, in ``swap_neighbors`` order; empty at the
+        target and where the swap edges do not reach it."""
+        out: list[list[tuple[int, ...]]] = [[]]
+        for b, d in self.swap_distances.items():
+            out.append([()] + [
+                tuple(n for n in self.swap_neighbors[q] if d[n] == d[q] - 1)
+                if q in d else () for q in self.qubits])
+        return out
+
+    @cached_property
+    def ps_durations(self) -> list[list[int]]:
+        """Indexed [qubit][qubit]: the ps duration of the edge joining them,
+        0 where no edge does."""
+        out = [[0] * (self.qubit_count + 1)
+               for _ in range(self.qubit_count + 1)]
+        for e in self.edges:
+            out[e.u][e.v] = out[e.v][e.u] = e.ps_duration
+        return out
 
     @cached_property
     def swap_diameter(self) -> int:

@@ -4,14 +4,21 @@ Two engines: a strictly sequential baseline whose makespan realizes the
 horizon bound certificate, and an event-driven greedy that interleaves goals
 on the timeline. ``solve_anytime`` wraps both in a randomized-restart loop
 that records each strictly improving incumbent.
+
+Both walk shortest swap paths through ``Chip.swap_next_hops`` and read gate
+durations from ``Chip.ps_durations``, tables the chip builds once. The
+greedy checks once, after placement, that the swap edges connect each
+goal's states; states move only along swap edges, so that cannot change.
+Under qcc-x its timeline bisects each qubit's sorted crosstalk intervals.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import instance as inst
 from .instance import Chip, Instance
@@ -28,31 +35,35 @@ def all_pairs_distances(chip: Chip) -> dict[int, dict[int, int]]:
     return chip.swap_distances
 
 
-def require_routable(instance: Instance) -> None:
+def require_routable(instance: Instance,
+                     loc: dict[int, int] | None = None) -> None:
     """Raise ``RoutingError`` for the first goal whose states sit on qubits
-    the swap edges do not connect. Free placement (qcc-i) puts the states
-    anywhere, so it is left to the solvers."""
-    if instance.variant == inst.QCC_I:
-        return
+    the swap edges do not connect, with the states where ``loc`` (state ->
+    qubit) puts them, or on their own qubits. Without ``loc``, free
+    placement (qcc-i) puts the states anywhere, so it is left to the
+    solvers."""
+    if loc is None:
+        if instance.variant == inst.QCC_I:
+            return
+        loc = {s: s for s in instance.chip.qubits}
     dist = instance.chip.swap_distances
-    for g, (s1, s2) in instance.goal_pairs.items():
-        if s2 not in dist[s1]:
+    for g, (s1, s2) in enumerate(instance.goals, start=1):
+        if loc[s2] not in dist[loc[s1]]:
             raise RoutingError(f"goal {g} is unreachable on the swap graph")
 
 
 def shortest_path(chip: Chip, a: int, b: int,
                   rng: random.Random | None = None) -> list[int]:
-    """A shortest swap path from a to b; rng picks among equal-length ones."""
-    adj = chip.swap_neighbors
-    dist = chip.swap_distances[b]
-    if a not in dist:
+    """A shortest swap path from a to b; rng picks among equal-length ones,
+    which ``Chip.swap_next_hops`` lists hop by hop."""
+    if a not in chip.swap_distances[b]:
         raise RoutingError(f"no swap path between qubits {a} and {b}")
+    hops = chip.swap_next_hops[b]
     path = [a]
-    cur = a
-    while cur != b:
-        options = [n for n in adj[cur] if dist.get(n, -1) == dist[cur] - 1]
-        cur = rng.choice(options) if rng else options[0]
-        path.append(cur)
+    while a != b:
+        options = hops[a]
+        a = rng.choice(options) if rng else options[0]
+        path.append(a)
     return path
 
 
@@ -68,6 +79,16 @@ class _Timeline:
     one-qubit probe clashes with the two-qubit tasks whose zone holds its
     qubit (``blocked``). The probe jumps past the latest clashing end until
     nothing clashes.
+
+    Each ``busy`` list is sorted by start, and its intervals are disjoint:
+    every committed task starts at or after ``earliest``'s answer, so at or
+    after the release time of each of its qubits, which is the end of the
+    last interval on that qubit's list. So on each zone qubit only the last
+    interval that starts before the probe ends can clash, and it has the
+    latest end of any that do; one bisection finds it. Zero-length tasks
+    (the inits) stay off the lists: they cannot clash, and an init at time 0
+    committed after later tasks would break the order. ``blocked`` lists
+    gather tasks on different edges, which may overlap, so they are scanned.
     """
 
     def __init__(self, instance: Instance):
@@ -79,16 +100,29 @@ class _Timeline:
         self.blocked: dict[int, list[tuple[int, int]]] = \
             {q: [] for q in instance.chip.qubits}
 
-    def earliest(self, qubits: set[int], duration: int, not_before: int,
+    def earliest(self, qubits: Iterable[int], duration: int, not_before: int,
                  two_qubit_loc: tuple[int, int] | None = None) -> int:
-        t = max([not_before] + [self.ready[q] for q in qubits])
+        ready = self.ready
+        t = not_before
+        for q in qubits:
+            if ready[q] > t:
+                t = ready[q]
         if not self.crosstalk:
             return t
         if two_qubit_loc:
             lists = [self.busy[q]
                      for q in self.chip.crosstalk_zone(*two_qubit_loc)]
-        else:
-            lists = [self.blocked[q] for q in qubits]
+            while True:
+                after = (t + duration,)     # sorts after every (start, end)
+                clash = t                   # with start < t + duration
+                for ivs in lists:
+                    i = bisect_left(ivs, after)
+                    if i and ivs[i - 1][1] > clash:
+                        clash = ivs[i - 1][1]
+                if clash == t:
+                    return t
+                t = clash
+        lists = [self.blocked[q] for q in qubits]
         while True:
             end = t + duration
             clash = max((e for ivs in lists for s, e in ivs
@@ -98,12 +132,17 @@ class _Timeline:
             t = clash
 
     def commit(self, task: GateTask) -> None:
-        interval = (task.start, task.end)
+        end = task.end
+        ready = self.ready
         for q in task.qubits:
-            self.ready[q] = max(self.ready[q], task.end)
-            if self.crosstalk:
-                self.busy[q].append(interval)
-        if self.crosstalk and task.kind in TWO_QUBIT_KINDS:
+            if end > ready[q]:
+                ready[q] = end
+        if not (self.crosstalk and task.duration):
+            return
+        interval = (task.start, end)
+        for q in task.qubits:
+            self.busy[q].append(interval)
+        if task.kind in TWO_QUBIT_KINDS:
             for q in self.chip.crosstalk_zone(*task.location):
                 self.blocked[q].append(interval)
 
@@ -115,9 +154,14 @@ def _identity_inits(instance: Instance) -> list[GateTask]:
 
 
 def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
-    """Free-placement heuristic: high-degree goal states near the center."""
+    """Free-placement heuristic: high-degree goal states near the center.
+
+    A qubit the swap edges do not connect to a placed partner costs
+    infinity, so a partner lands in the same swap component when one is
+    free."""
     chip = instance.chip
-    dist = all_pairs_distances(chip)
+    dist = chip.swap_distances
+    inf = float("inf")
     degree = {s: 0 for s in range(1, instance.state_count + 1)}
     partners: dict[int, list[int]] = {s: [] for s in degree}
     for a, b in instance.goals:
@@ -134,7 +178,8 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
             continue
         placed_partners = [placement[p] for p in partners[s] if p in placement]
         if placed_partners:
-            cost = {q: sum(dist[q][p] for p in placed_partners) for q in free}
+            cost = {q: sum(dist[q].get(p, inf) for p in placed_partners)
+                    for q in free}
         else:
             cost = {q: centrality[q] for q in free}
         best = min(cost.values())
@@ -167,6 +212,7 @@ def _swap_states(loc: dict[int, int], holder: dict[int, int], u: int,
 def solve_sequential_baseline(instance: Instance) -> Schedule:
     """One goal after another along shortest paths; certifies the horizon bound."""
     chip = instance.chip
+    ps = chip.ps_durations
     loc = _initial_locations(instance)         # state -> qubit
     holder = {q: s for s, q in loc.items()}    # qubit -> state
     tasks = list(_identity_inits(instance))
@@ -182,10 +228,10 @@ def solve_sequential_baseline(instance: Instance) -> Schedule:
             cursor = _seq_swap(path[i], path[i + 1], cursor)
         for i in range(d, m + 1, -1):          # s2 moves left to path[m+1]
             cursor = _seq_swap(path[i], path[i - 1], cursor)
-        edge = chip.edge_between(path[m], path[m + 1])
-        tasks.append(ps_task(path[m], path[m + 1], cursor, edge.ps_duration,
+        duration = ps[path[m]][path[m + 1]]
+        tasks.append(ps_task(path[m], path[m + 1], cursor, duration,
                              goal_index))
-        cursor += edge.ps_duration
+        cursor += duration
 
     def _seq_swap(u: int, v: int, t: int) -> int:
         tasks.append(swap_task(u, v, t, chip.swap_duration))
@@ -204,19 +250,26 @@ def solve_sequential_baseline(instance: Instance) -> Schedule:
 
 
 def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
-    """Interleaving goal router: nearest pending goal first, tasks start ASAP."""
+    """Interleaving goal router: nearest pending goal first, tasks start ASAP.
+
+    Raises ``RoutingError`` when the placement leaves a goal's states on
+    qubits the swap edges do not connect."""
     chip = instance.chip
     rng = random.Random(seed)
     placement = _greedy_placement(instance, rng) \
         if instance.variant == inst.QCC_I else None
     loc = _initial_locations(instance, placement)
+    require_routable(instance, loc)
     holder = {q: s for s, q in loc.items()}
     tl = _Timeline(instance)
+    earliest = tl.earliest
     tasks: list[GateTask] = []
     if instance.variant == inst.QCC_I:
         for q in chip.qubits:
             tasks.append(init_task(q, holder[q]))
-    dist_all = all_pairs_distances(chip)
+    dist = chip.swap_distances
+    ps = chip.ps_durations
+    swap = chip.swap_duration
     mix_end: dict[int, int] = {}
     goal_ps_end: dict[int, int] = {}
 
@@ -225,54 +278,56 @@ def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
         tasks.append(task)
 
     def do_swap(u: int, v: int) -> None:
-        start = tl.earliest({u, v}, chip.swap_duration, 0, (u, v))
-        commit(swap_task(u, v, start, chip.swap_duration))
+        loc_uv = (u, v)
+        commit(swap_task(u, v, earliest(loc_uv, swap, 0, loc_uv), swap))
         _swap_states(loc, holder, u, v)
 
-    def run_goal(goal_index: int, stage: int) -> None:
-        s1, s2 = instance.goal_pair(goal_index)
+    def run_goal(goal_index: int, s1: int, s2: int, stage: int) -> None:
         path = shortest_path(chip, loc[s1], loc[s2], rng)
         d = len(path) - 1
-        splits = {}
+        best, splits = None, []                # the cheapest m, ascending
         for m in range(d):
-            edge = chip.edge_between(path[m], path[m + 1])
-            splits[m] = max(m, d - 1 - m) * chip.swap_duration + edge.ps_duration
-        best = min(splits.values())
-        m = rng.choice(sorted(k for k, v in splits.items() if v == best))
+            cost = max(m, d - 1 - m) * swap + ps[path[m]][path[m + 1]]
+            if best is None or cost < best:
+                best, splits = cost, [m]
+            elif cost == best:
+                splits.append(m)
+        m = rng.choice(splits)
         for i in range(m):
             do_swap(path[i], path[i + 1])
         for i in range(d, m + 1, -1):
             do_swap(path[i], path[i - 1])
-        u, v = path[m], path[m + 1]
-        edge = chip.edge_between(u, v)
+        u, v = loc_uv = path[m], path[m + 1]
+        duration = ps[u][v]
         not_before = 0
         if stage == 2:
-            not_before = max(mix_end.get(s1, 0), mix_end.get(s2, 0))
-        start = tl.earliest({u, v}, edge.ps_duration, not_before, (u, v))
-        commit(ps_task(u, v, start, edge.ps_duration, goal_index))
+            not_before = max(mix_end[s1], mix_end[s2])
+        start = earliest(loc_uv, duration, not_before, loc_uv)
+        commit(ps_task(u, v, start, duration, goal_index))
         for s in (s1, s2):
-            goal_ps_end[s] = max(goal_ps_end.get(s, 0), start + edge.ps_duration)
+            goal_ps_end[s] = max(goal_ps_end.get(s, 0), start + duration)
 
     def run_stage(stage: int) -> None:
         base = 0 if stage == 1 else instance.goal_count
-        pairs = instance.goal_pairs
-        pending = set(range(base + 1, base + instance.goal_count + 1))
+        pending = [(o, *instance.goal_pairs[o])
+                   for o in range(base + 1, base + instance.goal_count + 1)]
         while pending:
-            dists = {o: dist_all[loc[pairs[o][0]]].get(loc[pairs[o][1]])
-                     for o in pending}
-            if any(v is None for v in dists.values()):
-                bad = next(o for o, v in dists.items() if v is None)
-                raise RoutingError(f"goal {bad} is unreachable on the swap graph")
-            nearest = min(dists.values())
-            o = rng.choice(sorted(k for k, v in dists.items() if v == nearest))
-            pending.discard(o)
-            run_goal(o, stage)
+            nearest, ties = None, []           # nearest goals, ascending
+            for row in pending:
+                d = dist[loc[row[1]]][loc[row[2]]]
+                if nearest is None or d < nearest:
+                    nearest, ties = d, [row]
+                elif d == nearest:
+                    ties.append(row)
+            row = rng.choice(ties)
+            pending.remove(row)
+            run_goal(*row, stage)
 
     run_stage(1)
     if instance.stages == 2:
         for s in range(1, instance.state_count + 1):
             q = loc[s]
-            start = tl.earliest({q}, chip.mix_duration, goal_ps_end.get(s, 0))
+            start = earliest((q,), chip.mix_duration, goal_ps_end.get(s, 0))
             commit(mix_task(q, start, chip.mix_duration, s))
             mix_end[s] = start + chip.mix_duration
         run_stage(2)

@@ -6,7 +6,8 @@ from qcsched.cpsolver import _Engine, build_model, search
 from qcsched.instance import BLUE, Chip, Edge, build_grid_chip, \
     build_preset_chip, generate_instance
 from qcsched.oracle import optimal_makespan
-from qcsched.router import all_pairs_distances, solve_greedy
+from qcsched.router import all_pairs_distances, shortest_path, \
+    solve_anytime, solve_greedy
 from qcsched.schedule import validate
 
 
@@ -64,6 +65,71 @@ def test_solvers_leave_the_tables_unchanged():
     assert chip.swap_distances == distances
     assert chip.crosstalk_zones == zones
     assert chip.swap_hops == hops
+
+
+CHIPS = (build_grid_chip(3), build_preset_chip("rigetti-8"),
+         build_preset_chip("rigetti-21"),
+         Chip(qubit_count=4, edges=(Edge(1, 2, BLUE, 3),
+                                    Edge(2, 3, BLUE, 3, swap_enabled=False),
+                                    Edge(3, 4, BLUE, 3))))
+
+
+def test_next_hops_step_one_closer_in_neighbor_order():
+    for chip in CHIPS:
+        table = chip.swap_next_hops
+        assert table is chip.swap_next_hops
+        assert len(table) == chip.qubit_count + 1
+        for b in chip.qubits:
+            dist = chip.swap_distances[b]
+            assert len(table[b]) == chip.qubit_count + 1
+            for q in chip.qubits:
+                hops = table[b][q]
+                if q == b or q not in dist:
+                    assert hops == ()
+                    continue
+                assert hops
+                closer = [n for n in chip.swap_neighbors[q]
+                          if dist[n] == dist[q] - 1]
+                assert list(hops) == closer
+
+
+def test_shortest_path_without_rng_takes_the_first_option():
+    for chip in CHIPS[:3]:
+        for a in chip.qubits:
+            for b in chip.qubits:
+                dist = chip.swap_distances[b]
+                expected, cur = [a], a
+                while cur != b:      # the lowest-numbered closer neighbor
+                    cur = min(n for n in chip.swap_neighbors[cur]
+                              if dist[n] == dist[cur] - 1)
+                    expected.append(cur)
+                assert shortest_path(chip, a, b) == expected
+
+
+def test_ps_durations_match_the_edges():
+    for chip in CHIPS:
+        table = chip.ps_durations
+        assert table is chip.ps_durations
+        for u in chip.qubits:
+            for v in chip.qubits:
+                edge = chip.edge_between(u, v)
+                assert table[u][v] == (edge.ps_duration if edge else 0)
+
+
+def test_solvers_leave_the_router_tables_unchanged():
+    chip = build_preset_chip("rigetti-8")
+    hops = copy.deepcopy(chip.swap_next_hops)
+    durations = copy.deepcopy(chip.ps_durations)
+    for variant in ("qcc", "qcc-i", "qcc-x"):
+        instance = generate_instance(chip, 3, stages=2, variant=variant,
+                                     seed=4)
+        greedy = solve_greedy(instance, seed=4)
+        solve_anytime(instance, seed=4, max_restarts=3)
+        search(build_model(instance), greedy, node_budget=300)
+    optimal_makespan(generate_instance(chip, 3, stages=1, variant="qcc",
+                                       seed=4))
+    assert chip.swap_next_hops == hops
+    assert chip.ps_durations == durations
 
 
 def test_cached_tables_do_not_affect_equality():

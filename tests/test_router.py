@@ -84,6 +84,34 @@ def test_unroutable_goal():
         solve_greedy(instance)
 
 
+def _path_with_ps_only_middle(qubits: int):
+    """The path 1-2-...-n whose edge (2, 3) runs ps gates but cannot swap."""
+    from qcsched.instance import BLUE, Chip, Edge
+    return Chip(qubit_count=qubits, edges=tuple(
+        Edge(u, u + 1, BLUE, 3, swap_enabled=(u != 2))
+        for u in range(1, qubits)))
+
+
+def test_free_placement_on_a_split_swap_graph():
+    chip = _path_with_ps_only_middle(4)
+    for goals in (((1, 2),), ((1, 2), (3, 4))):
+        instance = Instance(chip=chip, goals=goals, variant="qcc-i")
+        for seed in range(6):
+            report = validate(instance, solve_greedy(instance, seed=seed))
+            assert report.valid, (goals, seed, report.violations[:2])
+        best = solve_anytime(instance, seed=0, max_restarts=3).best
+        assert validate(instance, best).valid
+
+
+def test_free_placement_that_splits_a_goal_is_unroutable():
+    # three goals on three states, but no swap component holds all three
+    instance = Instance(chip=_path_with_ps_only_middle(3),
+                        goals=((1, 2), (1, 3), (2, 3)), variant="qcc-i")
+    for seed in range(6):
+        with pytest.raises(RoutingError):
+            solve_greedy(instance, seed=seed)
+
+
 def test_anytime_stream_improves_strictly():
     chip = build_preset_chip("rigetti-8")
     instance = generate_instance(chip, 5, stages=1, variant="qcc", seed=3)

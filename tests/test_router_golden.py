@@ -64,6 +64,15 @@ CASES = [
      (47, 8, "a6683f17668c53878a248a176a122242b01ca240")),
     (("grid:3", 6, "qcc-x", 2, 11),
      (39, 4, "e532dfbbc132a592852afed16ef6f4e4110dd848")),
+    # route-21 sizes: long crosstalk interval lists and long pending lists
+    (("rigetti-21", 60, "qcc-x", 2, 3),
+     (288, 165, "184c74b9ccecb60797ee550bff7410a793afc8f7")),
+    (("rigetti-21", 60, "qcc-x", 2, 11),
+     (288, 158, "de27ce1a2108ced8ab9cc29cec5a551505662e44")),
+    (("rigetti-21", 40, "qcc-i", 1, 3),
+     (64, 58, "ae0379c9912ea6e6d6b286b99d8df5b6a8819943")),
+    (("rigetti-21", 40, "qcc-i", 1, 11),
+     (62, 43, "92c2e01fb8991e3ddd0481e4fb0b261795192915")),
 ]
 
 
