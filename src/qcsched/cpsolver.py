@@ -281,7 +281,10 @@ def search(model: Model, incumbent: Schedule | None = None,
     starts (thereby deciding which edge hosts each goal, how many swaps each
     gate runs, and the full event order), prunes every node against the
     (makespan, swaps) incumbent, or the horizon before there is one, with
-    an admissible lower bound, and memoizes dominated configurations. No
+    an admissible lower bound, and memoizes dominated configurations. A
+    node is pruned when a term of its makespan lower bound exceeds one
+    limit: the room to the bound's makespan, less 1 when its swaps plus the
+    swap rounds it still needs cannot beat the bound's swaps. No
     swap starts on a gate at the instant the previous swap on that gate
     ends: deleting both keeps every other task where it is and saves two
     swaps, so no lexicographic optimum has such a pair. Exhaustion yields
@@ -302,13 +305,17 @@ class _Engine:
     """One search: the gate tables of the chip and instance, and the DFS.
 
     A node's state is carried down the DFS, changed by what its parent
-    commits and by what ends at the node's time ``t``:
+    commits and by what ends at the node's time ``t``. A node visits its
+    children in one loop (``_branch``), which bounds each child before it
+    builds anything for it:
 
     - ``mapping`` (qubit - 1 -> state) and its inverse ``loc`` (state ->
       qubit) include every committed swap, running ones too, so ``loc`` is
-      the placement the bound needs. The memo key stays exact, as running
-      swaps are in it and sit on disjoint qubits; ps candidates use free
-      qubits only, where no running swap moves a state.
+      the placement the bound needs. Both are lists that each child's swaps
+      change in place and that are restored after the child. The memo key
+      stays exact, as running swaps are in it and sit on disjoint qubits;
+      ps candidates use free qubits only, where no running swap moves a
+      state.
     - ``pending`` has bit ``g`` for each goal whose ps gate has not ended,
       ``mixed`` bit ``s`` for each state whose mix has ended, and
       ``swaps`` counts the swaps committed so far. ``undo``, built at the
@@ -321,15 +328,19 @@ class _Engine:
     ``G + s`` for the mix of state ``s`` (``G`` goals in all), 0 for a swap.
 
     ``best_obj`` bounds every node: the incumbent's (makespan, swaps), or
-    (horizon, ∞) before one. One pass over the running tasks retires what
-    ends at ``t`` and gathers what the bound reads; then each term of the
-    makespan lower bound (the longest running ps gate, the swap rounds of
-    the farthest waiting goal plus a ps gate, each state's chain of ps
-    gates) is tested against the room left, and the first that exceeds it
-    prunes. A tie is broken by the swaps plus those rounds. ``chip.swap_hops``
+    (horizon, ∞) before one. A node's limit is the room to that makespan,
+    less 1 when its swaps plus the swap rounds of its farthest waiting goal
+    reach the bound's swaps; any term of the makespan lower bound above the
+    limit prunes the node. That is ``lb > room``, or ``lb == room`` with no
+    fewer swaps to gain. The terms are tested cheapest first: the rounds
+    plus a ps gate, which need only ``loc`` and the waiting goals (the
+    parent's, less the ps gates the node's parent chose); then, after one
+    pass over the running tasks retires what ends at ``t``, the longest
+    running ps gate and each state's chain of ps gates. ``chip.swap_hops``
     gives the rounds, and is infinite for states the swap edges keep apart.
-    An improving leaf keeps its committed tasks; ``_build`` makes them a
-    ``Schedule`` only when the incumbent is read.
+    Only a node that survives builds its memo key. An improving leaf keeps
+    its committed tasks; ``_build`` makes them a ``Schedule`` only when the
+    incumbent is read.
     """
 
     def __init__(self, model: Model, budget_s, node_budget, on_incumbent):
@@ -353,14 +364,17 @@ class _Engine:
             (g, 1 << g, s1, s2, self.instance.goal_stage(g) == 2,
              (1 << s1) | (1 << s2), mix_bit[s1] | mix_bit[s2])
             for g, (s1, s2) in self.instance.goal_pairs.items())
-        # per goal state: (s, state bit, mix bit, goal bits, stage-1 and
-        # stage-2 goal bits)
+        # for the bound: (goal bit, states)
+        self.wait_rows = tuple((bit, s1, s2)
+                               for _, bit, s1, s2, _, _, _ in self.goal_rows)
+        # per goal state: (s, state bit, mix bit, stage-1 goal bits); and
+        # for the bound, (goal bits, state bit, mix bit, stage-2 goal bits)
         stage1 = (1 << (len(self.instance.goals) + 1)) - 2
-        self.state_rows = []
+        self.state_rows, self.chain_rows = [], []
         for s in self.goal_states:
             gs = sum(1 << g for g in self.instance.state_goals[s])
-            self.state_rows.append((s, 1 << s, mix_bit[s], gs, gs & stage1,
-                                    gs & ~stage1))
+            self.state_rows.append((s, 1 << s, mix_bit[s], gs & stage1))
+            self.chain_rows.append((gs, 1 << s, mix_bit[s], gs & ~stage1))
         self.qubit_bits = tuple((q, 1 << q) for q in chip.qubits)
 
         def zone(pair):
@@ -440,107 +454,141 @@ class _Engine:
     # -- core DFS ---------------------------------------------------------
     def _search(self, t, mapping, loc, running, pending, mixed, swaps,
                 committed):
-        self.nodes += 1
-        self._check_budget()
+        """Visit one node, as a child that commits nothing: ``mapping`` is a
+        tuple and ``loc`` a list, and ``running`` may hold tasks ending at
+        ``t``."""
+        started = 0
+        for r in running:
+            started |= r.pbit
+        self._branch(list(mapping), loc, tuple(mapping), running, pending,
+                     pending & ~started, mixed, swaps, committed, (((), t),))
 
-        still = []
-        first = _IDLE        # the earliest end of what keeps running
-        undo = 0             # gates whose swap ends at t: none starts on them
-        started = 0          # pbits of what keeps running
-        last = t             # the latest end of a running ps gate
-        for r in running:    # t is the end of one or more of them
-            end = r.end
-            if end > t:
-                still.append(r)
-                started |= r.pbit
-                if end < first:
-                    first = end
-                if end > last and r.kind == "ps":
-                    last = end
-            elif r.kind == "ps":
-                pending &= ~r.pbit
-            elif r.kind == "mix":
-                mixed |= 1 << r.payload
-            else:
-                undo |= r.payload
-        running = tuple(still)
+    def _branch(self, mapping, loc, mapping_key, running, pending, waiting,
+                mixed, swaps, committed, children):
+        """Visit each child ``(chosen, t)`` of a node: commit ``chosen`` on
+        top of the node's state and move to time ``t``.
 
-        # Prune when the time left to the last goal gate, lb, exceeds the
-        # room to the bound's makespan, or ties it and the swaps cannot beat
-        # the bound's; each term of lb is tested as it is found.
-        room = self.best_obj[0] - t   # at a leaf: (t, swaps) >= best_obj
-        lb = last - t
-        if lb > room:
-            return
-        waiting = pending & ~started  # goals whose ps gate has not started
-        rounds = 0           # the most swap rounds a waiting goal needs
-        if waiting:
-            hops = self.hops
-            for _, bit, s1, s2, _, _, _ in self.goal_rows:
-                if waiting & bit:
-                    h = hops[loc[s1]][loc[s2]]
-                    if h > rounds:
-                        rounds = h
-            min_ps = self.min_ps
-            term = rounds * self.tau_swap + min_ps
-            if term > room:
-                return
-            if term > lb:
-                lb = term
-            # a state's waiting ps gates run one after another, after its
-            # running ps gate and, before stage 2, its mix
-            for s, sbit, mbit, goals, _, later in self.state_rows:
-                chain = waiting & goals
-                if not chain:
-                    continue
-                term = chain.bit_count() * min_ps
-                if started & goals:
-                    term += self._left(running, goals, t)
-                if chain & later and not mixed & sbit:
-                    term += self._left(running, mbit, t) if started & mbit \
-                        else self.tau_mix
-                if term > room:
-                    return
-                if term > lb:
-                    lb = term
-        if lb == room and swaps + rounds >= self.best_obj[1]:
-            return
-        if not pending:
-            self._complete(t, swaps, committed)
-            return
-
-        key = (mapping, tuple(sorted([(r.sig, r.end - t) for r in running])),
-               pending, mixed)
-        entries = self.memo.get(key)
-        if entries is not None:
-            for (t0, s0) in entries:
-                if t0 <= t and s0 <= swaps:
-                    return
-            entries.append((t, swaps))
-        else:
-            self.memo[key] = [(t, swaps)]
-
-        candidates = self._candidates(t, loc, running, pending, mixed, undo)
-        for chosen, next_t in self._subsets(candidates, first):
-            if next_t == _IDLE:
+        ``mapping`` and ``loc`` are lists, changed in place by the child's
+        swaps and restored after it; ``mapping_key`` is ``mapping`` as a
+        tuple, for memo keys. ``running`` holds the node's running tasks and
+        ``waiting`` the pending goals whose ps gate has not started;
+        ``committed`` gains a surviving child's tasks until it is done.
+        """
+        hops, wait_rows, chain_rows = self.hops, self.wait_rows, \
+            self.chain_rows
+        tau_swap, tau_mix, min_ps = self.tau_swap, self.tau_mix, self.min_ps
+        left, memo = self._left, self.memo
+        # the budget check can raise only at the node cap or on a clock
+        cap = _IDLE if self.node_budget is None else self.node_budget
+        timed = self.budget_s is not None
+        depth = len(committed)
+        for chosen, t in children:
+            if t == _IDLE:
                 continue         # idle forever: dead end
-            m, pos, n = mapping, loc, swaps
+            n, bits = swaps, 0
             for r in chosen:     # a swap is applied when it is committed
                 if r.kind == "swap":
-                    if m is mapping:
-                        m, pos = list(m), list(pos)
                     u, v = r.qubits
-                    a, b = m[u - 1], m[v - 1]
-                    m[u - 1], m[v - 1] = b, a
-                    pos[a], pos[b] = v, u
+                    a, b = mapping[u - 1], mapping[v - 1]
+                    mapping[u - 1], mapping[v - 1] = b, a
+                    loc[a], loc[b] = v, u
                     n += 1
-            if m is not mapping:
-                m = tuple(m)
-            committed.extend(chosen)
-            self._search(next_t, m, pos, running + chosen, pending, mixed, n,
-                         committed)
-            if chosen:
-                del committed[-len(chosen):]
+                else:
+                    bits |= r.pbit
+            try:
+                nodes = self.nodes = self.nodes + 1
+                if nodes >= cap or timed:
+                    self._check_budget()
+
+                # Prune when a term of the time left to the last goal gate
+                # exceeds the limit: the room to the bound's makespan, less 1
+                # when the swaps plus the rounds cannot beat the bound's.
+                # The rounds need no retiring: a ps gate that ends at t has
+                # started, so the waiting goals lose only the chosen ones.
+                best_makespan, best_swaps = self.best_obj
+                wait = waiting & ~bits
+                rounds = 0       # the most swap rounds a waiting goal needs
+                if wait:
+                    for bit, s1, s2 in wait_rows:
+                        if wait & bit:
+                            h = hops[loc[s1]][loc[s2]]
+                            if h > rounds:
+                                rounds = h
+                limit = best_makespan - t   # at a leaf: (t, n) >= best_obj
+                if n + rounds >= best_swaps:
+                    limit -= 1
+                term = rounds * tau_swap + min_ps
+                if wait and term > limit:
+                    continue
+
+                still = []
+                first = _IDLE    # the earliest end of what keeps running
+                undo = 0         # gates whose swap ends at t: none starts
+                started = 0      # pbits of what keeps running
+                last = t         # the latest end of a running ps gate
+                pend, mix = pending, mixed
+                for r in running + chosen:   # t is the end of one or more
+                    end = r.end
+                    if end > t:
+                        still.append(r)
+                        started |= r.pbit
+                        if end < first:
+                            first = end
+                        if end > last and r.kind == "ps":
+                            last = end
+                    elif r.kind == "ps":
+                        pend &= ~r.pbit
+                    elif r.kind == "mix":
+                        mix |= 1 << r.payload
+                    else:
+                        undo |= r.payload
+                if last - t > limit:
+                    continue
+                # a state's waiting ps gates run one after another, after its
+                # running ps gate and, before stage 2, its mix
+                if wait:
+                    for goals, sbit, mbit, later in chain_rows:
+                        chain = wait & goals
+                        if not chain:
+                            continue
+                        term = chain.bit_count() * min_ps
+                        if started & goals:
+                            term += left(still, goals, t)
+                        if chain & later and not mix & sbit:
+                            term += left(still, mbit, t) \
+                                if started & mbit else tau_mix
+                        if term > limit:
+                            break
+                    if term > limit:
+                        continue
+
+                if not pend:
+                    self._complete(t, n, (*committed, *chosen))
+                    continue
+                child_key = mapping_key if n == swaps else tuple(mapping)
+                still = tuple(still)
+                key = (child_key, tuple(sorted([(r.sig, r.end - t)
+                                                for r in still])), pend, mix)
+                entries = memo.get(key)
+                if entries is None:
+                    memo[key] = [(t, n)]
+                elif any(t0 <= t and s0 <= n for t0, s0 in entries):
+                    continue
+                else:
+                    entries.append((t, n))
+                candidates = self._candidates(t, loc, still, pend, mix, undo)
+                committed.extend(chosen)
+                self._branch(mapping, loc, child_key, still, pend, wait, mix,
+                             n, committed, self._subsets(candidates, first))
+                del committed[depth:]
+            finally:
+                if n != swaps:   # swaps sit on disjoint qubits: redo = undo
+                    for r in chosen:
+                        if r.kind == "swap":
+                            u, v = r.qubits
+                            a, b = mapping[u - 1], mapping[v - 1]
+                            mapping[u - 1], mapping[v - 1] = b, a
+                            loc[a], loc[b] = v, u
 
     @staticmethod
     def _left(running, bits, t):
@@ -576,11 +624,11 @@ class _Engine:
 
     # -- leaf handling ----------------------------------------------------
     def _complete(self, t, swaps, committed):
-        # the last ps gate ended at t; (t, swaps) passed _search's bound
+        # the last ps gate ended at t; (t, swaps) passed _branch's bound
         self.best_obj = (t, swaps)
         self.incumbents.append(CPIncumbent(
             t, swaps, time.monotonic() - self.t0, self.nodes,
-            partial(self._build, tuple(committed), self._root_mapping)))
+            partial(self._build, committed, self._root_mapping)))
         if self.on_incumbent:
             self.on_incumbent(self.incumbents[-1])
 
@@ -660,7 +708,7 @@ class _Engine:
                 if r.kind == "ps":
                     held |= self.goal_rows[r.payload - 1][5]
             end = t + self.tau_mix
-            for s, sbit, mbit, _, first, _ in self.state_rows:
+            for s, sbit, mbit, first in self.state_rows:
                 if held & sbit or started & mbit or pending & first:
                     continue
                 for q, qm in self.qubit_bits:

@@ -357,6 +357,13 @@ def solve_anytime(instance: Instance, budget_s: float | None = None,
     Restarts run until ``budget_s`` seconds pass or ``max_restarts`` have
     run, whichever comes first; ``None`` lifts that limit, and one of the two
     must be set.
+
+    Under qcc-i the baseline keeps every state on its own qubit, which may
+    leave a goal's states apart on the swap graph where another placement
+    would not. Then the baseline gives no incumbent, and neither does a
+    restart whose placement splits a goal; the first restart that returns a
+    schedule is recorded, and if none does, the baseline's ``RoutingError``
+    is raised.
     """
     if budget_s is None and max_restarts is None:
         raise ValueError("solve_anytime needs budget_s or max_restarts")
@@ -370,14 +377,25 @@ def solve_anytime(instance: Instance, budget_s: float | None = None,
         if on_incumbent:
             on_incumbent(item)
 
-    best = solve_sequential_baseline(instance)
-    record(best, "baseline")
+    try:
+        best = solve_sequential_baseline(instance)
+    except RoutingError as exc:
+        if instance.variant != inst.QCC_I:
+            raise
+        best, unroutable = None, exc
+    else:
+        record(best, "baseline")
     restarts = 0
     while ((budget_s is None or time.monotonic() - t0 < budget_s)
            and (max_restarts is None or restarts < max_restarts)):
-        candidate = solve_greedy(instance, seed=rng.getrandbits(32))
         restarts += 1
-        if candidate.objective() < best.objective():
+        try:
+            candidate = solve_greedy(instance, seed=rng.getrandbits(32))
+        except RoutingError:   # a free placement that splits a goal
+            continue
+        if best is None or candidate.objective() < best.objective():
             best = candidate
             record(best, "greedy")
+    if best is None:
+        raise unroutable
     return AnytimeResult(best=best, incumbents=incumbents)

@@ -553,6 +553,99 @@ def test_bounds_match_set_reference(chip_name, variant, stages, goals, seed,
         (mk_lb > mk or mk_lb == mk and swaps + swap_lb >= most)
 
 
+def _mapping(loc):
+    """The mapping (qubit - 1 -> state) whose inverse is ``loc``."""
+    mapping = [0] * (len(loc) - 1)
+    for s in range(1, len(loc)):
+        mapping[loc[s] - 1] = s
+    return mapping
+
+
+def _retire(t, running, pending, mixed):
+    """A state at time ``t`` once what ends at ``t`` is retired: the tasks
+    still running, and the goals pending and states mixed, as sets."""
+    ended = [r for r in running if r.end <= t]
+    return (tuple(r for r in running if r.end > t),
+            pending - {r.payload for r in ended if r.kind == "ps"},
+            mixed | {r.payload for r in ended if r.kind == "mix"})
+
+
+def _records(engine, visit):
+    """What one visit records with a fresh memo and no incumbent: its memo
+    keys and its incumbents' (makespan, swaps, tasks). The node budget stops
+    the visit at its first grandchild."""
+    engine.memo, engine.incumbents = {}, []
+    engine.node_budget = engine.nodes + 2
+    try:
+        visit()
+    except _OutOfBudget:
+        pass
+    return (list(engine.memo),
+            [(i.makespan, i.swap_count, i.build.args[0])
+             for i in engine.incumbents])
+
+
+# Each child (chosen, t') of a drawn node is visited twice: by the node's
+# children loop, which applies the chosen swaps in place and bounds the child
+# from the node's waiting goals, and as a root of its own from the state
+# after the swaps. Both must record the same memo key or incumbent, or
+# neither, as the set reference's bound says, and the loop must hand the
+# node's mapping and placement back unchanged. The bound sits one below, at
+# or one above the reference's bound of each child, so the swap tie-break
+# decides some of them.
+@settings(max_examples=300, deadline=None)
+@given(mix=st.sampled_from([1, 3]), mk_offset=st.sampled_from([-1, 0, 1]),
+       swaps=st.integers(0, 4), most_offset=st.sampled_from([-1, 0, 1]),
+       **SEARCH_STATES)
+def test_children_loop_bounds_each_child_as_a_root(
+        chip_name, variant, stages, goals, seed, mix, mk_offset, swaps,
+        most_offset):
+    chip = replace(SEARCH_CHIPS[chip_name], mix_duration=mix)
+    instance = generate_instance(chip, goals, stages=stages, variant=variant,
+                                 seed=seed)
+    engine = _Engine(build_model(instance), None, None, None)
+    t, mapping, running, pending, mixed = \
+        _search_state(engine, random.Random(seed))
+    loc = _placement(mapping, running)
+    mapping = _mapping(loc)     # with the running swaps
+    engine._root_mapping = tuple(mapping)
+    still, pending, mixed = _retire(t, running, pending, mixed)
+    undo = sum(r.payload for r in running if r.kind == "swap" and r.end <= t)
+    first = min([r.end for r in still], default=_IDLE)
+    started = _bits(r.payload for r in still if r.kind == "ps")
+    candidates = engine._candidates(t, loc, still, _bits(pending),
+                                    _bits(mixed), undo)
+    ref = SetBounds(engine)
+    for chosen, next_t in engine._subsets(candidates, first):
+        if next_t == _IDLE:
+            continue
+        moved = [r for r in chosen if r.kind == "swap"]
+        child_loc = _placement(mapping, moved)
+        n = swaps + len(moved)
+        child_still, child_pending, child_mixed = \
+            _retire(next_t, still + chosen, pending, mixed)
+        mk_lb = next_t + ref.makespan_lower_bound(
+            next_t, child_loc, child_still, child_pending, child_mixed)
+        swap_lb = ref.swap_lower_bound(child_loc, child_still, child_pending)
+        mk, most = mk_lb + mk_offset, n + swap_lb + most_offset
+        node_mapping, node_loc = list(mapping), list(loc)
+
+        engine.best_obj = (mk, most)
+        branched = _records(engine, lambda: engine._branch(
+            node_mapping, node_loc, tuple(mapping), still, _bits(pending),
+            _bits(pending) & ~started, _bits(mixed), swaps, [],
+            [(chosen, next_t)]))
+        assert (node_mapping, node_loc) == (mapping, loc)
+
+        engine.best_obj = (mk, most)
+        rooted = _records(engine, lambda: engine._search(
+            next_t, tuple(_mapping(child_loc)), child_loc, still + chosen,
+            _bits(pending), _bits(mixed), n, list(chosen)))
+        assert branched == rooted
+        assert (branched == ([], [])) == \
+            (mk_lb > mk or mk_lb == mk and n + swap_lb >= most)
+
+
 ROUND_TRIP_CHIPS = {"grid:2": build_grid_chip(2), "grid:3": CHIPS["grid:3"],
                     "rigetti-8": SEARCH_CHIPS["rigetti-8"]}
 

@@ -112,6 +112,36 @@ def test_free_placement_that_splits_a_goal_is_unroutable():
             solve_greedy(instance, seed=seed)
 
 
+def test_free_placement_anytime_starts_from_a_routable_restart():
+    # the baseline keeps states 1 and 3 on qubits 1 and 3, which the swap
+    # edges (1, 2) and (3, 4) keep apart; the greedy's placements do not
+    instance = Instance(chip=_path_with_ps_only_middle(4), goals=((1, 3),),
+                        variant="qcc-i")
+    for seed in range(3):
+        greedy = solve_greedy(instance, seed=seed)
+        assert validate(instance, greedy).valid and greedy.makespan == 3
+    result = solve_anytime(instance, seed=0, max_restarts=3)
+    assert validate(instance, result.best).valid
+    assert result.best.makespan == 3
+    assert [i.source for i in result.incumbents] == ["greedy"]
+    with pytest.raises(RoutingError, match="no swap path"):
+        solve_anytime(instance, seed=0, max_restarts=0)
+    # no placement routes all three goals: every restart fails too
+    instance = Instance(chip=_path_with_ps_only_middle(3),
+                        goals=((1, 2), (1, 3), (2, 3)), variant="qcc-i")
+    with pytest.raises(RoutingError, match="no swap path"):
+        solve_anytime(instance, seed=0, max_restarts=3)
+
+
+def test_fixed_placement_anytime_starts_from_the_baseline():
+    instance = Instance(chip=_path_with_ps_only_middle(4), goals=((1, 3),))
+    with pytest.raises(RoutingError, match="no swap path"):
+        solve_anytime(instance, seed=0, max_restarts=3)
+    instance = Instance(chip=_path_with_ps_only_middle(4), goals=((1, 2),))
+    result = solve_anytime(instance, seed=0, max_restarts=3)
+    assert result.incumbents[0].source == "baseline"
+
+
 def test_anytime_stream_improves_strictly():
     chip = build_preset_chip("rigetti-8")
     instance = generate_instance(chip, 5, stages=1, variant="qcc", seed=3)

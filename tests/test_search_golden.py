@@ -140,6 +140,59 @@ def test_search_trace_is_pinned(case, best_hash, trace):
     assert digest == best_hash
 
 
+# Searches that reach the parts of a node's children loop where a rewrite of
+# it can go wrong, each pinned to its (status, makespan, swaps, nodes), the
+# leading hex digits of sha1(repr(best.tasks)) and the incumbent trace:
+# qcc-i searches over 13 and 504 root placements (the second warm, proving
+# optimality), whose state must start fresh for each placement; a
+# rigetti-21 qcc-x two-stage search with wide candidate sets and nodes
+# entered while swaps run; a budget whose last node is a child pruned at its
+# swap-rounds term, one node before an improving leaf; and a warm search in
+# which the swap tie-break decides hundreds of prunes.
+REACH_CASES = [
+    (("grid:3", 3, "qcc-i", 1, 5, False, 3000), ("timeout", 6, 1, 3000),
+     "86d5c9a9db618293",
+     [(12, 18, 9), (12, 17, 11), (12, 16, 14), (12, 15, 24), (12, 14, 26),
+      (12, 13, 30), (12, 12, 40), (12, 11, 94), (12, 10, 109), (12, 9, 186),
+      (9, 11, 211), (9, 10, 213), (9, 9, 216), (9, 8, 225), (9, 7, 253),
+      (9, 6, 261), (8, 6, 281), (8, 5, 287), (8, 4, 305), (8, 3, 484),
+      (6, 4, 654), (6, 3, 657), (6, 2, 660), (6, 1, 691)]),
+    (("grid:3", 2, "qcc-i", 1, 2, True, 3000), ("optimal", 6, 0, 1568),
+     "80a6a66edad2942b",
+     [(6, 5, 858), (6, 4, 860), (6, 3, 869), (6, 2, 876), (6, 1, 881),
+      (6, 0, 904)]),
+    (("rigetti-21", 3, "qcc-x", 2, 3, False, 3000), ("timeout", 41, 76, 3000),
+     "645193ed12d7a89e",
+     [(42, 91, 35), (42, 90, 40), (42, 89, 45), (42, 88, 62), (42, 87, 65),
+      (42, 86, 85), (42, 85, 93), (42, 84, 117), (42, 83, 121), (41, 82, 131),
+      (41, 81, 447), (41, 80, 628), (41, 79, 993), (41, 78, 1561),
+      (41, 77, 2191), (41, 76, 2866)]),
+    (("rigetti-8", 3, "qcc-x", 1, 22, False, 327), ("timeout", 25, 19, 327),
+     "4f3529ea55572945",
+     [(30, 23, 54), (30, 22, 73), (30, 21, 185), (29, 22, 279), (29, 21, 282),
+      (29, 20, 300), (26, 21, 315), (26, 20, 317), (26, 19, 323),
+      (25, 19, 326)]),
+    (("rigetti-8", 3, "qcc", 1, 4, True, 3000), ("timeout", 13, 7, 3000),
+     "11c0508f8dbe57b1",
+     [(13, 16, 9), (13, 15, 11), (13, 14, 14), (13, 13, 18), (13, 12, 43),
+      (13, 11, 58), (13, 10, 127), (13, 9, 246), (13, 8, 489),
+      (13, 7, 2434)]),
+]
+
+
+@pytest.mark.parametrize("case,expected,best_hash,trace", REACH_CASES,
+                         ids=["-".join(map(str, c[:7]))
+                              for c, _, _, _ in REACH_CASES])
+def test_search_reach_is_pinned(case, expected, best_hash, trace):
+    result = _search(case)
+    best = result.best
+    assert (result.status, best.makespan, best.swap_count,
+            result.nodes) == expected
+    assert [(i.makespan, i.swap_count, i.nodes)
+            for i in result.incumbents] == trace
+    assert sha1(repr(best.tasks).encode()).hexdigest()[:16] == best_hash
+
+
 def _undone_swaps(schedule):
     """Swaps that start on a gate at the instant a swap on it ends."""
     ends = {(t.location, t.end) for t in schedule.tasks if t.kind == "swap"}
