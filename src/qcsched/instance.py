@@ -73,7 +73,8 @@ class Chip:
 
     Tables that depend only on the graph (edge lookup, ps durations by
     qubit pair, neighbors, the swap adjacency, all-pairs swap distances,
-    their swap rounds, next hops and diameter, crosstalk zones) are
+    their swap rounds, next hops and diameter, placement ranks, crosstalk
+    zones by edge and by qubit pair) are
     computed on first use and cached on the instance; callers must not
     mutate them. They are not fields, so two chips with the same graph
     compare equal.
@@ -138,6 +139,22 @@ class Chip:
         return {q: _hop_counts(self.swap_neighbors, q) for q in self.qubits}
 
     @cached_property
+    def swap_distance_table(self) -> list[list[float]]:
+        """``swap_distances`` indexed [qubit][qubit], infinite where the swap
+        edges do not connect the two qubits."""
+        inf = float("inf")
+        return [[]] + [[inf] + [d.get(p, inf) for p in self.qubits]
+                       for d in self.swap_distances.values()]
+
+    @cached_property
+    def placement_ranks(self) -> list[tuple[int, int]]:
+        """Indexed by qubit: minus the size of its swap component, then its
+        summed swap distance to that component. The lowest rank is the
+        center of a largest component."""
+        return [(0, 0)] + [(-len(d), sum(d.values()))
+                           for d in self.swap_distances.values()]
+
+    @cached_property
     def swap_hops(self) -> list[list[float]]:
         """Rounds of swaps before the states on two qubits share an edge,
         ceil((d - 1) / 2) = d // 2 for swap distance d; indexed
@@ -177,6 +194,17 @@ class Chip:
     def crosstalk_zones(self) -> dict[tuple[int, int], frozenset[int]]:
         return {e.pair: frozenset(self.neighbors[e.u] + self.neighbors[e.v])
                 - {e.u, e.v} for e in self.edges}
+
+    @cached_property
+    def crosstalk_zone_table(self) -> list[list[frozenset[int] | None]]:
+        """Indexed [qubit][qubit]: the ``crosstalk_zones`` entry of the edge
+        joining them, None where no edge does."""
+        out: list[list[frozenset[int] | None]] = \
+            [[None] * (self.qubit_count + 1)
+             for _ in range(self.qubit_count + 1)]
+        for (u, v), zone in self.crosstalk_zones.items():
+            out[u][v] = out[v][u] = zone
+        return out
 
     @cached_property
     def max_ps_duration(self) -> int:

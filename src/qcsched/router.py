@@ -6,10 +6,17 @@ on the timeline. ``solve_anytime`` wraps both in a randomized-restart loop
 that records each strictly improving incumbent.
 
 Both walk shortest swap paths through ``Chip.swap_next_hops`` and read gate
-durations from ``Chip.ps_durations``, tables the chip builds once. The
-greedy checks once, after placement, that the swap edges connect each
-goal's states; states move only along swap edges, so that cannot change.
-Under qcc-x its timeline bisects each qubit's sorted crosstalk intervals.
+durations from ``Chip.ps_durations``, tables the chip builds once. They
+keep their state in lists indexed by qubit or state and record each
+committed task as a plain row ``(kind, location, start, duration, goal,
+state)``; ``GateTask`` objects and the ``Schedule`` are built from the rows
+only for a schedule that is returned. The greedy checks once, after
+placement, that the swap edges connect each goal's states; states move only
+along swap edges, so that cannot change. It picks the nearest goal from
+``Chip.swap_distance_table``. Under qcc-x its timeline reads crosstalk zones
+from ``Chip.crosstalk_zone_table`` and bisects each qubit's sorted
+crosstalk intervals. ``solve_anytime`` passes each restart the incumbent's
+objective, so a restart that does not beat it builds nothing.
 """
 
 from __future__ import annotations
@@ -18,12 +25,11 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from . import instance as inst
 from .instance import Chip, Instance
-from .schedule import (GateTask, Schedule, TWO_QUBIT_KINDS, init_task,
-                       mix_task, ps_task, swap_task)
+from .schedule import INIT, MIX, PS, SWAP, GateTask, Schedule
 
 
 class RoutingError(ValueError):
@@ -36,16 +42,16 @@ def all_pairs_distances(chip: Chip) -> dict[int, dict[int, int]]:
 
 
 def require_routable(instance: Instance,
-                     loc: dict[int, int] | None = None) -> None:
+                     loc: Sequence[int] | None = None) -> None:
     """Raise ``RoutingError`` for the first goal whose states sit on qubits
-    the swap edges do not connect, with the states where ``loc`` (state ->
-    qubit) puts them, or on their own qubits. Without ``loc``, free
+    the swap edges do not connect, with the states where ``loc`` (indexed
+    by state) puts them, or on their own qubits. Without ``loc``, free
     placement (qcc-i) puts the states anywhere, so it is left to the
     solvers."""
     if loc is None:
         if instance.variant == inst.QCC_I:
             return
-        loc = {s: s for s in instance.chip.qubits}
+        loc = range(instance.state_count + 1)
     dist = instance.chip.swap_distances
     for g, (s1, s2) in enumerate(instance.goals, start=1):
         if loc[s2] not in dist[loc[s1]]:
@@ -70,15 +76,17 @@ def shortest_path(chip: Chip, a: int, b: int,
 class _Timeline:
     """Per-qubit release times, plus crosstalk intervals under qcc-x.
 
-    A qubit's release time is the latest end of its committed tasks, so a
-    probe that starts at its qubits' release times never overlaps their own
-    tasks. Without crosstalk that start is the answer. Under qcc-x a
-    two-qubit probe also clashes with the tasks on its zone's qubits
-    (``busy``). That covers every two-qubit task whose zone holds one of the
-    probe's qubits, since such a task runs on a neighbor of that qubit. A
-    one-qubit probe clashes with the two-qubit tasks whose zone holds its
-    qubit (``blocked``). The probe jumps past the latest clashing end until
-    nothing clashes.
+    ``earliest`` and ``commit`` take a task's qubits, one for a mix or an
+    init and the two ends of its edge for a swap or a ps gate, and its
+    duration or its interval. A qubit's release time is the latest end of
+    its committed tasks, so a probe that starts at its qubits' release
+    times never overlaps their own tasks. Without crosstalk that start is
+    the answer. Under qcc-x a two-qubit probe also clashes with the tasks on
+    its zone's qubits (``busy``). That covers every two-qubit task whose
+    zone holds one of the probe's qubits, since such a task runs on a
+    neighbor of that qubit. A one-qubit probe clashes with the two-qubit
+    tasks whose zone holds its qubit (``blocked``). The probe jumps past the
+    latest clashing end until nothing clashes.
 
     Each ``busy`` list is sorted by start, and its intervals are disjoint:
     every committed task starts at or after ``earliest``'s answer, so at or
@@ -89,19 +97,21 @@ class _Timeline:
     (the inits) stay off the lists: they cannot clash, and an init at time 0
     committed after later tasks would break the order. ``blocked`` lists
     gather tasks on different edges, which may overlap, so they are scanned.
+    ``ready``, ``busy`` and ``blocked`` are indexed by qubit.
     """
 
     def __init__(self, instance: Instance):
-        self.chip = instance.chip
+        chip = instance.chip
+        self.zones = chip.crosstalk_zone_table
         self.crosstalk = instance.variant == inst.QCC_X
-        self.ready = {q: 0 for q in instance.chip.qubits}
-        self.busy: dict[int, list[tuple[int, int]]] = \
-            {q: [] for q in instance.chip.qubits}
-        self.blocked: dict[int, list[tuple[int, int]]] = \
-            {q: [] for q in instance.chip.qubits}
+        self.ready = [0] * (chip.qubit_count + 1)
+        self.busy: list[list[tuple[int, int]]] = \
+            [[] for _ in range(chip.qubit_count + 1)]
+        self.blocked: list[list[tuple[int, int]]] = \
+            [[] for _ in range(chip.qubit_count + 1)]
 
-    def earliest(self, qubits: Iterable[int], duration: int, not_before: int,
-                 two_qubit_loc: tuple[int, int] | None = None) -> int:
+    def earliest(self, qubits: tuple[int, ...], duration: int,
+                 not_before: int) -> int:
         ready = self.ready
         t = not_before
         for q in qubits:
@@ -109,9 +119,9 @@ class _Timeline:
                 t = ready[q]
         if not self.crosstalk:
             return t
-        if two_qubit_loc:
-            lists = [self.busy[q]
-                     for q in self.chip.crosstalk_zone(*two_qubit_loc)]
+        if len(qubits) == 2:
+            busy = self.busy
+            lists = [busy[q] for q in self.zones[qubits[0]][qubits[1]]]
             while True:
                 after = (t + duration,)     # sorts after every (start, end)
                 clash = t                   # with start < t + duration
@@ -131,36 +141,33 @@ class _Timeline:
                 return t
             t = clash
 
-    def commit(self, task: GateTask) -> None:
-        end = task.end
+    def commit(self, qubits: tuple[int, ...], start: int, end: int) -> None:
         ready = self.ready
-        for q in task.qubits:
+        for q in qubits:
             if end > ready[q]:
                 ready[q] = end
-        if not (self.crosstalk and task.duration):
+        if not self.crosstalk or start == end:
             return
-        interval = (task.start, end)
-        for q in task.qubits:
+        interval = (start, end)
+        for q in qubits:
             self.busy[q].append(interval)
-        if task.kind in TWO_QUBIT_KINDS:
-            for q in self.chip.crosstalk_zone(*task.location):
-                self.blocked[q].append(interval)
-
-
-def _identity_inits(instance: Instance) -> list[GateTask]:
-    if instance.variant != inst.QCC_I:
-        return []
-    return [init_task(q, q) for q in instance.chip.qubits]
+        if len(qubits) == 2:
+            blocked = self.blocked
+            for q in self.zones[qubits[0]][qubits[1]]:
+                blocked[q].append(interval)
 
 
 def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
     """Free-placement heuristic: high-degree goal states near the center.
 
-    A qubit the swap edges do not connect to a placed partner costs
-    infinity, so a partner lands in the same swap component when one is
-    free."""
+    The first state goes to a qubit of the lowest ``Chip.placement_ranks``:
+    the center of a largest swap component, so a qubit no swap edge reaches
+    never wins while another can. A qubit the swap edges do not connect to a
+    placed partner costs infinity, so a partner lands in the same swap
+    component when one is free."""
     chip = instance.chip
     dist = chip.swap_distances
+    ranks = chip.placement_ranks
     inf = float("inf")
     degree = {s: 0 for s in range(1, instance.state_count + 1)}
     partners: dict[int, list[int]] = {s: [] for s in degree}
@@ -169,7 +176,6 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
         degree[b] += 1
         partners[a].append(b)
         partners[b].append(a)
-    centrality = {q: sum(dist[q].values()) for q in chip.qubits}
 
     placement: dict[int, int] = {}
     free = set(chip.qubits)
@@ -181,7 +187,7 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
             cost = {q: sum(dist[q].get(p, inf) for p in placed_partners)
                     for q in free}
         else:
-            cost = {q: centrality[q] for q in free}
+            cost = {q: ranks[q] for q in free}
         best = min(cost.values())
         q = rng.choice(sorted(c for c in free if cost[c] == best))
         placement[s] = q
@@ -194,95 +200,110 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
     return placement
 
 
-def _initial_locations(instance: Instance,
-                       placement: dict[int, int] | None = None) -> dict[int, int]:
-    if instance.variant == inst.QCC_I and placement is not None:
-        return dict(placement)
-    return {s: s for s in range(1, instance.state_count + 1)}
-
-
-def _swap_states(loc: dict[int, int], holder: dict[int, int], u: int,
-                 v: int) -> None:
+def _swap_states(loc: list[int], holder: list[int], u: int, v: int) -> None:
     """Exchange the states on qubits u and v; every qubit holds a state."""
     su, sv = holder[u], holder[v]
     holder[u], holder[v] = sv, su
     loc[su], loc[sv] = v, u
 
 
+def _schedule(instance: Instance, rows: list[tuple]) -> Schedule:
+    """The schedule of task rows ``(kind, location, start, duration, goal,
+    state)``, whose edge locations are ascending pairs."""
+    return Schedule.from_tasks([GateTask(*row) for row in rows],
+                               instance_id=instance.instance_id)
+
+
 def solve_sequential_baseline(instance: Instance) -> Schedule:
     """One goal after another along shortest paths; certifies the horizon bound."""
     chip = instance.chip
     ps = chip.ps_durations
-    loc = _initial_locations(instance)         # state -> qubit
-    holder = {q: s for s, q in loc.items()}    # qubit -> state
-    tasks = list(_identity_inits(instance))
+    swap = chip.swap_duration
+    loc = list(range(instance.state_count + 1))      # state -> qubit
+    holder = list(loc)                               # qubit -> state
+    rows: list[tuple] = []
+    if instance.variant == inst.QCC_I:
+        rows = [(INIT, q, 0, 0, None, q) for q in chip.qubits]
     cursor = 0
 
     def run_goal(goal_index: int) -> None:
         nonlocal cursor
-        s1, s2 = instance.goal_pair(goal_index)
+        s1, s2 = instance.goal_pairs[goal_index]
         path = shortest_path(chip, loc[s1], loc[s2])
         d = len(path) - 1
         m = (d - 1) // 2
         for i in range(m):                     # s1 moves right to path[m]
-            cursor = _seq_swap(path[i], path[i + 1], cursor)
+            seq_swap(path[i], path[i + 1])
         for i in range(d, m + 1, -1):          # s2 moves left to path[m+1]
-            cursor = _seq_swap(path[i], path[i - 1], cursor)
-        duration = ps[path[m]][path[m + 1]]
-        tasks.append(ps_task(path[m], path[m + 1], cursor, duration,
-                             goal_index))
+            seq_swap(path[i], path[i - 1])
+        u, v = path[m], path[m + 1]
+        duration = ps[u][v]
+        rows.append((PS, (u, v) if u < v else (v, u), cursor, duration,
+                     goal_index, None))
         cursor += duration
 
-    def _seq_swap(u: int, v: int, t: int) -> int:
-        tasks.append(swap_task(u, v, t, chip.swap_duration))
+    def seq_swap(u: int, v: int) -> None:
+        nonlocal cursor
+        rows.append((SWAP, (u, v) if u < v else (v, u), cursor, swap, None,
+                     None))
         _swap_states(loc, holder, u, v)
-        return t + chip.swap_duration
+        cursor += swap
 
     for o in range(1, instance.goal_count + 1):
         run_goal(o)
     if instance.stages == 2:
         for s in range(1, instance.state_count + 1):
-            tasks.append(mix_task(loc[s], cursor, chip.mix_duration, s))
+            rows.append((MIX, loc[s], cursor, chip.mix_duration, None, s))
         cursor += chip.mix_duration
         for o in range(instance.goal_count + 1, 2 * instance.goal_count + 1):
             run_goal(o)
-    return Schedule.from_tasks(tasks, instance_id=instance.instance_id)
+    return _schedule(instance, rows)
 
 
-def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
+def solve_greedy(instance: Instance, seed: int = 0,
+                 beat: tuple[int, int] | None = None) -> Schedule | None:
     """Interleaving goal router: nearest pending goal first, tasks start ASAP.
+
+    The restart records each task as a row and tracks its makespan and swap
+    count as it goes. When ``beat`` is given and ``(makespan, swaps) >=
+    beat``, it returns None and builds no schedule; otherwise it returns
+    the schedule. The rng draws do not depend on ``beat``.
 
     Raises ``RoutingError`` when the placement leaves a goal's states on
     qubits the swap edges do not connect."""
     chip = instance.chip
+    n = instance.state_count
     rng = random.Random(seed)
-    placement = _greedy_placement(instance, rng) \
-        if instance.variant == inst.QCC_I else None
-    loc = _initial_locations(instance, placement)
-    require_routable(instance, loc)
-    holder = {q: s for s, q in loc.items()}
-    tl = _Timeline(instance)
-    earliest = tl.earliest
-    tasks: list[GateTask] = []
     if instance.variant == inst.QCC_I:
-        for q in chip.qubits:
-            tasks.append(init_task(q, holder[q]))
-    dist = chip.swap_distances
+        placement = _greedy_placement(instance, rng)
+        loc = [0] + [placement[s] for s in range(1, n + 1)]
+    else:
+        loc = list(range(n + 1))               # state -> qubit
+    require_routable(instance, loc)
+    holder = [0] * (n + 1)                     # qubit -> state
+    for s in range(1, n + 1):
+        holder[loc[s]] = s
+    tl = _Timeline(instance)
+    earliest, commit = tl.earliest, tl.commit
+    rows: list[tuple] = []
+    if instance.variant == inst.QCC_I:
+        rows = [(INIT, q, 0, 0, None, holder[q]) for q in chip.qubits]
+    dist = chip.swap_distance_table
     ps = chip.ps_durations
     swap = chip.swap_duration
-    mix_end: dict[int, int] = {}
-    goal_ps_end: dict[int, int] = {}
-
-    def commit(task: GateTask) -> None:
-        tl.commit(task)
-        tasks.append(task)
+    mix_end = [0] * (n + 1)
+    goal_ps_end = [0] * (n + 1)
+    makespan = swaps = 0
 
     def do_swap(u: int, v: int) -> None:
-        loc_uv = (u, v)
-        commit(swap_task(u, v, earliest(loc_uv, swap, 0, loc_uv), swap))
+        uv = (u, v)
+        start = earliest(uv, swap, 0)
+        commit(uv, start, start + swap)
+        rows.append((SWAP, uv if u < v else (v, u), start, swap, None, None))
         _swap_states(loc, holder, u, v)
 
     def run_goal(goal_index: int, s1: int, s2: int, stage: int) -> None:
+        nonlocal makespan, swaps
         path = shortest_path(chip, loc[s1], loc[s2], rng)
         d = len(path) - 1
         best, splits = None, []                # the cheapest m, ascending
@@ -297,15 +318,22 @@ def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
             do_swap(path[i], path[i + 1])
         for i in range(d, m + 1, -1):
             do_swap(path[i], path[i - 1])
-        u, v = loc_uv = path[m], path[m + 1]
+        swaps += d - 1
+        u, v = uv = path[m], path[m + 1]
         duration = ps[u][v]
         not_before = 0
         if stage == 2:
             not_before = max(mix_end[s1], mix_end[s2])
-        start = earliest(loc_uv, duration, not_before, loc_uv)
-        commit(ps_task(u, v, start, duration, goal_index))
+        start = earliest(uv, duration, not_before)
+        end = start + duration
+        commit(uv, start, end)
+        rows.append((PS, uv if u < v else (v, u), start, duration,
+                     goal_index, None))
         for s in (s1, s2):
-            goal_ps_end[s] = max(goal_ps_end.get(s, 0), start + duration)
+            if end > goal_ps_end[s]:
+                goal_ps_end[s] = end
+        if end > makespan:
+            makespan = end
 
     def run_stage(stage: int) -> None:
         base = 0 if stage == 1 else instance.goal_count
@@ -325,13 +353,17 @@ def solve_greedy(instance: Instance, seed: int = 0) -> Schedule:
 
     run_stage(1)
     if instance.stages == 2:
-        for s in range(1, instance.state_count + 1):
-            q = loc[s]
-            start = earliest((q,), chip.mix_duration, goal_ps_end.get(s, 0))
-            commit(mix_task(q, start, chip.mix_duration, s))
-            mix_end[s] = start + chip.mix_duration
+        mix = chip.mix_duration
+        for s in range(1, n + 1):
+            q = (loc[s],)
+            start = earliest(q, mix, goal_ps_end[s])
+            commit(q, start, start + mix)
+            rows.append((MIX, loc[s], start, mix, None, s))
+            mix_end[s] = start + mix
         run_stage(2)
-    return Schedule.from_tasks(tasks, instance_id=instance.instance_id)
+    if beat is not None and (makespan, swaps) >= beat:
+        return None
+    return _schedule(instance, rows)
 
 
 @dataclass(frozen=True)
@@ -353,6 +385,10 @@ def solve_anytime(instance: Instance, budget_s: float | None = None,
                   ) -> AnytimeResult:
     """Baseline first, then restarted greedy; records each strict improvement
     and passes it to ``on_incumbent`` as it is found.
+
+    Each restart is one call of ``solve_greedy`` with the incumbent's
+    objective as ``beat`` (None before there is an incumbent), so a
+    schedule is built only for a new incumbent.
 
     Restarts run until ``budget_s`` seconds pass or ``max_restarts`` have
     run, whichever comes first; ``None`` lifts that limit, and one of the two
@@ -390,10 +426,12 @@ def solve_anytime(instance: Instance, budget_s: float | None = None,
            and (max_restarts is None or restarts < max_restarts)):
         restarts += 1
         try:
-            candidate = solve_greedy(instance, seed=rng.getrandbits(32))
+            candidate = solve_greedy(
+                instance, seed=rng.getrandbits(32),
+                beat=None if best is None else best.objective())
         except RoutingError:   # a free placement that splits a goal
             continue
-        if best is None or candidate.objective() < best.objective():
+        if candidate is not None:
             best = candidate
             record(best, "greedy")
     if best is None:

@@ -116,10 +116,48 @@ def test_ps_durations_match_the_edges():
                 assert table[u][v] == (edge.ps_duration if edge else 0)
 
 
+def test_distance_table_indexes_the_swap_distances():
+    for chip in CHIPS:
+        table = chip.swap_distance_table
+        assert table is chip.swap_distance_table
+        assert len(table) == chip.qubit_count + 1
+        for u in chip.qubits:
+            assert len(table[u]) == chip.qubit_count + 1
+            for v in chip.qubits:
+                assert table[u][v] == chip.swap_distances[u].get(
+                    v, float("inf"))
+
+
+def test_zone_table_indexes_the_crosstalk_zones():
+    for chip in CHIPS:
+        table = chip.crosstalk_zone_table
+        assert table is chip.crosstalk_zone_table
+        for u in chip.qubits:
+            for v in chip.qubits:
+                if chip.edge_between(u, v):
+                    assert table[u][v] is chip.crosstalk_zone(u, v)
+                else:
+                    assert table[u][v] is None
+
+
+def test_placement_ranks_put_larger_swap_components_first():
+    chip = CHIPS[3]               # swap components {1, 2} and {3, 4}
+    assert chip.placement_ranks[1:] == [(-2, 1)] * 4
+    chip = Chip(qubit_count=4, edges=(
+        Edge(1, 2, BLUE, 3), Edge(2, 3, BLUE, 3),
+        Edge(3, 4, BLUE, 3, swap_enabled=False)))
+    assert chip.placement_ranks[1:] == [(-3, 3), (-3, 2), (-3, 3), (-1, 0)]
+    grid = build_grid_chip(3)
+    assert min(grid.qubits, key=grid.placement_ranks.__getitem__) == 5
+
+
 def test_solvers_leave_the_router_tables_unchanged():
     chip = build_preset_chip("rigetti-8")
     hops = copy.deepcopy(chip.swap_next_hops)
     durations = copy.deepcopy(chip.ps_durations)
+    distances = copy.deepcopy(chip.swap_distance_table)
+    ranks = copy.deepcopy(chip.placement_ranks)
+    zones = copy.deepcopy(chip.crosstalk_zone_table)
     for variant in ("qcc", "qcc-i", "qcc-x"):
         instance = generate_instance(chip, 3, stages=2, variant=variant,
                                      seed=4)
@@ -130,6 +168,9 @@ def test_solvers_leave_the_router_tables_unchanged():
                                        seed=4))
     assert chip.swap_next_hops == hops
     assert chip.ps_durations == durations
+    assert chip.swap_distance_table == distances
+    assert chip.placement_ranks == ranks
+    assert chip.crosstalk_zone_table == zones
 
 
 def test_cached_tables_do_not_affect_equality():

@@ -4,7 +4,8 @@ The references below are the straightforward algorithms the faster code
 replaced: a timeline that rescans every committed task on every probe, an
 R2 check that compares every pair of busy tasks, and the exact search's
 set-based gate fit and subset compatibility tests and its set-based lower
-bounds. Each must agree with the package exactly. The last tests send
+bounds. Each must agree with the package exactly, as must a greedy restart
+given an objective to beat with the same restart given none. The last tests send
 schedules through their JSON form and back, and hold the greedy and searched
 schedules of small grid:2 instances to the brute-force oracle's optimum.
 """
@@ -102,6 +103,11 @@ OPS = st.lists(st.tuples(st.sampled_from(["swap", "ps", "mix", "init"]),
 @settings(max_examples=150, deadline=None)
 @given(chip_name=st.sampled_from(sorted(CHIPS)),
        variant=st.sampled_from([inst.QCC, inst.QCC_X]), ops=OPS)
+# an init on qubit 2 after a swap on (1, 2), then a swap on (3, 6), whose
+# zone holds qubit 2: a zero-length interval on qubit 2's list would hide
+# the swap from the bisection
+@example(chip_name="grid:3", variant=inst.QCC_X,
+         ops=[("swap", 0, 0, 0), ("init", 1, 0, 0), ("swap", 4, 0, 0)])
 def test_indexed_timeline_matches_linear_scan(chip_name, variant, ops):
     chip = CHIPS[chip_name]
     instance = generate_instance(chip, 1, stages=1, variant=variant, seed=0)
@@ -111,7 +117,7 @@ def test_indexed_timeline_matches_linear_scan(chip_name, variant, ops):
             task = init_task(chip.qubits[pick % chip.qubit_count], 1)
         elif kind == "mix":
             q = chip.qubits[pick % chip.qubit_count]
-            start = fast.earliest({q}, chip.mix_duration, not_before)
+            start = fast.earliest((q,), chip.mix_duration, not_before)
             assert start == slow.earliest({q}, chip.mix_duration, not_before)
             task = mix_task(q, start + slack, chip.mix_duration, 1)
         else:
@@ -119,13 +125,13 @@ def test_indexed_timeline_matches_linear_scan(chip_name, variant, ops):
             duration = chip.swap_duration if kind == "swap" \
                 else edge.ps_duration
             loc = (edge.u, edge.v)
-            start = fast.earliest(set(loc), duration, not_before, loc)
+            start = fast.earliest(loc, duration, not_before)
             assert start == slow.earliest(set(loc), duration, not_before, loc)
             task = swap_task(*loc, start + slack, duration) if kind == "swap" \
                 else ps_task(*loc, start + slack, duration, 1)
-        fast.commit(task)
+        fast.commit(task.qubits, task.start, task.end)
         slow.commit(task)
-        assert fast.ready == slow.ready
+        assert dict(zip(chip.qubits, fast.ready[1:])) == slow.ready
 
 
 def _perturb(tasks, chip, rng, moves):
@@ -169,6 +175,25 @@ def test_r2_matches_pairwise_reference(chip_name, goals, stages, seed, moves):
     head = [v for v in got if v.rule in ("R5", "R1")]
     tail = [v for v in got if v.rule not in ("R5", "R1", "R2")]
     assert got == tuple(head + pairwise_r2(tasks, chip) + tail)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chip_name=st.sampled_from(sorted(SEARCH_CHIPS)), goals=st.integers(0, 8),
+       stages=st.sampled_from([1, 2]), variant=st.sampled_from(inst.VARIANTS),
+       seed=st.integers(0, 10 ** 6), makespan_shift=st.integers(-2, 2),
+       swaps_shift=st.integers(-2, 2))
+def test_greedy_beats_a_bound_or_builds_nothing(chip_name, goals, stages,
+                                                variant, seed,
+                                                makespan_shift, swaps_shift):
+    instance = generate_instance(SEARCH_CHIPS[chip_name], goals,
+                                 stages=stages, variant=variant, seed=seed)
+    full = solve_greedy(instance, seed=seed)
+    beat = (full.makespan + makespan_shift, full.swap_count + swaps_shift)
+    got = solve_greedy(instance, seed=seed, beat=beat)
+    if full.objective() >= beat:
+        assert got is None
+    else:
+        assert got == full
 
 
 class SetPredicates:

@@ -133,6 +133,21 @@ def test_free_placement_anytime_starts_from_a_routable_restart():
         solve_anytime(instance, seed=0, max_restarts=3)
 
 
+def test_free_placement_avoids_a_qubit_no_swap_edge_reaches():
+    # qubit 4 joins the chip by a ps-only edge, so its summed swap distance
+    # is 0; the first state must still go to the swap path's center
+    from qcsched.instance import BLUE, Chip, Edge
+    chip = Chip(qubit_count=4, edges=(
+        Edge(1, 2, BLUE, 3), Edge(2, 3, BLUE, 3),
+        Edge(3, 4, BLUE, 3, swap_enabled=False)))
+    instance = Instance(chip=chip, goals=((1, 4),), variant="qcc-i")
+    for seed in range(6):
+        greedy = solve_greedy(instance, seed=seed)
+        assert validate(instance, greedy).valid and greedy.makespan == 3
+    best = solve_anytime(instance, seed=0, max_restarts=20).best
+    assert validate(instance, best).valid and best.makespan == 3
+
+
 def test_fixed_placement_anytime_starts_from_the_baseline():
     instance = Instance(chip=_path_with_ps_only_middle(4), goals=((1, 3),))
     with pytest.raises(RoutingError, match="no swap path"):
