@@ -172,7 +172,8 @@ def check_assignment(model: Model, schedule: Schedule):
         for q in t.qubits:
             bucket[q].append((t, True))
         if crosstalk and t.kind != "mix":
-            for q in chip.crosstalk_zones[t.location]:
+            u, v = t.location
+            for q in chip.crosstalk_zones[u][v]:
                 bucket[q].append((t, False))
     for q, entries in bucket.items():
         for i, (a, a_uses) in enumerate(entries):
@@ -337,7 +338,8 @@ class _Engine:
     parent's, less the ps gates the node's parent chose); then, after one
     pass over the running tasks retires what ends at ``t``, the longest
     running ps gate and each state's chain of ps gates. ``chip.swap_hops``
-    gives the rounds, and is infinite for states the swap edges keep apart.
+    gives the rounds to an edge of either kind, and is infinite for states
+    that no edge can join.
     Only a node that survives builds its memo key. An improving leaf keeps
     its committed tasks; ``_build`` makes them a ``Schedule`` only when the
     incumbent is read.
@@ -353,7 +355,6 @@ class _Engine:
         self.tau_mix = chip.mix_duration
         self.min_ps = chip.min_ps_duration
         self.hops = chip.swap_hops
-        self.zones = chip.crosstalk_zones
         self.free_placement = self.instance.variant == inst.QCC_I
         self.two_stage = self.instance.stages == 2
         self.goal_states = self.instance.goal_states
@@ -377,8 +378,8 @@ class _Engine:
             self.chain_rows.append((gs, 1 << s, mix_bit[s], gs & ~stage1))
         self.qubit_bits = tuple((q, 1 << q) for q in chip.qubits)
 
-        def zone(pair):
-            return sum(1 << q for q in self.zones[pair]) \
+        def zone(e):
+            return sum(1 << q for q in chip.crosstalk_zones[e.u][e.v]) \
                 if self.crosstalk else 0
         # the ps gate on the edge between two qubits: (pair, ps duration,
         # qubit mask, zone mask), or None; indexed [qubit][qubit]
@@ -386,11 +387,11 @@ class _Engine:
                       for _ in range(chip.qubit_count + 1)]
         for e in chip.edges:
             row = (e.pair, e.ps_duration, (1 << e.u) | (1 << e.v),
-                   zone(e.pair))
+                   zone(e))
             self.ps_at[e.u][e.v] = self.ps_at[e.v][e.u] = row
         # per swap gate: (pair, qubit mask, zone mask, gate bit)
         self.swap_gates = tuple(
-            (e.pair, (1 << e.u) | (1 << e.v), zone(e.pair), 1 << i)
+            (e.pair, (1 << e.u) | (1 << e.v), zone(e), 1 << i)
             for i, e in enumerate(chip.swap_edges))
         self.budget_s = budget_s
         self.node_budget = node_budget

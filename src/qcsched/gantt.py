@@ -72,7 +72,8 @@ def _grid(instance: Instance, schedule: Schedule) -> dict[int, list[str]]:
         for t in schedule.tasks:
             if t.duration == 0 or not isinstance(t.location, tuple):
                 continue
-            for q in chip.crosstalk_zone(*t.location):
+            u, v = t.location
+            for q in chip.crosstalk_zones[u][v]:
                 for c in range(t.start, t.end):
                     if rows[q][c] == IDLE_CHAR:
                         rows[q][c] = BLOCKED_CHAR

@@ -71,13 +71,19 @@ def _hop_counts(adj: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
 class Chip:
     """Qubits 1..qubit_count joined by colored gate edges.
 
-    Tables that depend only on the graph (edge lookup, ps durations by
-    qubit pair, neighbors, the swap adjacency, all-pairs swap distances,
-    their swap rounds, next hops and diameter, placement ranks, crosstalk
-    zones by edge and by qubit pair) are
-    computed on first use and cached on the instance; callers must not
-    mutate them. They are not fields, so two chips with the same graph
-    compare equal.
+    Tables that depend only on the graph (edge lookup, ps durations,
+    neighbors, the swap adjacency, swap distances, swap rounds, next hops
+    and diameter, placement ranks, crosstalk zones) are computed on first
+    use and cached on the instance; callers must not mutate them. They are
+    not fields, so two chips with the same graph compare equal.
+
+    Each qubit-pair fact has one table, and it reads the same in either
+    order. ``edge_map`` is a dict keyed by both orders of each edge, as it
+    looks up locations that come from outside the program; the others are
+    lists indexed [qubit][qubit]. States move only over swap edges, which
+    ``swap_distances`` measures; but a ps gate may also run on an edge that
+    cannot swap, so ``swap_hops``, the exact search's routing bound, counts
+    the swap rounds to an edge of either kind.
     """
 
     qubit_count: int
@@ -112,7 +118,11 @@ class Chip:
 
     @cached_property
     def edge_map(self) -> dict[tuple[int, int], Edge]:
-        return {e.pair: e for e in self.edges}
+        """Each edge, under ``(u, v)`` and ``(v, u)``."""
+        out = {}
+        for e in self.edges:
+            out[(e.u, e.v)] = out[(e.v, e.u)] = e
+        return out
 
     def _adjacency(self, edges) -> dict[int, tuple[int, ...]]:
         adj: dict[int, list[int]] = {q: [] for q in self.qubits}
@@ -134,45 +144,67 @@ class Chip:
         return self._adjacency(self.swap_edges)
 
     @cached_property
-    def swap_distances(self) -> dict[int, dict[int, int]]:
-        """Swap-edge hop counts, source -> {reachable qubit: distance}."""
-        return {q: _hop_counts(self.swap_neighbors, q) for q in self.qubits}
-
-    @cached_property
-    def swap_distance_table(self) -> list[list[float]]:
-        """``swap_distances`` indexed [qubit][qubit], infinite where the swap
-        edges do not connect the two qubits."""
+    def swap_distances(self) -> list[list[float]]:
+        """Indexed [qubit][qubit]: swap-edge hop counts, infinite where the
+        swap edges do not connect the two qubits."""
         inf = float("inf")
-        return [[]] + [[inf] + [d.get(p, inf) for p in self.qubits]
-                       for d in self.swap_distances.values()]
+        out: list[list[float]] = [[]]
+        for q in self.qubits:
+            d = _hop_counts(self.swap_neighbors, q)
+            out.append([inf] + [d.get(p, inf) for p in self.qubits])
+        return out
 
     @cached_property
     def placement_ranks(self) -> list[tuple[int, int]]:
         """Indexed by qubit: minus the size of its swap component, then its
         summed swap distance to that component. The lowest rank is the
         center of a largest component."""
-        return [(0, 0)] + [(-len(d), sum(d.values()))
-                           for d in self.swap_distances.values()]
+        inf = float("inf")
+        ranks = [(0, 0)]
+        for row in self.swap_distances[1:]:
+            reach = [d for d in row if d != inf]
+            ranks.append((-len(reach), sum(reach)))
+        return ranks
 
     @cached_property
     def swap_hops(self) -> list[list[float]]:
-        """Rounds of swaps before the states on two qubits share an edge,
-        ceil((d - 1) / 2) = d // 2 for swap distance d; indexed
-        [qubit][qubit], infinite where the swap edges do not connect them."""
-        return [[]] + [[0] + [d[p] // 2 if p in d else float("inf")
-                              for p in self.qubits]
-                       for d in self.swap_distances.values()]
+        """Indexed [qubit][qubit]: the fewest rounds of swaps before the
+        states on the two qubits sit on the ends of one edge; 0 for a qubit
+        with itself, infinite where no edge can join them.
+
+        A state moves one swap edge per round, so reaching the ends of edge
+        (a, b) takes max(d[u][a], d[v][b]) rounds for swap distances d.
+        Over the swap edges the fewest is ceil((d[u][v] - 1) / 2) =
+        d[u][v] // 2, since d[u][v] <= d[u][a] + 1 + d[b][v]; so only the
+        edges that cannot swap are scanned besides."""
+        inf = float("inf")
+        dist = self.swap_distances
+        fixed = [(e.u, e.v) for e in self.edges if not e.swap_enabled]
+        fixed += [(b, a) for a, b in fixed]
+        out: list[list[float]] = [[]]
+        for u in self.qubits:
+            du = dist[u]
+            row = [0]
+            for v in self.qubits:
+                dv = dist[v]
+                h = du[v] // 2 if du[v] != inf else inf
+                for a, b in fixed:
+                    h = min(h, max(du[a], dv[b]))
+                row.append(h)
+            out.append(row)
+        return out
 
     @cached_property
     def swap_next_hops(self) -> list[list[tuple[int, ...]]]:
         """Indexed [target][qubit]: the qubit's swap neighbors one hop
         closer to the target, in ``swap_neighbors`` order; empty at the
         target and where the swap edges do not reach it."""
+        inf = float("inf")
         out: list[list[tuple[int, ...]]] = [[]]
-        for b, d in self.swap_distances.items():
+        for d in self.swap_distances[1:]:
             out.append([()] + [
                 tuple(n for n in self.swap_neighbors[q] if d[n] == d[q] - 1)
-                if q in d else () for q in self.qubits])
+                if d[q] != inf else () for q in self.qubits])
         return out
 
     @cached_property
@@ -188,22 +220,19 @@ class Chip:
     @cached_property
     def swap_diameter(self) -> int:
         """Most swap hops between two qubits the swap edges connect."""
-        return max(max(d.values()) for d in self.swap_distances.values())
+        inf = float("inf")
+        return max(d for row in self.swap_distances for d in row if d != inf)
 
     @cached_property
-    def crosstalk_zones(self) -> dict[tuple[int, int], frozenset[int]]:
-        return {e.pair: frozenset(self.neighbors[e.u] + self.neighbors[e.v])
-                - {e.u, e.v} for e in self.edges}
-
-    @cached_property
-    def crosstalk_zone_table(self) -> list[list[frozenset[int] | None]]:
-        """Indexed [qubit][qubit]: the ``crosstalk_zones`` entry of the edge
-        joining them, None where no edge does."""
+    def crosstalk_zones(self) -> list[list[frozenset[int] | None]]:
+        """Indexed [qubit][qubit]: the qubits disabled while a 2-qubit gate
+        runs on the edge joining them, None where no edge does."""
         out: list[list[frozenset[int] | None]] = \
             [[None] * (self.qubit_count + 1)
              for _ in range(self.qubit_count + 1)]
-        for (u, v), zone in self.crosstalk_zones.items():
-            out[u][v] = out[v][u] = zone
+        for e in self.edges:
+            out[e.u][e.v] = out[e.v][e.u] = frozenset(
+                self.neighbors[e.u] + self.neighbors[e.v]) - {e.u, e.v}
         return out
 
     @cached_property
@@ -215,11 +244,7 @@ class Chip:
         return min(e.ps_duration for e in self.edges)
 
     def edge_between(self, u: int, v: int) -> Edge | None:
-        return self.edge_map.get((min(u, v), max(u, v)))
-
-    def crosstalk_zone(self, u: int, v: int) -> frozenset[int]:
-        """Qubits disabled while a 2-qubit gate runs on edge (u, v)."""
-        return self.crosstalk_zones[(min(u, v), max(u, v))]
+        return self.edge_map.get((u, v))
 
 
 @dataclass(frozen=True)

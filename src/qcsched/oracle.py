@@ -9,12 +9,11 @@ no incumbent reasoning. Intended for desk-size chips only.
 from __future__ import annotations
 
 from itertools import permutations
-from math import ceil
 
 from . import instance as inst
 from .bounds import horizon_bound
 from .instance import Instance
-from .router import all_pairs_distances, require_routable
+from .router import require_routable
 
 
 class _Task:
@@ -52,7 +51,7 @@ class _Searcher:
         self.instance = instance
         self.chip = instance.chip
         self.horizon = horizon
-        self.dist = all_pairs_distances(instance.chip)
+        self.rounds = self._meeting_rounds()
         self.crosstalk = instance.variant == inst.QCC_X
         self.tau_swap = self.chip.swap_duration
         self.tau_mix = self.chip.mix_duration
@@ -60,6 +59,19 @@ class _Searcher:
         self.all_goals = frozenset(range(1, instance.total_goals + 1))
         self.goal_states = sorted({s for g in instance.goals for s in g})
         self.zones = self.chip.crosstalk_zones
+
+    def _meeting_rounds(self) -> list[list[float]]:
+        """Indexed [qubit][qubit]: the fewest rounds of swaps that bring the
+        states on two distinct qubits to the ends of one edge, swap-enabled
+        or not, with each state moving one swap edge per round; infinite
+        where no edge can join them."""
+        dist = self.chip.swap_distances
+        qubits = self.chip.qubits
+        ends = [(e.u, e.v) for e in self.chip.edges] + \
+            [(e.v, e.u) for e in self.chip.edges]
+        return [[]] + [[float("inf")] + [
+            min(max(dist[u][a], dist[v][b]) for a, b in ends)
+            for v in qubits] for u in qubits]
 
     # -- initial mappings -------------------------------------------------
     def initial_mappings(self):
@@ -150,23 +162,29 @@ class _Searcher:
                             candidates, idx + 1, chosen)
 
     # -- helpers ----------------------------------------------------------
+    def _zone(self, qubits) -> frozenset[int]:
+        """The crosstalk zone of a two-qubit gate; none for a mix."""
+        if len(qubits) == 1:
+            return frozenset()
+        u, v = qubits
+        return self.zones[u][v]
+
     def _busy_and_blocked(self, running):
         busy = set()
         blocked = set()
         for task in running:
             busy.update(task.qubits)
-            if self.crosstalk and len(task.qubits) == 2:
-                blocked.update(self.zones[task.qubits])
+            if self.crosstalk:
+                blocked.update(self._zone(task.qubits))
         return busy, blocked
 
     def _gate_ok(self, qubits, running_busy, running_blocked, running):
         if any(q in running_busy for q in qubits):
             return False
         if self.crosstalk:
-            if len(qubits) == 2:
-                zone = self.zones[qubits]
-                if any(q in zone for task in running for q in task.qubits):
-                    return False
+            zone = self._zone(qubits)
+            if any(q in zone for task in running for q in task.qubits):
+                return False
             if any(q in running_blocked for q in qubits):
                 return False
         return True
@@ -176,9 +194,9 @@ class _Searcher:
             if set(task.qubits) & set(other.qubits):
                 return False
             if self.crosstalk:
-                if len(task.qubits) == 2 and set(other.qubits) & self.zones[task.qubits]:
+                if set(other.qubits) & self._zone(task.qubits):
                     return False
-                if len(other.qubits) == 2 and set(task.qubits) & self.zones[other.qubits]:
+                if set(task.qubits) & self._zone(other.qubits):
                     return False
         return True
 
@@ -261,10 +279,8 @@ class _Searcher:
                 if g in running_ps:
                     continue  # in flight; ends by task.end <= bound
                 s1, s2 = instance.goal_pair(g)
-                d = self.dist[loc[s1]].get(loc[s2])
-                if d is None:   # a free placement the swap edges split
-                    return float("inf")
-                goal_lb = ceil((d - 1) / 2) * self.tau_swap
+                # infinite for a free placement that no edge can join
+                goal_lb = self.rounds[loc[s1]][loc[s2]] * self.tau_swap
                 if instance.stages == 2 and instance.goal_stage(g) == 2:
                     wait = 0
                     for s in (s1, s2):

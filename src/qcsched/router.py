@@ -13,8 +13,8 @@ state)``; ``GateTask`` objects and the ``Schedule`` are built from the rows
 only for a schedule that is returned. The greedy checks once, after
 placement, that the swap edges connect each goal's states; states move only
 along swap edges, so that cannot change. It picks the nearest goal from
-``Chip.swap_distance_table``. Under qcc-x its timeline reads crosstalk zones
-from ``Chip.crosstalk_zone_table`` and bisects each qubit's sorted
+``Chip.swap_distances``. Under qcc-x its timeline reads crosstalk zones
+from ``Chip.crosstalk_zones`` and bisects each qubit's sorted
 crosstalk intervals. ``solve_anytime`` passes each restart the incumbent's
 objective, so a restart that does not beat it builds nothing.
 """
@@ -36,7 +36,7 @@ class RoutingError(ValueError):
     """A goal's states cannot be brought together over swap-enabled edges."""
 
 
-def all_pairs_distances(chip: Chip) -> dict[int, dict[int, int]]:
+def all_pairs_distances(chip: Chip) -> list[list[float]]:
     """The chip's cached swap-distance table; read it, do not mutate it."""
     return chip.swap_distances
 
@@ -54,7 +54,7 @@ def require_routable(instance: Instance,
         loc = range(instance.state_count + 1)
     dist = instance.chip.swap_distances
     for g, (s1, s2) in enumerate(instance.goals, start=1):
-        if loc[s2] not in dist[loc[s1]]:
+        if dist[loc[s1]][loc[s2]] == float("inf"):
             raise RoutingError(f"goal {g} is unreachable on the swap graph")
 
 
@@ -62,7 +62,7 @@ def shortest_path(chip: Chip, a: int, b: int,
                   rng: random.Random | None = None) -> list[int]:
     """A shortest swap path from a to b; rng picks among equal-length ones,
     which ``Chip.swap_next_hops`` lists hop by hop."""
-    if a not in chip.swap_distances[b]:
+    if chip.swap_distances[b][a] == float("inf"):
         raise RoutingError(f"no swap path between qubits {a} and {b}")
     hops = chip.swap_next_hops[b]
     path = [a]
@@ -102,7 +102,7 @@ class _Timeline:
 
     def __init__(self, instance: Instance):
         chip = instance.chip
-        self.zones = chip.crosstalk_zone_table
+        self.zones = chip.crosstalk_zones
         self.crosstalk = instance.variant == inst.QCC_X
         self.ready = [0] * (chip.qubit_count + 1)
         self.busy: list[list[tuple[int, int]]] = \
@@ -168,7 +168,6 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
     chip = instance.chip
     dist = chip.swap_distances
     ranks = chip.placement_ranks
-    inf = float("inf")
     degree = {s: 0 for s in range(1, instance.state_count + 1)}
     partners: dict[int, list[int]] = {s: [] for s in degree}
     for a, b in instance.goals:
@@ -184,7 +183,7 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
             continue
         placed_partners = [placement[p] for p in partners[s] if p in placement]
         if placed_partners:
-            cost = {q: sum(dist[q].get(p, inf) for p in placed_partners)
+            cost = {q: sum(dist[q][p] for p in placed_partners)
                     for q in free}
         else:
             cost = {q: ranks[q] for q in free}
@@ -288,7 +287,7 @@ def solve_greedy(instance: Instance, seed: int = 0,
     rows: list[tuple] = []
     if instance.variant == inst.QCC_I:
         rows = [(INIT, q, 0, 0, None, holder[q]) for q in chip.qubits]
-    dist = chip.swap_distance_table
+    dist = chip.swap_distances
     ps = chip.ps_durations
     swap = chip.swap_duration
     mix_end = [0] * (n + 1)

@@ -220,7 +220,8 @@ def validate(instance: Instance, schedule: Schedule,
                     or not isinstance(t.location, tuple) \
                     or not chip.edge_between(*t.location):
                 continue
-            for q in chip.crosstalk_zone(*t.location):
+            u, v = t.location
+            for q in chip.crosstalk_zones[u][v]:
                 ids = per_qubit[q]
                 k = bisect_left(starts[q], t.end) - 1
                 while k >= 0 and reach[q][k] > t.start:

@@ -173,7 +173,8 @@ def _crosstalk_clean(instance: Instance, schedule: Schedule) -> bool:
     for t in tasks:
         if not isinstance(t.location, tuple):
             continue
-        zone = instance.chip.crosstalk_zone(*t.location)
+        u, v = t.location
+        zone = instance.chip.crosstalk_zones[u][v]
         for other in tasks:
             if other is t or not other.overlaps(t):
                 continue

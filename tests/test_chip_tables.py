@@ -1,6 +1,7 @@
 """The graph tables cached on Chip: shared, never mutated, not part of equality."""
 
 import copy
+from collections import deque
 
 from qcsched.cpsolver import _Engine, build_model, search
 from qcsched.instance import BLUE, Chip, Edge, build_grid_chip, \
@@ -32,8 +33,8 @@ def test_tables_match_the_graph():
     chip = build_grid_chip(3)
     assert chip.swap_neighbors[5] == (2, 4, 6, 8)
     assert chip.swap_distances[1][9] == 4
-    assert chip.crosstalk_zone(5, 2) == frozenset({1, 3, 4, 6, 8})
-    assert chip.crosstalk_zone(2, 5) is chip.crosstalk_zones[(2, 5)]
+    assert chip.crosstalk_zones[5][2] == frozenset({1, 3, 4, 6, 8})
+    assert chip.crosstalk_zones[2][5] is chip.crosstalk_zones[5][2]
     assert chip.swap_hops[1][9] == 2
 
 
@@ -42,14 +43,15 @@ def test_hops_are_half_the_swap_distance():
                  build_preset_chip("rigetti-21")):
         hops = chip.swap_hops
         assert len(hops) == chip.qubit_count + 1
-        for q, row in chip.swap_distances.items():
+        for q, row in enumerate(chip.swap_distances[1:], 1):
             assert len(hops[q]) == chip.qubit_count + 1
             for p in chip.qubits:
                 assert hops[q][p] == row[p] // 2
     edges = (Edge(1, 2, BLUE, 3), Edge(2, 3, BLUE, 3, swap_enabled=False))
     hops = Chip(qubit_count=3, edges=edges).swap_hops
     assert hops[1][2] == 0
-    assert hops[1][3] == hops[3][2] == float("inf")
+    assert hops[1][3] == 1      # state 1 swaps onto 2; the gate runs on (2, 3)
+    assert hops[3][2] == 0      # the states already sit on the edge (2, 3)
 
 
 def test_solvers_leave_the_tables_unchanged():
@@ -71,7 +73,11 @@ CHIPS = (build_grid_chip(3), build_preset_chip("rigetti-8"),
          build_preset_chip("rigetti-21"),
          Chip(qubit_count=4, edges=(Edge(1, 2, BLUE, 3),
                                     Edge(2, 3, BLUE, 3, swap_enabled=False),
-                                    Edge(3, 4, BLUE, 3))))
+                                    Edge(3, 4, BLUE, 3))),
+         # the path 1-2-3-4 with a ps-only chord (1, 4)
+         Chip(qubit_count=4, edges=(Edge(1, 2, BLUE, 3), Edge(2, 3, BLUE, 3),
+                                    Edge(3, 4, BLUE, 3),
+                                    Edge(1, 4, BLUE, 3, swap_enabled=False))))
 
 
 def test_next_hops_step_one_closer_in_neighbor_order():
@@ -84,7 +90,7 @@ def test_next_hops_step_one_closer_in_neighbor_order():
             assert len(table[b]) == chip.qubit_count + 1
             for q in chip.qubits:
                 hops = table[b][q]
-                if q == b or q not in dist:
+                if q == b or dist[q] == float("inf"):
                     assert hops == ()
                     continue
                 assert hops
@@ -116,28 +122,69 @@ def test_ps_durations_match_the_edges():
                 assert table[u][v] == (edge.ps_duration if edge else 0)
 
 
-def test_distance_table_indexes_the_swap_distances():
+def _bfs_distances(chip, source):
+    """Hops from ``source`` over the swap edges, infinite where none lead."""
+    dist = {q: float("inf") for q in chip.qubits}
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        q = queue.popleft()
+        for e in chip.swap_edges:
+            if q in (e.u, e.v):
+                n = e.v if q == e.u else e.u
+                if dist[n] == float("inf"):
+                    dist[n] = dist[q] + 1
+                    queue.append(n)
+    return dist
+
+
+def test_swap_distances_are_breadth_first_hop_counts():
     for chip in CHIPS:
-        table = chip.swap_distance_table
-        assert table is chip.swap_distance_table
+        table = chip.swap_distances
         assert len(table) == chip.qubit_count + 1
         for u in chip.qubits:
             assert len(table[u]) == chip.qubit_count + 1
-            for v in chip.qubits:
-                assert table[u][v] == chip.swap_distances[u].get(
-                    v, float("inf"))
+            reference = _bfs_distances(chip, u)
+            assert [table[u][v] for v in chip.qubits] == \
+                [reference[v] for v in chip.qubits]
 
 
-def test_zone_table_indexes_the_crosstalk_zones():
+def test_hops_are_the_fewest_rounds_to_any_edge():
+    # each state moves one swap edge per round, toward either end of any
+    # edge, swap-enabled or not
     for chip in CHIPS:
-        table = chip.crosstalk_zone_table
-        assert table is chip.crosstalk_zone_table
+        dist = {u: _bfs_distances(chip, u) for u in chip.qubits}
+        ends = [(e.u, e.v) for e in chip.edges] + \
+            [(e.v, e.u) for e in chip.edges]
         for u in chip.qubits:
             for v in chip.qubits:
-                if chip.edge_between(u, v):
-                    assert table[u][v] is chip.crosstalk_zone(u, v)
+                expected = 0 if u == v else \
+                    min(max(dist[u][a], dist[v][b]) for a, b in ends)
+                assert chip.swap_hops[u][v] == expected, (u, v)
+
+
+def test_zones_are_the_neighbors_of_each_edge():
+    for chip in CHIPS:
+        zones = chip.crosstalk_zones
+        pairs = {e.pair for e in chip.edges}
+        for u in chip.qubits:
+            for v in chip.qubits:
+                if (min(u, v), max(u, v)) in pairs:
+                    assert zones[u][v] == frozenset(
+                        (set(chip.neighbors[u]) | set(chip.neighbors[v]))
+                        - {u, v})
                 else:
-                    assert table[u][v] is None
+                    assert zones[u][v] is None
+
+
+def test_edge_map_reads_either_order():
+    for chip in CHIPS:
+        assert len(chip.edge_map) == 2 * len(chip.edges)
+        for e in chip.edges:
+            assert chip.edge_map[(e.u, e.v)] is e
+            assert chip.edge_map[(e.v, e.u)] is e
+            assert chip.edge_between(e.v, e.u) is e
+        assert chip.edge_between(0, 1) is None
 
 
 def test_placement_ranks_put_larger_swap_components_first():
@@ -155,9 +202,9 @@ def test_solvers_leave_the_router_tables_unchanged():
     chip = build_preset_chip("rigetti-8")
     hops = copy.deepcopy(chip.swap_next_hops)
     durations = copy.deepcopy(chip.ps_durations)
-    distances = copy.deepcopy(chip.swap_distance_table)
+    distances = copy.deepcopy(chip.swap_distances)
     ranks = copy.deepcopy(chip.placement_ranks)
-    zones = copy.deepcopy(chip.crosstalk_zone_table)
+    zones = copy.deepcopy(chip.crosstalk_zones)
     for variant in ("qcc", "qcc-i", "qcc-x"):
         instance = generate_instance(chip, 3, stages=2, variant=variant,
                                      seed=4)
@@ -168,9 +215,9 @@ def test_solvers_leave_the_router_tables_unchanged():
                                        seed=4))
     assert chip.swap_next_hops == hops
     assert chip.ps_durations == durations
-    assert chip.swap_distance_table == distances
+    assert chip.swap_distances == distances
     assert chip.placement_ranks == ranks
-    assert chip.crosstalk_zone_table == zones
+    assert chip.crosstalk_zones == zones
 
 
 def test_cached_tables_do_not_affect_equality():

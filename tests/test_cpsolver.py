@@ -7,7 +7,8 @@ from qcsched.cpsolver import (CONFLICT, FIXPOINT, INFEASIBLE, ModelError,
                               OPTIMAL, TIMEOUT, build_model, check_assignment,
                               propagate, search, warm_start)
 from qcsched.fixtures import worked_example
-from qcsched.instance import (BLUE, Chip, Edge, Instance, build_grid_chip,
+from qcsched.instance import (BLUE, DEFAULT_PS_DURATION, PS_COLORS, Chip,
+                              Edge, Instance, build_grid_chip,
                               build_preset_chip, generate_instance)
 from qcsched.oracle import optimal_makespan
 from qcsched.router import (RoutingError, solve_greedy,
@@ -58,10 +59,12 @@ def test_model_free_placement_tag():
     assert any("fixed-placement" in r for r in reasons)
 
 
-def _chip(swaps, fixed):
-    """Blue edges among ``swaps`` (swap-enabled) and ``fixed`` (ps only)."""
+def _chip(swaps, fixed, color=BLUE):
+    """Blue edges among ``swaps`` (swap-enabled), and edges of ``color``
+    among ``fixed`` (ps only)."""
     edges = [Edge(u, v, BLUE, 3) for u, v in swaps] + \
-        [Edge(u, v, BLUE, 3, swap_enabled=False) for u, v in fixed]
+        [Edge(u, v, color, DEFAULT_PS_DURATION[color], swap_enabled=False)
+         for u, v in fixed]
     return Chip(qubit_count=max(max(e.pair) for e in edges),
                 edges=tuple(edges))
 
@@ -90,14 +93,63 @@ def test_unroutable_goal_is_rejected_by_the_oracle(instance):
 
 
 def test_free_placement_prunes_a_split_goal():
-    # qcc-i may put goal (1, 3) on the swap edge (1, 2) or split it over the
-    # fixed edge; the split placements are pruned, not looked up
+    # qcc-i may put goal (1, 3) on an edge at once, or on qubits 1 and 3,
+    # where a swap onto qubit 2 and a gate on the fixed edge (2, 3) take 5
     instance = Instance(chip=_chip([(1, 2)], [(2, 3)]), goals=((1, 3),),
                         variant="qcc-i")
     result = search(build_model(instance))
     assert result.status == OPTIMAL
     assert result.best.objective() == (3, 0)
     assert optimal_makespan(instance) == 3
+
+
+def test_free_placement_needs_no_swap_edge():
+    # no edge swaps: qcc-i puts goal (1, 4) on an edge, and prunes the
+    # placements on the diagonal, which no edge can join
+    instance = replace(UNROUTABLE[1], variant="qcc-i")
+    result = search(build_model(instance))
+    assert (result.status, result.best.objective()) == (OPTIMAL, (3, 0))
+    assert optimal_makespan(instance) == 3
+
+
+def test_a_ps_only_chord_needs_no_swap():
+    # the path 1-2-3-4 with a ps-only chord (1, 4): goal (1, 4) runs on the
+    # chord at once, where the swap path takes a swap round and a gate
+    instance = Instance(chip=_chip([(1, 2), (2, 3), (3, 4)], [(1, 4)]),
+                        goals=((1, 4),))
+    assert optimal_makespan(instance) == 3
+    result = search(replace(build_model(instance), horizon=4))
+    assert (result.status, result.best.objective()) == (OPTIMAL, (3, 0))
+    assert validate(instance, result.best).valid
+
+
+def _ps_only_shapes(color):
+    """Swap-connected chips with one ps-only edge of ``color``: a 4-cycle,
+    a 4-path with chord (1, 3), a 5-path with chord (1, 5), and grid:2
+    with the diagonal (1, 4)."""
+    path4, path5 = [(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 3), (3, 4), (4, 5)]
+    return (_chip(path4, [(1, 4)], color), _chip(path4, [(1, 3)], color),
+            _chip(path5, [(1, 5)], color),
+            _chip([(1, 2), (1, 3), (2, 4), (3, 4)], [(1, 4)], color))
+
+
+@pytest.mark.parametrize("color", PS_COLORS)
+def test_search_matches_oracle_on_ps_only_edges(color):
+    for chip in _ps_only_shapes(color):
+        # two stages on the 5-path take the oracle seconds per instance
+        runs = ((1, 1), (1, 2)) if chip.qubit_count == 5 \
+            else ((1, 1), (1, 2), (2, 1))
+        for variant in ("qcc", "qcc-x"):
+            for stages, goals in runs:
+                for seed in range(3):
+                    instance = generate_instance(chip, goals, stages=stages,
+                                                 variant=variant, seed=seed)
+                    opt = optimal_makespan(instance)
+                    result = search(build_model(instance),
+                                    node_budget=200000)
+                    assert result.status == OPTIMAL
+                    assert result.best.makespan == opt, instance.goals
+                    assert validate(instance, result.best).valid
 
 
 def test_propagate_overload_conflict():
@@ -278,6 +330,14 @@ CROSSTALK = Instance(chip=build_grid_chip(2), goals=((1, 2),),
 GOAL = ps_task(1, 2, 0, 3, 1)
 MIXES = [mix_task(q, 3, 1, q) for q in PATH.qubits]
 INITS = [init_task(q, q) for q in PATH.qubits]
+WORKED, WORKED_SCHEDULE = worked_example()
+
+
+def _reversed(tasks):
+    """The tasks with each edge location written (v, u)."""
+    return [replace(t, location=t.location[::-1])
+            if isinstance(t.location, tuple) else t for t in tasks]
+
 
 # (instance, tasks) that keep every rule
 GOOD = {
@@ -285,11 +345,14 @@ GOOD = {
     "two stages": (TWO, [GOAL] + MIXES + [ps_task(1, 2, 4, 3, 2)]),
     "free placement": (FREE, INITS + [GOAL]),
     "crosstalk": (CROSSTALK, [GOAL, swap_task(3, 4, 3, 2)]),
+    "reversed pairs": (WORKED, _reversed(WORKED_SCHEDULE.tasks)),
 }
 
 # (instance, tasks) that break one rule each
 BROKEN = {
     "swap on a ps-only edge": (ONE, [GOAL, swap_task(3, 4, 0, 2)]),
+    "reversed swap on a ps-only edge": (
+        ONE, [GOAL, GateTask("swap", (4, 3), 0, 2)]),
     "ps on a non-edge": (Instance(chip=PATH, goals=((1, 3),)),
                          [ps_task(1, 3, 0, 3, 1)]),
     "ps with no goal": (ONE, [GateTask("ps", (1, 2), 0, 3)]),
@@ -344,3 +407,10 @@ def test_both_checkers_agree_on_a_tightened_horizon(row):
     for horizon in range(3, 7):
         assert check_assignment(replace(model, horizon=horizon), schedule)[0] \
             == validate(instance, schedule, horizon=horizon).valid
+
+
+def test_warm_search_from_reversed_pairs():
+    schedule = Schedule.from_tasks(_reversed(WORKED_SCHEDULE.tasks))
+    result = search(build_model(WORKED), incumbent=schedule, node_budget=1000)
+    assert result.best.objective() <= schedule.objective()
+    assert validate(WORKED, result.best).valid

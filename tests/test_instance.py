@@ -223,7 +223,7 @@ def test_read_instance_errors(tmp_path):
 
 def test_crosstalk_zone():
     chip = build_preset_chip("rigetti-8")
-    zone = chip.crosstalk_zone(1, 2)
+    zone = chip.crosstalk_zones[1][2]
     assert 1 not in zone and 2 not in zone
     expected = (set(chip.neighbors[1]) | set(chip.neighbors[2])) - {1, 2}
     assert zone == frozenset(expected)

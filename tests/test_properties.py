@@ -50,14 +50,14 @@ class LinearTimeline:
         if self.crosstalk:
             if zone & tq:
                 return True
-            if task.kind in TWO_QUBIT_KINDS \
-                    and self.chip.crosstalk_zone(*task.location) & qubits:
+            if task.kind in TWO_QUBIT_KINDS and self.chip.crosstalk_zones[
+                    task.location[0]][task.location[1]] & qubits:
                 return True
         return False
 
     def earliest(self, qubits, duration, not_before, two_qubit_loc=None):
         t = max([not_before] + [self.ready[q] for q in qubits])
-        zone = self.chip.crosstalk_zone(*two_qubit_loc) \
+        zone = self.chip.crosstalk_zones[two_qubit_loc[0]][two_qubit_loc[1]] \
             if (self.crosstalk and two_qubit_loc) else frozenset()
         while True:
             clash = [task for task in self.tasks
@@ -75,7 +75,8 @@ class LinearTimeline:
 def pairwise_r2(tasks, chip):
     """R2 violations from comparing every pair of busy tasks."""
     busy = [i for i, t in enumerate(tasks) if t.duration > 0]
-    zones = {i: chip.crosstalk_zone(*tasks[i].location) for i in busy
+    zones = {i: chip.crosstalk_zones[tasks[i].location[0]]
+             [tasks[i].location[1]] for i in busy
              if tasks[i].kind in TWO_QUBIT_KINDS
              and isinstance(tasks[i].location, tuple)
              and chip.edge_between(*tasks[i].location)}
@@ -202,7 +203,8 @@ class SetPredicates:
     def __init__(self, engine):
         self.engine = engine
         self.crosstalk = engine.crosstalk
-        self.zones = engine.zones
+        self.zones = {e.pair: engine.chip.crosstalk_zones[e.u][e.v]
+                      for e in engine.chip.edges}
 
     def busy_and_blocked(self, running):
         busy = set()
@@ -303,8 +305,8 @@ class SetBounds:
 
     def __init__(self, engine):
         instance, chip = engine.instance, engine.chip
-        self.hops = {q: {p: d // 2 for p, d in row.items()}
-                     for q, row in all_pairs_distances(chip).items()}
+        self.hops = [[d // 2 if d != float("inf") else d for d in row]
+                     for row in all_pairs_distances(chip)]
         self.goal_pairs = instance.goal_pairs
         self.state_goals = instance.state_goals
         self.goal_states = instance.goal_states

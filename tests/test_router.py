@@ -29,7 +29,7 @@ def test_distances_on_ring():
     chip = build_preset_chip("rigetti-8")
     dist = chip.swap_distances[1]
     assert dist[1] == 0 and dist[2] == 1
-    assert max(dist.values()) == 4
+    assert max(dist[1:]) == 4
     assert all_pairs_distances(chip)[3][4] == 3
 
 
