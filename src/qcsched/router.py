@@ -9,10 +9,11 @@ Both walk shortest swap paths through ``Chip.swap_next_hops`` and read gate
 durations from ``Chip.ps_durations``, tables the chip builds once. They
 keep their state in lists indexed by qubit or state and record each
 committed task as a plain row ``(kind, location, start, duration, goal,
-state)``; ``GateTask`` objects and the ``Schedule`` are built from the rows
-only for a schedule that is returned. The greedy checks once, after
-placement, that the swap edges connect each goal's states; states move only
-along swap edges, so that cannot change. It picks the nearest goal from
+state)``, which holds ``GateTask``'s fields in order; only for a schedule
+that is returned are the rows stamped as ``GateTask`` tuples and the
+``Schedule`` built. The greedy checks once, after placement, that the swap
+edges connect each goal's states; states move only along swap edges, so
+that cannot change. It picks the nearest goal from
 ``Chip.swap_distances``. Under qcc-x its timeline reads crosstalk zones
 from ``Chip.crosstalk_zones`` and bisects each qubit's sorted
 crosstalk intervals. ``solve_anytime`` passes each restart the incumbent's
@@ -177,7 +178,7 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
         partners[b].append(a)
 
     placement: dict[int, int] = {}
-    free = set(chip.qubits)
+    free = sorted(chip.qubits)
     for s in sorted(degree, key=lambda s: (-degree[s], s)):
         if degree[s] == 0:
             continue
@@ -188,14 +189,12 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
         else:
             cost = {q: ranks[q] for q in free}
         best = min(cost.values())
-        q = rng.choice(sorted(c for c in free if cost[c] == best))
+        q = rng.choice([c for c in free if cost[c] == best])
         placement[s] = q
-        free.discard(q)
+        free.remove(q)
     for s in sorted(degree, key=lambda s: (-degree[s], s)):
         if s not in placement:
-            q = sorted(free)[0]
-            placement[s] = q
-            free.discard(q)
+            placement[s] = free.pop(0)
     return placement
 
 
@@ -208,8 +207,9 @@ def _swap_states(loc: list[int], holder: list[int], u: int, v: int) -> None:
 
 def _schedule(instance: Instance, rows: list[tuple]) -> Schedule:
     """The schedule of task rows ``(kind, location, start, duration, goal,
-    state)``, whose edge locations are ascending pairs."""
-    return Schedule.from_tasks([GateTask(*row) for row in rows],
+    state)``, whose edge locations are ascending pairs. A row holds
+    ``GateTask``'s fields in order."""
+    return Schedule.from_tasks(list(map(GateTask._make, rows)),
                                instance_id=instance.instance_id)
 
 

@@ -3,15 +3,21 @@
 The validator is the project's ground truth: it shares no code with the
 solvers and re-derives every property (resource exclusivity, crosstalk,
 goal matching, stage separation, makespan accounting) from the raw task list.
+
+A task is a ``GateTask``, a NamedTuple of six fields, so building one costs
+one tuple. The hot readers take each task apart once: ``validate`` reads
+the task list into one tuple per field, and its rules index those tuples
+instead of reading a task's fields again.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 from . import instance as inst
 from .bounds import horizon_bound
@@ -24,8 +30,9 @@ INIT = "init"
 TWO_QUBIT_KINDS = (SWAP, PS)
 
 
-@dataclass(frozen=True)
-class GateTask:
+class GateTask(NamedTuple):
+    """One timed gate: a tuple of its six fields, in this order."""
+
     kind: str
     location: tuple[int, int] | int
     start: int
@@ -73,11 +80,16 @@ class Schedule:
     @classmethod
     def from_tasks(cls, tasks, instance_id: str = "") -> "Schedule":
         tasks = tuple(sorted(tasks, key=_replay_key))
-        goal_ends = [t.end for t in tasks if t.kind == PS and t.goal_index is not None]
+        goal_ends, swaps = [], 0
+        for kind, _, start, duration, goal, _ in tasks:
+            if kind == SWAP:
+                swaps += 1
+            elif kind == PS and goal is not None:
+                goal_ends.append(start + duration)
         return cls(
             tasks=tasks,
             makespan=max(goal_ends, default=0),
-            swap_count=sum(1 for t in tasks if t.kind == SWAP),
+            swap_count=swaps,
             instance_id=instance_id,
         )
 
@@ -101,52 +113,52 @@ class Violation:
 class ValidationReport:
     valid: bool
     violations: tuple[Violation, ...]
-    state_trace: dict[int, list[tuple[int | None, int | None]]] = field(
-        default_factory=dict, compare=False)
 
     def rules(self) -> set[str]:
         return {v.rule for v in self.violations}
 
 
 def _replay_key(task: GateTask):
-    return (task.start, 0 if task.kind == INIT else 1, task.qubits)
+    """Chronological order: by start, inits first, then by qubits."""
+    location = task.location
+    return (task.start, 0 if task.kind == INIT else 1,
+            location if isinstance(location, tuple) else (location,))
 
 
-def _initial_states(instance: Instance, tasks) -> dict[int, int | None]:
-    if instance.variant == inst.QCC_I:
-        states: dict[int, int | None] = {q: None for q in instance.chip.qubits}
-        for t in tasks:
-            if t.kind == INIT and isinstance(t.location, int):
-                if t.location in states:
-                    states[t.location] = t.state
-        return states
-    return {q: q for q in instance.chip.qubits}
+def _held_at_ps(instance: Instance, kinds, locations, starts, qubits,
+                states) -> dict[int, tuple[int | None, ...]]:
+    """The states that each ps task's qubits hold when it starts, by task
+    index, from a chronological replay of the swaps.
 
-
-def _replay(instance: Instance, tasks):
-    """Chronological replay; returns (trace, states_at_start per task index).
-
-    Assumes per-qubit non-overlap; callers check that separately first.
+    The replay visits swaps and ps tasks in ``_replay_key`` order, ties in
+    task order; inits come first and set the qcc-i placement. Assumes
+    per-qubit non-overlap; callers check that separately first.
     """
-    order = sorted(range(len(tasks)), key=lambda i: _replay_key(tasks[i]))
-    states = _initial_states(instance, tasks)
-    trace = {q: [(None, states[q])] for q in instance.chip.qubits}
+    held = {q: q for q in instance.chip.qubits}
+    if instance.variant == inst.QCC_I:
+        held = dict.fromkeys(held)
+        for i, kind in enumerate(kinds):
+            if kind == INIT and isinstance(locations[i], int) \
+                    and locations[i] in held:
+                held[locations[i]] = states[i]
+    events = sorted((starts[i], qubits[i], i) for i, kind in enumerate(kinds)
+                    if kind == SWAP or kind == PS)
     at_start: dict[int, tuple[int | None, ...]] = {}
-    for i in order:
-        t = tasks[i]
-        at_start[i] = tuple(states.get(q) for q in t.qubits)
-        if t.kind == SWAP and isinstance(t.location, tuple):
-            u, v = t.location
-            states[u], states[v] = states[v], states[u]
-        for q in t.qubits:
-            if q in states:
-                trace[q].append((i, states[q]))
-    return trace, at_start
+    for _, qs, i in events:
+        if kinds[i] == PS:
+            at_start[i] = tuple(held.get(q) for q in qs)
+        elif len(qs) == 2 and qs[0] in held and qs[1] in held:
+            u, v = qs       # a swap off the chip's qubits (R5) moves nothing
+            held[u], held[v] = held[v], held[u]
+    return at_start
 
 
 def validate(instance: Instance, schedule: Schedule,
              horizon: int | None = None) -> ValidationReport:
-    """Check every rule of the instance's variant; never raises on bad input."""
+    """Check every rule of the instance's variant; never raises on bad input.
+
+    Each task is read once, into one tuple per field; the rules index those.
+    """
     tasks = schedule.tasks
     chip = instance.chip
     violations: list[Violation] = []
@@ -154,54 +166,62 @@ def validate(instance: Instance, schedule: Schedule,
     def flag(rule, detail, *ids):
         violations.append(Violation(rule, detail, tuple(ids)))
 
+    kinds, locations, starts, durations, goals, states = \
+        zip(*tasks) if tasks else ((),) * 6
+    ends = [start + duration for start, duration in zip(starts, durations)]
+    qubits = [loc if isinstance(loc, tuple) else (loc,) for loc in locations]
+
     # R5: structural legality of each task (locations, durations, payloads).
-    for i, t in enumerate(tasks):
-        if t.kind not in (SWAP, PS, MIX, INIT):
-            flag("R5", f"task {i}: unknown kind {t.kind!r}", i)
+    gates = []      # two-qubit tasks on an edge of the chip
+    for i, (kind, loc, start, duration, state) in enumerate(
+            zip(kinds, locations, starts, durations, states)):
+        if kind not in (SWAP, PS, MIX, INIT):
+            flag("R5", f"task {i}: unknown kind {kind!r}", i)
             continue
-        if t.start < 0:
-            flag("R5", f"task {i}: negative start {t.start}", i)
-        if t.kind in TWO_QUBIT_KINDS:
-            if not isinstance(t.location, tuple) or len(t.location) != 2:
-                flag("R5", f"task {i}: {t.kind} needs an edge location", i)
+        if start < 0:
+            flag("R5", f"task {i}: negative start {start}", i)
+        if kind in TWO_QUBIT_KINDS:
+            if not isinstance(loc, tuple) or len(loc) != 2:
+                flag("R5", f"task {i}: {kind} needs an edge location", i)
                 continue
-            edge = chip.edge_between(*t.location)
+            edge = chip.edge_between(*loc)
             if edge is None:
-                flag("R5", f"task {i}: no edge {t.location} on the chip", i)
+                flag("R5", f"task {i}: no edge {loc} on the chip", i)
                 continue
-            if t.kind == SWAP:
+            gates.append(i)
+            if kind == SWAP:
                 if not edge.swap_enabled:
-                    flag("R5", f"task {i}: edge {t.location} has no swap gate", i)
-                if t.duration != chip.swap_duration:
-                    flag("R5", f"task {i}: swap duration {t.duration} != "
+                    flag("R5", f"task {i}: edge {loc} has no swap gate", i)
+                if duration != chip.swap_duration:
+                    flag("R5", f"task {i}: swap duration {duration} != "
                                f"{chip.swap_duration}", i)
             else:
-                if t.duration != edge.ps_duration:
-                    flag("R5", f"task {i}: ps duration {t.duration} != "
-                               f"{edge.ps_duration} on edge {t.location}", i)
+                if duration != edge.ps_duration:
+                    flag("R5", f"task {i}: ps duration {duration} != "
+                               f"{edge.ps_duration} on edge {loc}", i)
         else:
-            if not isinstance(t.location, int) or t.location not in chip.qubits:
-                flag("R5", f"task {i}: {t.kind} needs a valid qubit location", i)
+            if not isinstance(loc, int) or loc not in chip.qubits:
+                flag("R5", f"task {i}: {kind} needs a valid qubit location", i)
                 continue
-            if t.kind == MIX and t.duration != chip.mix_duration:
-                flag("R5", f"task {i}: mix duration {t.duration} != "
+            if kind == MIX and duration != chip.mix_duration:
+                flag("R5", f"task {i}: mix duration {duration} != "
                            f"{chip.mix_duration}", i)
-            if t.kind == INIT and (t.duration != 0 or t.start != 0):
+            if kind == INIT and (duration != 0 or start != 0):
                 flag("R5", f"task {i}: init tasks are zero-length at time 0", i)
-            if t.state is None or not (1 <= t.state <= instance.state_count):
-                flag("R5", f"task {i}: {t.kind} needs a valid state", i)
+            if state is None or not (1 <= state <= instance.state_count):
+                flag("R5", f"task {i}: {kind} needs a valid state", i)
 
     # R1: each qubit is a unary resource (closed-open intervals).
     per_qubit: dict[int, list[int]] = {q: [] for q in chip.qubits}
-    for i, t in enumerate(tasks):
-        if t.duration > 0:
-            for q in t.qubits:
+    for i, duration in enumerate(durations):
+        if duration > 0:
+            for q in qubits[i]:
                 if q in per_qubit:
                     per_qubit[q].append(i)
     for q, ids in per_qubit.items():
-        ids.sort(key=lambda i: tasks[i].start)
-        for a, b in zip(ids, ids[1:]):
-            if tasks[a].overlaps(tasks[b]):
+        ids.sort(key=starts.__getitem__)
+        for a, b in zip(ids, ids[1:]):      # a starts before b ends
+            if starts[b] < ends[a]:
                 flag("R1", f"tasks {a} and {b} overlap on qubit {q}", a, b)
 
     # R2: crosstalk exclusion around active 2-qubit gates. A busy task j
@@ -210,34 +230,34 @@ def validate(instance: Instance, schedule: Schedule,
     # sorted by start: j starts before i ends, and a prefix maximum of ends
     # stops the walk once nothing earlier reaches past i's start.
     if instance.variant == inst.QCC_X:
-        starts = {q: [tasks[i].start for i in ids]
-                  for q, ids in per_qubit.items()}
-        reach = {q: list(accumulate((tasks[i].end for i in ids), max))
+        begins = {q: [starts[i] for i in ids] for q, ids in per_qubit.items()}
+        reach = {q: list(accumulate([ends[i] for i in ids], max))
                  for q, ids in per_qubit.items()}
+        zones = chip.crosstalk_zones
         clashes: set[tuple[int, int]] = set()
-        for i, t in enumerate(tasks):
-            if t.duration <= 0 or t.kind not in TWO_QUBIT_KINDS \
-                    or not isinstance(t.location, tuple) \
-                    or not chip.edge_between(*t.location):
+        for i in gates:
+            if durations[i] <= 0:
                 continue
-            u, v = t.location
-            for q in chip.crosstalk_zones[u][v]:
-                ids = per_qubit[q]
-                k = bisect_left(starts[q], t.end) - 1
-                while k >= 0 and reach[q][k] > t.start:
-                    j = ids[k]
-                    if tasks[j].overlaps(t):
-                        clashes.add((min(i, j), max(i, j)))
+            start, end = starts[i], ends[i]
+            u, v = locations[i]
+            for q in zones[u][v]:
+                ids, ends_by = per_qubit[q], reach[q]
+                k = bisect_left(begins[q], end) - 1
+                while k >= 0 and ends_by[k] > start:
+                    j = ids[k]                  # j starts before i ends
+                    if start < ends[j]:
+                        clashes.add((i, j) if i < j else (j, i))
                     k -= 1
         for i, j in sorted(clashes):
             flag("R2", f"tasks {i} and {j} violate the adjacent-qubit "
                        f"exclusion", i, j)
 
     # R3: exactly one PS task per goal.
-    ps_ids = [i for i, t in enumerate(tasks) if t.kind == PS]
     by_goal: dict[int, list[int]] = {}
-    for i in ps_ids:
-        g = tasks[i].goal_index
+    for i, kind in enumerate(kinds):
+        if kind != PS:
+            continue
+        g = goals[i]
         if g is None or not (1 <= g <= instance.total_goals):
             flag("R3", f"task {i}: ps task has invalid goal index {g}", i)
         else:
@@ -250,82 +270,81 @@ def validate(instance: Instance, schedule: Schedule,
             flag("R3", f"goal {g} has {len(ids)} ps tasks", *ids)
 
     # R4: goal PS endpoints hold the goal's states when the gate starts.
-    trace, at_start = _replay(instance, tasks)
+    at_start = _held_at_ps(instance, kinds, locations, starts, qubits, states)
     for g, ids in by_goal.items():
         pair = instance.goal_pairs[g]
         for i in ids:
             held = at_start[i]
             if set(held) != set(pair):
                 flag("R4", f"task {i}: goal {g} needs states {pair}, qubits "
-                           f"{tasks[i].location} hold {held}", i)
+                           f"{locations[i]} hold {held}", i)
 
     # R6: one mix per state, strictly between the two goal stages.
-    mix_ids = [i for i, t in enumerate(tasks) if t.kind == MIX]
+    mix_ids = [i for i, kind in enumerate(kinds) if kind == MIX]
     if instance.stages == 1:
         for i in mix_ids:
             flag("R6", f"task {i}: mix task in a single-stage schedule", i)
     else:
         by_state: dict[int, list[int]] = {}
         for i in mix_ids:
-            if tasks[i].state is not None:
-                by_state.setdefault(tasks[i].state, []).append(i)
+            if states[i] is not None:
+                by_state.setdefault(states[i], []).append(i)
         for s in range(1, instance.state_count + 1):
             ids = by_state.get(s, [])
             if len(ids) != 1:
                 flag("R6", f"state {s} has {len(ids)} mix tasks, needs 1", *ids)
                 continue
-            m = tasks[ids[0]]
+            m = ids[0]
             for g in instance.state_goals[s]:
                 stage = instance.goal_stage(g)
                 for i in by_goal.get(g, ()):
-                    if stage == 1 and tasks[i].end > m.start:
+                    if stage == 1 and ends[i] > starts[m]:
                         flag("R6", f"mix of state {s} starts before stage-1 "
-                                   f"goal {g} ends", ids[0], i)
-                    if stage == 2 and m.end > tasks[i].start:
+                                   f"goal {g} ends", m, i)
+                    if stage == 2 and ends[m] > starts[i]:
                         flag("R6", f"stage-2 goal {g} starts before mix of "
-                                   f"state {s} ends", ids[0], i)
+                                   f"state {s} ends", m, i)
 
     # R7: QCC-I initialization covers every qubit with all-different states.
-    init_ids = [i for i, t in enumerate(tasks) if t.kind == INIT]
+    init_ids = [i for i, kind in enumerate(kinds) if kind == INIT]
     if instance.variant != inst.QCC_I:
         for i in init_ids:
             flag("R7", f"task {i}: init task outside the free-placement variant", i)
     else:
         by_qubit: dict[int, list[int]] = {}
         for i in init_ids:
-            if isinstance(tasks[i].location, int):
-                by_qubit.setdefault(tasks[i].location, []).append(i)
+            if isinstance(locations[i], int):
+                by_qubit.setdefault(locations[i], []).append(i)
         states_seen = []
         for q in chip.qubits:
             ids = by_qubit.get(q, [])
             if len(ids) != 1:
                 flag("R7", f"qubit {q} has {len(ids)} init tasks, needs 1", *ids)
             else:
-                states_seen.append(tasks[ids[0]].state)
+                states_seen.append(states[ids[0]])
         expected = set(range(1, instance.state_count + 1))
         if len(by_qubit) == chip.qubit_count and set(states_seen) != expected:
             flag("R7", "init states are not a permutation of all states",
                  *init_ids)
 
     # R8: stored makespan and swap count match the task list.
-    goal_ends = [tasks[i].end for ids in by_goal.values() for i in ids]
+    goal_ends = [ends[i] for ids in by_goal.values() for i in ids]
     expected_makespan = max(goal_ends, default=0)
     if schedule.makespan != expected_makespan:
         flag("R8", f"makespan {schedule.makespan} != latest goal completion "
                    f"{expected_makespan}")
-    actual_swaps = sum(1 for t in tasks if t.kind == SWAP)
+    actual_swaps = kinds.count(SWAP)
     if schedule.swap_count != actual_swaps:
         flag("R8", f"swap_count {schedule.swap_count} != {actual_swaps} swap tasks")
 
     # R9: everything fits in the horizon.
     if horizon is None:
         horizon = horizon_bound(instance)
-    for i, t in enumerate(tasks):
-        if t.end > horizon:
-            flag("R9", f"task {i} ends at {t.end}, after horizon {horizon}", i)
+    for i, end in enumerate(ends):
+        if end > horizon:
+            flag("R9", f"task {i} ends at {end}, after horizon {horizon}", i)
 
-    return ValidationReport(valid=not violations, violations=tuple(violations),
-                            state_trace=trace)
+    return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
 def score(best_makespan: int, schedule_makespan: int) -> float:

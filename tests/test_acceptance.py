@@ -97,21 +97,20 @@ def _mutate(schedule: Schedule, instance: Instance,
     if kind == 0 and tasks:                       # shift one task in time
         i = rng.randrange(len(tasks))
         shift = rng.choice([-3, -1, 1, 2])
-        tasks[i] = replace(tasks[i], start=max(0, tasks[i].start + shift))
+        tasks[i] = tasks[i]._replace(start=max(0, tasks[i].start + shift))
     elif kind == 1 and tasks:                     # stretch or shrink one task
         i = rng.randrange(len(tasks))
-        tasks[i] = replace(tasks[i],
-                           duration=max(0, tasks[i].duration
-                                        + rng.choice([-1, 1])))
+        tasks[i] = tasks[i]._replace(
+            duration=max(0, tasks[i].duration + rng.choice([-1, 1])))
     elif kind == 2 and tasks:                     # relocate one task
         i = rng.randrange(len(tasks))
         t = tasks[i]
         if isinstance(t.location, tuple):
             edge = rng.choice(instance.chip.edges)
-            tasks[i] = replace(t, location=edge.pair)
+            tasks[i] = t._replace(location=edge.pair)
         else:
-            tasks[i] = replace(
-                t, location=rng.choice(list(instance.chip.qubits)))
+            tasks[i] = t._replace(
+                location=rng.choice(list(instance.chip.qubits)))
     elif kind == 3 and tasks:                     # drop one task
         del tasks[rng.randrange(len(tasks))]
     elif kind == 4:                               # corrupt stored makespan

@@ -335,7 +335,7 @@ WORKED, WORKED_SCHEDULE = worked_example()
 
 def _reversed(tasks):
     """The tasks with each edge location written (v, u)."""
-    return [replace(t, location=t.location[::-1])
+    return [t._replace(location=t.location[::-1])
             if isinstance(t.location, tuple) else t for t in tasks]
 
 

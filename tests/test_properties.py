@@ -1,8 +1,9 @@
 """Property tests: indexed and bit-mask code against plain references.
 
 The references below are the straightforward algorithms the faster code
-replaced: a timeline that rescans every committed task on every probe, an
-R2 check that compares every pair of busy tasks, and the exact search's
+replaced: a timeline that rescans every committed task on every probe, R1
+and R2 checks that compare busy tasks through ``GateTask`` (neighbours on a
+qubit for R1, every pair for R2), and the exact search's
 set-based gate fit and subset compatibility tests and its set-based lower
 bounds. Each must agree with the package exactly, as must a greedy restart
 given an objective to beat with the same restart given none. The last tests send
@@ -70,6 +71,21 @@ class LinearTimeline:
         self.tasks.append(task)
         for q in task.qubits:
             self.ready[q] = max(self.ready[q], task.end)
+
+
+def pairwise_r1(tasks, chip):
+    """R1 violations from comparing neighbouring busy tasks on each qubit,
+    in start order, with ``GateTask.overlaps``."""
+    out = []
+    for q in chip.qubits:
+        busy = sorted((i for i, t in enumerate(tasks)
+                       if t.duration > 0 and q in t.qubits),
+                      key=lambda i: tasks[i].start)
+        for a, b in zip(busy, busy[1:]):
+            if tasks[a].overlaps(tasks[b]):
+                out.append(Violation(
+                    "R1", f"tasks {a} and {b} overlap on qubit {q}", (a, b)))
+    return out
 
 
 def pairwise_r2(tasks, chip):
@@ -166,6 +182,8 @@ def _perturb(tasks, chip, rng, moves):
        stages=st.sampled_from([1, 2]), seed=st.integers(0, 10 ** 6),
        moves=st.integers(0, 20))
 def test_r2_matches_pairwise_reference(chip_name, goals, stages, seed, moves):
+    """R1 and R2 of a perturbed schedule, exactly as the references give
+    them; R5 and the later rules keep their places around them."""
     chip = CHIPS[chip_name]
     instance = generate_instance(chip, goals, stages=stages,
                                  variant=inst.QCC_X, seed=seed)
@@ -173,9 +191,10 @@ def test_r2_matches_pairwise_reference(chip_name, goals, stages, seed, moves):
     tasks = tuple(_perturb(greedy.tasks, chip, random.Random(seed), moves))
     schedule = Schedule(tasks, greedy.makespan, greedy.swap_count)
     got = validate(instance, schedule).violations
-    head = [v for v in got if v.rule in ("R5", "R1")]
+    head = [v for v in got if v.rule == "R5"]
     tail = [v for v in got if v.rule not in ("R5", "R1", "R2")]
-    assert got == tuple(head + pairwise_r2(tasks, chip) + tail)
+    assert got == tuple(head + pairwise_r1(tasks, chip)
+                        + pairwise_r2(tasks, chip) + tail)
 
 
 @settings(max_examples=150, deadline=None)

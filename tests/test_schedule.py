@@ -1,8 +1,12 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from qcsched.fixtures import worked_example
 from qcsched.instance import Instance, build_grid_chip, build_preset_chip
-from qcsched.schedule import (Schedule, improvement_delta, init_task,
+from qcsched.schedule import (GateTask, Schedule, _task_from_dict,
+                              _task_to_dict, improvement_delta, init_task,
                               mix_task, ps_task, read_schedule,
                               schedule_from_dict, schedule_to_dict, score,
                               swap_task, validate, write_schedule)
@@ -11,6 +15,27 @@ from qcsched.schedule import (Schedule, improvement_delta, init_task,
 @pytest.fixture
 def example():
     return worked_example()
+
+
+def test_gate_task_contract():
+    """A task is an immutable tuple of its six fields, in order."""
+    swap = swap_task(4, 1, 0, 2)
+    assert repr(swap) == ("GateTask(kind='swap', location=(1, 4), start=0, "
+                          "duration=2, goal_index=None, state=None)")
+    mix = GateTask(kind="mix", location=3, start=4, duration=1, state=3)
+    assert mix.goal_index is None
+    assert (mix.end, mix.qubits, swap.qubits) == (5, (3,), (1, 4))
+    with pytest.raises(AttributeError):
+        mix.start = 5
+    same = GateTask("mix", 3, 4, 1, None, 3)
+    assert same == mix and hash(same) == hash(mix)
+    assert mix == ("mix", 3, 4, 1, None, 3)
+    assert mix != mix_task(3, 4, 1, 4)
+    assert mix._replace(start=6) == GateTask("mix", 3, 6, 1, state=3)
+    assert mix.start == 4
+    for task in (swap, mix, ps_task(2, 1, 3, 3, 1), init_task(5, 2)):
+        again = _task_from_dict(json.loads(json.dumps(_task_to_dict(task))))
+        assert again == task and type(again) is GateTask
 
 
 def test_worked_example_is_valid(example):
@@ -55,6 +80,14 @@ def test_bad_duration_flags_r5(example):
     assert "R5" in validate(instance, _rebuild(schedule, tasks)).rules()
     off_chip = _rebuild(schedule, schedule.tasks + (swap_task(1, 5, 0, 2),))
     assert "R5" in validate(instance, off_chip).rules()
+
+
+def test_malformed_swaps_are_flagged_not_raised(example):
+    """The R4 replay skips a swap off the chip's qubits instead of raising."""
+    instance, schedule = example
+    for loc in ((1, 99), (1, 2, 3)):
+        extra = Schedule(schedule.tasks + (GateTask("swap", loc, 8, 2),), 5, 3)
+        assert validate(instance, extra).rules() == {"R5"}
 
 
 def test_crosstalk_flags_r2():
@@ -119,10 +152,16 @@ def test_horizon_flags_r9(example):
 
 
 def test_state_trace(example):
+    """R4 replays the swaps: they leave state 4 on qubit 1 and state 3 on
+    qubit 2, so a goal gate on (1, 2) after them meets states 3 and 4, not
+    the states 1 and 2 that those qubits held at the start."""
     instance, schedule = example
-    trace = validate(instance, schedule).state_trace
-    assert trace[1][-1][1] == 4   # state 4 ends on qubit 1
-    assert trace[2][-1][1] == 3
+    assert validate(instance, schedule).valid      # goal (3, 4) on (1, 2)
+    stale = replace(instance, goals=((1, 2),))
+    report = validate(stale, schedule)
+    assert report.rules() == {"R4"}
+    assert report.violations[0].detail == \
+        "task 2: goal 1 needs states (1, 2), qubits (1, 2) hold (4, 3)"
 
 
 def test_score_and_delta():
