@@ -2,7 +2,6 @@
 
 from .instance import (Chip, Edge, Instance, build_grid_chip, build_preset_chip,
                        generate_instance, read_instance, write_instance)
-from .bounds import horizon_bound
 from .schedule import (GateTask, Schedule, ValidationReport, improvement_delta,
                        read_schedule, score, validate, write_schedule)
 from .router import solve_anytime, solve_greedy, solve_sequential_baseline
@@ -14,7 +13,6 @@ from .fixtures import worked_example
 __all__ = [
     "Chip", "Edge", "Instance", "build_grid_chip", "build_preset_chip",
     "generate_instance", "read_instance", "write_instance",
-    "horizon_bound",
     "GateTask", "Schedule", "ValidationReport", "improvement_delta",
     "read_schedule", "score", "validate", "write_schedule",
     "solve_anytime", "solve_greedy", "solve_sequential_baseline",

@@ -156,7 +156,7 @@ def _run_cell(instance: Instance, engine: str, budget_s: float,
                             node_budget=node_budget)
     except Exception as exc:   # a failed cell must not abort the matrix
         report = RunReport(instance.instance_id, engine, budget_s, cell_seed,
-                           (), status=f"{ERROR}: {type(exc).__name__}: {exc}",
+                           status=f"{ERROR}: {type(exc).__name__}: {exc}",
                            node_budget=node_budget,
                            instance_digest=instance.content_digest)
     write_report(report, path)

@@ -9,8 +9,8 @@ proves optimality on exhaustion; a warm-start schedule can be installed as
 the initial incumbent.
 
 ``check_assignment`` is a second, independent checker of the same rules: it
-reads a finished schedule's tasks directly and checks each rule once, in one
-section per rule.
+checks each rule once against a finished schedule's tasks, in one section
+per rule.
 
 Everything here is written from scratch: no external solver is involved, and
 no code is shared with the independent validator or the brute-force oracle.
@@ -24,13 +24,11 @@ from functools import cached_property, partial
 from itertools import permutations
 
 from . import instance as inst
-from .bounds import horizon_bound
 from .instance import Instance
 # the search reads chip.swap_hops; all_pairs_distances stays importable
 # here because perfbench/tracing.py wraps it under this module's name
 from .router import all_pairs_distances, require_routable  # noqa: F401
-from .schedule import (GateTask, Schedule, init_task, mix_task, ps_task,
-                       swap_task)
+from .schedule import GateTask, Schedule
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -60,7 +58,7 @@ def build_model(instance: Instance) -> Model:
     """The spec for ``instance``: the sequential horizon. Raises
     ``RoutingError`` when the swap edges keep a goal's states apart."""
     require_routable(instance)
-    return Model(instance, horizon_bound(instance))
+    return Model(instance, instance.horizon)
 
 
 def propagate(model: Model) -> str:
@@ -302,6 +300,48 @@ def search(model: Model, incumbent: Schedule | None = None,
 _IDLE = float("inf")   # next event time when nothing runs
 
 
+def _leaf_schedule(model: Model, committed, root) -> Schedule:
+    """The schedule of a search leaf: its ``committed`` records, a mix in
+    the earliest free one-qubit slot for each state no goal touches (two
+    stages), and under qcc-i the inits of its ``root`` mapping (qubit - 1 ->
+    state)."""
+    instance = model.instance
+    chip = instance.chip
+    rows = []
+    for r in committed:
+        duration = r.end - r.start
+        if r.kind == "swap":
+            rows.append(("swap", r.qubits, r.start, duration, None, None))
+        elif r.kind == "ps":
+            rows.append(("ps", r.qubits, r.start, duration, r.payload, None))
+        else:
+            rows.append(("mix", r.qubits[0], r.start, duration, None,
+                         r.payload))
+    if instance.stages == 2:
+        tau = chip.mix_duration
+        spans = [(r.start, r.end, r.qmask | r.zmask) for r in committed]
+        mixed = {r.payload for r in committed if r.kind == "mix"}
+        for s in range(1, instance.state_count + 1):
+            if s in mixed:
+                continue
+            for t in range(model.horizon - tau + 1):
+                taken = 0
+                for start, end, bits in spans:
+                    if start < t + tau and t < end:
+                        taken |= bits
+                free = [q for q in chip.qubits if not taken & 1 << q]
+                if free:
+                    break
+            else:
+                raise ModelError(f"no room for the mix of state {s} "
+                                 f"within horizon {model.horizon}")
+            spans.append((t, t + tau, 1 << free[0]))
+            rows.append(("mix", free[0], t, tau, None, s))
+    if instance.variant == inst.QCC_I:
+        rows += [("init", q, 0, 0, None, root[q - 1]) for q in chip.qubits]
+    return Schedule.from_tasks(rows, instance_id=instance.instance_id)
+
+
 class _Engine:
     """One search: the gate tables of the chip and instance, and the DFS.
 
@@ -341,15 +381,14 @@ class _Engine:
     gives the rounds to an edge of either kind, and is infinite for states
     that no edge can join.
     Only a node that survives builds its memo key. An improving leaf keeps
-    its committed tasks; ``_build`` makes them a ``Schedule`` only when the
-    incumbent is read.
+    its committed tasks; ``_leaf_schedule`` makes them a ``Schedule`` only
+    when the incumbent is read.
     """
 
     def __init__(self, model: Model, budget_s, node_budget, on_incumbent):
         self.model = model
         self.instance = model.instance
         self.chip = chip = model.instance.chip
-        self.horizon = model.horizon
         self.crosstalk = self.instance.variant == inst.QCC_X
         self.tau_swap = chip.swap_duration
         self.tau_mix = chip.mix_duration
@@ -397,15 +436,15 @@ class _Engine:
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
         self.warm: Schedule | None = None
-        self.best_obj = (self.horizon, float("inf"))
+        self.best_obj = (model.horizon, float("inf"))
         self.incumbents: list[CPIncumbent] = []
         self.nodes = 0
         self.t0 = time.monotonic()
 
     def run(self) -> SearchResult:
+        # a warm start fits the horizon, so only a cold search stops here
         if propagate(self.model) == CONFLICT:
-            status = TIMEOUT if self.warm is not None else INFEASIBLE
-            return SearchResult(status, self.warm, self.incumbents, 0)
+            return SearchResult(INFEASIBLE, None)
         goals = self.instance.total_goals
         try:
             self._check_budget()
@@ -420,9 +459,7 @@ class _Engine:
             status = OPTIMAL if self.incumbents or self.warm else INFEASIBLE
         except _OutOfBudget:
             status = TIMEOUT
-        # each incumbent's build refers to the engine: hand the list over,
-        # so no cycle keeps the engine and its memo alive after the result
-        found, self.incumbents = self.incumbents, None
+        found = self.incumbents
         best = found[-1].schedule if found else self.warm
         return SearchResult(status, best, found, self.nodes)
 
@@ -629,48 +666,10 @@ class _Engine:
         self.best_obj = (t, swaps)
         self.incumbents.append(CPIncumbent(
             t, swaps, time.monotonic() - self.t0, self.nodes,
-            partial(self._build, committed, self._root_mapping)))
+            partial(_leaf_schedule, self.model, committed,
+                    self._root_mapping)))
         if self.on_incumbent:
             self.on_incumbent(self.incumbents[-1])
-
-    def _build(self, committed, root) -> Schedule:
-        tasks = [self._to_gate_task(r) for r in committed]
-        if self.two_stage:
-            spans = [(r.start, r.end, r.qmask | r.zmask) for r in committed]
-            mixed_states = {r.payload for r in committed if r.kind == "mix"}
-            for s in range(1, self.instance.state_count + 1):
-                if s not in mixed_states:
-                    tasks.append(self._place_trailing_mix(s, spans))
-        if self.free_placement:
-            tasks += [init_task(q, root[q - 1]) for q in self.chip.qubits]
-        return Schedule.from_tasks(tasks,
-                                   instance_id=self.instance.instance_id)
-
-    def _to_gate_task(self, r: _Rec) -> GateTask:
-        if r.kind == "swap":
-            return swap_task(*r.qubits, r.start, self.tau_swap)
-        if r.kind == "ps":
-            return ps_task(*r.qubits, r.start, r.end - r.start, r.payload)
-        return mix_task(r.qubits[0], r.start, self.tau_mix, r.payload)
-
-    def _place_trailing_mix(self, state, spans) -> GateTask:
-        """Earliest free 1-qubit slot for a state no goal ever touches.
-
-        ``spans`` holds the (start, end, qubit and zone bits) of the tasks
-        placed so far, and gains the new mix's.
-        """
-        tau = self.tau_mix
-        for t in range(self.horizon - tau + 1):
-            taken = 0
-            for start, end, bits in spans:
-                if start < t + tau and t < end:
-                    taken |= bits
-            for q, qm in self.qubit_bits:
-                if not taken & qm:
-                    spans.append((t, t + tau, qm))
-                    return mix_task(q, t, tau, state)
-        raise ModelError(f"no room for the mix of state {state} "
-                         f"within horizon {self.horizon}")
 
     # -- candidate generation --------------------------------------------
     def _candidates(self, t, loc, running, pending, mixed, undo):

@@ -45,7 +45,6 @@ class RunReport:
     engine: str
     budget_s: float
     seed: int
-    stage_seeds: tuple[int, ...]
     stage1: list[TracePoint] = field(default_factory=list)
     stage2: list[TracePoint] = field(default_factory=list)
     stage2_start_s: float | None = None
@@ -63,23 +62,22 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
                seed: int = 0, node_budget: int | None = None) -> RunReport:
     """Run one engine (router | cp | half | last) within ``budget_s`` seconds.
 
-    ``seed`` derives the router's seed, the one entry of ``stage_seeds``;
-    ``node_budget`` caps the exact search.
+    ``seed`` derives the router's seed; ``node_budget`` caps the exact
+    search.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if budget_s <= 0:
         raise ValueError("budget_s must be positive")
-    router_seed = random.Random(seed).getrandbits(32)
     report = RunReport(instance.instance_id, engine, budget_s, seed,
-                       (router_seed,), node_budget=node_budget,
+                       node_budget=node_budget,
                        instance_digest=instance.content_digest)
     cp_budget, final = budget_s, None
     if engine != ENGINE_CP:
         t0 = time.monotonic()
         routed = solve_anytime(
             instance, budget_s / 2 if engine == ENGINE_HALF else budget_s,
-            seed=router_seed)
+            seed=random.Random(seed).getrandbits(32))
         report.stage1 = [TracePoint(i.found_at, i.schedule.makespan,
                                     i.schedule.swap_count, i.source)
                          for i in routed.incumbents]
@@ -133,7 +131,6 @@ def report_to_dict(report: RunReport) -> dict:
         "engine": report.engine,
         "budget_s": report.budget_s,
         "seed": report.seed,
-        "stage_seeds": list(report.stage_seeds),
         "stage1": _points_to_list(report.stage1),
         "stage2": _points_to_list(report.stage2),
         "stage2_start_s": report.stage2_start_s,
@@ -157,7 +154,6 @@ def report_from_dict(d: dict) -> RunReport:
             engine=d["engine"],
             budget_s=d["budget_s"],
             seed=d["seed"],
-            stage_seeds=tuple(d.get("stage_seeds", ())),
             stage1=_points_from_list(d.get("stage1", [])),
             stage2=_points_from_list(d.get("stage2", [])),
             stage2_start_s=d.get("stage2_start_s"),

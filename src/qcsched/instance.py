@@ -96,6 +96,8 @@ class Chip:
             raise ValidationError("qubit_count must be positive")
         if self.swap_duration < 1 or self.mix_duration < 1:
             raise ValidationError("gate durations must be positive")
+        if not self.edges:
+            raise ValidationError("chip has no edges")
         seen = set()
         for e in self.edges:
             if not (1 <= e.u <= self.qubit_count and 1 <= e.v <= self.qubit_count):
@@ -251,8 +253,9 @@ class Chip:
 class Instance:
     """Goals over the chip's states; the variant fixes the placement.
 
-    Goal tables (index -> pair, state -> goal indices, the goal states) are
-    computed on first use and cached like the chip's; they are not fields.
+    Goal tables (index -> pair, state -> goal indices, the goal states) and
+    the horizon are computed on first use and cached like the chip's; they
+    are not fields.
     """
 
     chip: Chip
@@ -318,6 +321,22 @@ class Instance:
     @property
     def total_goals(self) -> int:
         return len(self.goals) * self.stages
+
+    @cached_property
+    def horizon(self) -> int:
+        """Upper bound on the optimal makespan, from the sequential worst
+        case: each goal is routed with at most ``diameter - 1`` swaps, the
+        diameter taken over the chip's swap graph, and finished with the
+        slowest gate. With two stages the stage blocks run back to back with
+        one mixing window in between. Every gate of the exact model ends by
+        it, and ``validate`` checks it as R9."""
+        chip = self.chip
+        swaps = max(chip.swap_diameter - 1, 0)
+        single = self.goal_count * (swaps * chip.swap_duration
+                                    + chip.max_ps_duration)
+        if self.stages == 1:
+            return single
+        return 2 * single + chip.mix_duration
 
     @cached_property
     def content_digest(self) -> str:

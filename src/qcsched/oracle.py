@@ -11,7 +11,6 @@ from __future__ import annotations
 from itertools import permutations
 
 from . import instance as inst
-from .bounds import horizon_bound
 from .instance import Instance
 from .router import require_routable
 
@@ -37,7 +36,7 @@ def optimal_makespan(instance: Instance, horizon: int | None = None,
     if instance.goal_count == 0:
         return 0
     if horizon is None:
-        horizon = horizon_bound(instance)
+        horizon = instance.horizon
     searcher = _Searcher(instance, horizon)
     lower = searcher.static_lower_bound()
     for bound in range(lower, horizon + 1):
@@ -311,7 +310,7 @@ class _Searcher:
     def _mixes_can_finish(self, t, running, mixed) -> bool:
         if self.instance.stages == 1:
             return True
-        horizon = max(horizon_bound(self.instance), self.horizon)
+        horizon = max(self.instance.horizon, self.horizon)
         unmixed = set(range(1, self.instance.state_count + 1)) - mixed
         unmixed -= {task.payload for task in running if task.kind == "mix"}
         if not unmixed:

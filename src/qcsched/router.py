@@ -8,16 +8,13 @@ that records each strictly improving incumbent.
 Both walk shortest swap paths through ``Chip.swap_next_hops`` and read gate
 durations from ``Chip.ps_durations``, tables the chip builds once. They
 keep their state in lists indexed by qubit or state and record each
-committed task as a plain row ``(kind, location, start, duration, goal,
-state)``, which holds ``GateTask``'s fields in order; only for a schedule
-that is returned are the rows stamped as ``GateTask`` tuples and the
-``Schedule`` built. The greedy checks once, after placement, that the swap
-edges connect each goal's states; states move only along swap edges, so
-that cannot change. It picks the nearest goal from
-``Chip.swap_distances``. Under qcc-x its timeline reads crosstalk zones
-from ``Chip.crosstalk_zones`` and bisects each qubit's sorted
-crosstalk intervals. ``solve_anytime`` passes each restart the incumbent's
-objective, so a restart that does not beat it builds nothing.
+committed task as a row for ``Schedule.from_tasks``. The greedy checks
+once, after placement, that the swap edges connect each goal's states;
+states move only along swap edges, so that cannot change. It picks the
+nearest goal from ``Chip.swap_distances``. Under qcc-x its timeline reads
+crosstalk zones from ``Chip.crosstalk_zones`` and bisects each qubit's
+sorted crosstalk intervals. ``solve_anytime`` passes each restart the
+incumbent's objective, so a restart that does not beat it builds nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Callable, Sequence
 
 from . import instance as inst
 from .instance import Chip, Instance
-from .schedule import INIT, MIX, PS, SWAP, GateTask, Schedule
+from .schedule import INIT, MIX, PS, SWAP, Schedule
 
 
 class RoutingError(ValueError):
@@ -205,14 +202,6 @@ def _swap_states(loc: list[int], holder: list[int], u: int, v: int) -> None:
     loc[su], loc[sv] = v, u
 
 
-def _schedule(instance: Instance, rows: list[tuple]) -> Schedule:
-    """The schedule of task rows ``(kind, location, start, duration, goal,
-    state)``, whose edge locations are ascending pairs. A row holds
-    ``GateTask``'s fields in order."""
-    return Schedule.from_tasks(list(map(GateTask._make, rows)),
-                               instance_id=instance.instance_id)
-
-
 def solve_sequential_baseline(instance: Instance) -> Schedule:
     """One goal after another along shortest paths; certifies the horizon bound."""
     chip = instance.chip
@@ -256,7 +245,7 @@ def solve_sequential_baseline(instance: Instance) -> Schedule:
         cursor += chip.mix_duration
         for o in range(instance.goal_count + 1, 2 * instance.goal_count + 1):
             run_goal(o)
-    return _schedule(instance, rows)
+    return Schedule.from_tasks(rows, instance_id=instance.instance_id)
 
 
 def solve_greedy(instance: Instance, seed: int = 0,
@@ -362,7 +351,7 @@ def solve_greedy(instance: Instance, seed: int = 0,
         run_stage(2)
     if beat is not None and (makespan, swaps) >= beat:
         return None
-    return _schedule(instance, rows)
+    return Schedule.from_tasks(rows, instance_id=instance.instance_id)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ The validator is the project's ground truth: it shares no code with the
 solvers and re-derives every property (resource exclusivity, crosstalk,
 goal matching, stage separation, makespan accounting) from the raw task list.
 
-A task is a ``GateTask``, a NamedTuple of six fields, so building one costs
-one tuple. The hot readers take each task apart once: ``validate`` reads
-the task list into one tuple per field, and its rules index those tuples
-instead of reading a task's fields again.
+A task is a ``GateTask``, a NamedTuple of six fields. ``Schedule.from_tasks``
+is the one way the engines make a schedule: it takes task rows, plain
+tuples of those fields in order, and stamps each one. ``validate`` reads
+the task list into one tuple per field, and its rules index those tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import instance as inst
-from .bounds import horizon_bound
 from .instance import Instance, ParseError, parse_int, require_list
 
 SWAP = "swap"
@@ -79,7 +78,11 @@ class Schedule:
 
     @classmethod
     def from_tasks(cls, tasks, instance_id: str = "") -> "Schedule":
-        tasks = tuple(sorted(tasks, key=_replay_key))
+        """The schedule of ``tasks``, rows ``(kind, location, start,
+        duration, goal_index, state)`` whose edge locations are ascending
+        pairs; a ``GateTask`` is one. Tasks are kept in replay order, and
+        the makespan and swap count are counted from them."""
+        tasks = tuple(sorted(map(GateTask._make, tasks), key=_replay_key))
         goal_ends, swaps = [], 0
         for kind, _, start, duration, goal, _ in tasks:
             if kind == SWAP:
@@ -158,6 +161,8 @@ def validate(instance: Instance, schedule: Schedule,
     """Check every rule of the instance's variant; never raises on bad input.
 
     Each task is read once, into one tuple per field; the rules index those.
+    R9 checks that every task ends by ``horizon``, ``instance.horizon``
+    unless given.
     """
     tasks = schedule.tasks
     chip = instance.chip
@@ -339,7 +344,7 @@ def validate(instance: Instance, schedule: Schedule,
 
     # R9: everything fits in the horizon.
     if horizon is None:
-        horizon = horizon_bound(instance)
+        horizon = instance.horizon
     for i, end in enumerate(ends):
         if end > horizon:
             flag("R9", f"task {i} ends at {end}, after horizon {horizon}", i)
@@ -415,8 +420,8 @@ def schedule_from_dict(d: dict) -> Schedule:
     return Schedule(
         tasks=tuple(_task_from_dict(t)
                     for t in require_list(d, "tasks", "schedule")),
-        makespan=d.get("makespan", 0),
-        swap_count=d.get("swap_count", 0),
+        makespan=parse_int(d.get("makespan", 0), "schedule makespan"),
+        swap_count=parse_int(d.get("swap_count", 0), "schedule swap_count"),
         instance_id=d.get("instance_id", ""),
     )
 

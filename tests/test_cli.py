@@ -196,6 +196,10 @@ MALFORMED = {
     "kind": ("validate", "schedule", _first_task(kind=3), "string kind"),
     "location": ("validate", "schedule", _first_task(location=[1, "2"]),
                  "task location"),
+    "makespan": ("validate", "schedule", _set(makespan="5"),
+                 "makespan '5'"),
+    "swap_count": ("gantt", "schedule", _set(swap_count=None),
+                   "swap_count None"),
     "no-tasks": ("validate", "schedule", _drop("tasks"), "'tasks'"),
     "tasks": ("validate", "schedule", _set(tasks=3), "tasks 3"),
     "no-schedule": ("validate", "schedule", Path.unlink, "No such file"),
@@ -220,6 +224,9 @@ MALFORMED = {
                     "ps_duration '3'"),
     "swap_enabled": ("solve", "instance", _first_edge(swap_enabled="false"),
                      "swap_enabled 'false'"),
+    "no-edges": ("solve", "instance",
+                 _set(chip={"qubit_count": 1, "edges": []}, goals=[]),
+                 "no edges"),
 }
 
 

@@ -1,11 +1,13 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from qcsched.bounds import horizon_bound
 from qcsched.cpsolver import (CONFLICT, FIXPOINT, INFEASIBLE, ModelError,
-                              OPTIMAL, TIMEOUT, build_model, check_assignment,
-                              propagate, search, warm_start)
+                              OPTIMAL, TIMEOUT, _Engine, build_model,
+                              check_assignment, propagate, search,
+                              warm_start)
 from qcsched.fixtures import worked_example
 from qcsched.instance import (BLUE, DEFAULT_PS_DURATION, PS_COLORS, Chip,
                               Edge, Instance, build_grid_chip,
@@ -26,14 +28,14 @@ def test_model_variable_counts():
     chip = build_preset_chip("rigetti-8")
     instance = generate_instance(chip, 5, stages=1, variant="qcc", seed=0)
     model = build_model(instance)
-    assert model.horizon == horizon_bound(instance)
+    assert model.horizon == instance.horizon
 
 
 def test_model_two_stage_counts():
     chip = build_grid_chip(2)
     instance = generate_instance(chip, 2, stages=2, variant="qcc", seed=0)
     model = build_model(instance)
-    assert model.horizon == horizon_bound(instance)
+    assert model.horizon == instance.horizon
 
 
 def test_check_assignment_has_no_swap_cap():
@@ -247,6 +249,32 @@ def test_incumbents_strictly_improve():
                 item.schedule.objective()
             assert validate(instance, item.schedule).valid
         assert result.best is result.incumbents[-1].schedule
+
+
+def test_kept_results_hold_no_engine(monkeypatch):
+    # an incumbent builds its schedule from the model and its leaf, so a
+    # kept result does not keep the search's engine, memo and tables
+    engines = []
+    init = _Engine.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Engine, "__init__", tracked)
+    chip = build_preset_chip("rigetti-8")
+    instance = generate_instance(chip, 3, stages=2, variant="qcc", seed=2)
+    model = build_model(instance)
+    kept = [search(model, node_budget=5000),
+            search(model, solve_sequential_baseline(instance),
+                   node_budget=5000)]
+    for result in kept:
+        assert result.incumbents
+        for item in result.incumbents:
+            assert validate(instance, item.schedule).valid
+    gc.collect()
+    assert len(engines) == 2
+    assert [ref() for ref in engines] == [None, None]
 
 
 def test_warm_start_rejects_divergent(example):

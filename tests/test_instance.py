@@ -5,7 +5,6 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcsched.bounds import horizon_bound, max_swap_distance
 from qcsched.cpsolver import OPTIMAL, build_model, search
 from qcsched.instance import (BLUE, RED, VARIANTS, Chip, Edge, Instance,
                               ParseError, ValidationError, build_grid_chip,
@@ -89,7 +88,7 @@ def test_swap_allowance_from_graph():
     path = tuple(Edge(q, q + 1, BLUE, 3) for q in range(1, 6))
     instance = Instance(chip=Chip(6, path), goals=((1, 6),))
     assert instance.chip.swap_diameter == 5
-    assert max_swap_distance(instance) == 4
+    assert instance.horizon == 4 * 2 + 3        # 4 swaps, then the gate
     assert validate(instance, solve_sequential_baseline(instance)).valid
     assert search(build_model(instance), node_budget=10_000).status == OPTIMAL
     # unreachable pairs do not count: 1-2-3 and 4-5-6 are 2 hops across
@@ -98,7 +97,40 @@ def test_swap_allowance_from_graph():
     # no swap gate at all: no swaps are ever allowed
     fixed = tuple(replace(e, swap_enabled=False) for e in path)
     assert Chip(6, fixed).swap_diameter == 0
-    assert max_swap_distance(Instance(chip=Chip(6, fixed), goals=())) == 0
+    assert Instance(chip=Chip(6, fixed), goals=((1, 2),)).horizon == 3
+
+
+def test_horizon_swap_allowance_presets():
+    # diameter - 1 swaps per goal: the same 2*side - 3 that the chips' side
+    # lengths gave, except on rigetti-21, whose graph is tighter than its
+    # side length 5
+    cases = [(build_preset_chip("rigetti-8"), 3),
+             (build_preset_chip("rigetti-21"), 6)]
+    cases += [(build_grid_chip(side), 2 * side - 3) for side in (2, 3, 4)]
+    for chip, swaps in cases:
+        instance = Instance(chip=chip, goals=((1, 2),))
+        assert instance.horizon == \
+            swaps * chip.swap_duration + chip.max_ps_duration
+
+
+def test_horizon_single_stage():
+    chip = build_preset_chip("rigetti-8")
+    instance = Instance(chip=chip, goals=((1, 2), (3, 4), (5, 6), (7, 8),
+                                          (1, 3)))
+    # five goals, each up to 3 swaps of 2 cycles plus the slowest gate (4)
+    assert instance.horizon == 5 * (3 * 2 + 4)
+
+
+def test_horizon_two_stage():
+    instance = Instance(chip=build_grid_chip(2), goals=((1, 4),), stages=2)
+    single = 1 * ((2 * 2 - 3) * 2 + 4)
+    assert instance.horizon == 2 * single + 1
+
+
+def test_horizon_no_goals():
+    chip = build_grid_chip(2)
+    assert Instance(chip=chip, goals=()).horizon == 0
+    assert Instance(chip=chip, goals=(), stages=2).horizon == 1
 
 
 @pytest.fixture
@@ -180,7 +212,7 @@ def test_instance_roundtrip_property(tmp_path_factory, chip, goals, stages,
     write_instance(instance, path)
     again = read_instance(path)
     assert again == instance
-    assert horizon_bound(again) == horizon_bound(instance)
+    assert again.horizon == instance.horizon
 
 
 def _legacy_dict(variant, initial_mapping):

@@ -627,7 +627,7 @@ def _records(engine, visit):
     except _OutOfBudget:
         pass
     return (list(engine.memo),
-            [(i.makespan, i.swap_count, i.build.args[0])
+            [(i.makespan, i.swap_count, i.build.args[1])
              for i in engine.incumbents])
 
 

@@ -1,6 +1,5 @@
 import pytest
 
-from qcsched.bounds import horizon_bound
 from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
                               generate_instance)
 from qcsched.router import (RoutingError, all_pairs_distances, shortest_path,
@@ -47,7 +46,7 @@ def test_baseline_is_valid_and_fits_horizon():
         schedule = solve_sequential_baseline(instance)
         report = validate(instance, schedule)
         assert report.valid, (instance.instance_id, report.violations[:2])
-        assert schedule.total_span <= horizon_bound(instance)
+        assert schedule.total_span <= instance.horizon
 
 
 def test_greedy_is_valid():
