@@ -167,12 +167,17 @@ def run_matrix(instances: list[Instance], engines: list[str], budget_s: float,
                out_dir: str | Path, seed: int = 0,
                node_budget: int | None = None) -> MatrixResult:
     """Run (or resume) every (instance, engine) cell; reports persist in
-    ``out_dir`` as one JSON file each."""
+    ``out_dir`` as one JSON file each, so engines and instance ids must
+    not repeat."""
     if not instances:
         raise ValueError("empty instance suite")
     for engine in engines:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
+    for kind, names in (("engine", engines),
+                        ("instance id", [i.instance_id for i in instances])):
+        if len(set(names)) < len(names):
+            raise ValueError(f"repeated {kind} in the matrix")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = MatrixResult(instances=list(instances), engines=list(engines))

@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
     stem = f"{instance.instance_id}-{args.engine}"
     write_report(report, out_dir / f"{stem}-report.json")
     if report.final is None:
-        print(f"unsolved ({report.status})")
+        print(f"unsolved ({report.cp_status or report.status})")
         return 1
     write_schedule(report.final, out_dir / f"{stem}-schedule.json")
     print(f"makespan={report.final.makespan} swaps={report.final.swap_count} "
@@ -130,12 +130,12 @@ def cmd_validate(args) -> int:
 def cmd_bench(args) -> int:
     chip = _parse_chip(args.chip)
     goals = _goal_count(args, chip)
-    variants = args.variant if args.variant else [QCC]
     instances = []
-    for variant in variants:
+    for variant in dict.fromkeys(args.variant or [QCC]):   # each once, in order
         instances += gen_suite(chip, args.count, goals, variant, args.stages,
                                seed=args.seed, label=f"{variant}-s{args.stages}")
-    result = run_matrix(instances, args.engine, args.budget, args.out_dir,
+    result = run_matrix(instances, list(dict.fromkeys(args.engine)),
+                        args.budget, args.out_dir,
                         seed=args.seed, node_budget=args.node_budget)
     table = result.table()
     (Path(args.out_dir) / "table.txt").write_text(table)

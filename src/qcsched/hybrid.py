@@ -8,6 +8,12 @@ budget and warm-starts the exact search from its best schedule with the time
 that is left.  ``last`` gives the router the whole budget, then warm-starts
 the exact search with the time that remained after the router's last
 improvement — a best-case estimate of switching at exactly the right moment.
+
+A ``RunReport`` keeps one trace of the run's incumbents, the router's and
+then the search's, on one clock: seconds into the run's budget.  Its
+``delta`` is derived from the handoff and the final schedule.  Its JSON form
+has one key per dataclass field, so a field added to ``RunReport``
+round-trips through ``report_to_dict`` and ``report_from_dict`` unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .cpsolver import build_model, search
@@ -33,7 +39,14 @@ ENGINES = (ENGINE_ROUTER, ENGINE_CP, ENGINE_HALF, ENGINE_LAST)
 
 @dataclass(frozen=True)
 class TracePoint:
-    t: float          # seconds since the stage started
+    """One incumbent of a run.
+
+    ``t`` is seconds into the run's budget: a router point counts from the
+    run's start, a search point from ``RunReport.stage2_start_s`` (from 0
+    for ``cp``).  ``source`` names the stage that found it.
+    """
+
+    t: float
     makespan: int
     swap_count: int
     source: str       # baseline | greedy | cp
@@ -45,17 +58,26 @@ class RunReport:
     engine: str
     budget_s: float
     seed: int
-    stage1: list[TracePoint] = field(default_factory=list)
-    stage2: list[TracePoint] = field(default_factory=list)
-    stage2_start_s: float | None = None
+    trace: list[TracePoint] = field(default_factory=list)
+    stage2_start_s: float | None = None   # when the search took over
     handoff: Schedule | None = None
     final: Schedule | None = None
     status: str = "unsolved"
     cp_status: str | None = None
-    delta: float | None = None
     nodes: int = 0
     node_budget: int | None = None
     instance_digest: str = ""    # ``Instance.content_digest`` of the input
+
+    @property
+    def delta(self) -> float | None:
+        """Percent improvement of ``final`` over ``handoff``: None unless
+        both exist, 0.0 when either makespan is 0."""
+        if self.handoff is None or self.final is None:
+            return None
+        if self.handoff.makespan > 0 and self.final.makespan > 0:
+            return improvement_delta(self.handoff.makespan,
+                                     self.final.makespan)
+        return 0.0
 
 
 def run_engine(instance: Instance, engine: str, budget_s: float,
@@ -63,7 +85,8 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
     """Run one engine (router | cp | half | last) within ``budget_s`` seconds.
 
     ``seed`` derives the router's seed; ``node_budget`` caps the exact
-    search.
+    search.  For ``last``, ``stage2_start_s`` is the router's last
+    improvement, the hand-over whose remaining time the search gets.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -78,36 +101,29 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
         routed = solve_anytime(
             instance, budget_s / 2 if engine == ENGINE_HALF else budget_s,
             seed=random.Random(seed).getrandbits(32))
-        report.stage1 = [TracePoint(i.found_at, i.schedule.makespan,
-                                    i.schedule.swap_count, i.source)
-                         for i in routed.incumbents]
+        report.trace = [TracePoint(i.found_at, i.schedule.makespan,
+                                   i.schedule.swap_count, i.source)
+                        for i in routed.incumbents]
         final = routed.best
         if engine != ENGINE_ROUTER:
             report.handoff = final
             report.stage2_start_s = (time.monotonic() - t0
                                      if engine == ENGINE_HALF
-                                     else report.stage1[-1].t)
+                                     else report.trace[-1].t)
             cp_budget = max(budget_s - report.stage2_start_s, 0.0)
     if engine != ENGINE_ROUTER:
         result = search(build_model(instance), incumbent=report.handoff,
                         budget_s=cp_budget, node_budget=node_budget)
-        points = [TracePoint(i.found_at, i.makespan, i.swap_count, "cp")
-                  for i in result.incumbents]
-        if report.handoff is None:
-            report.stage1 = points
-        else:
-            report.stage2 = points
+        start = report.stage2_start_s or 0.0
+        report.trace += [TracePoint(start + i.found_at, i.makespan,
+                                    i.swap_count, "cp")
+                         for i in result.incumbents]
         report.cp_status = result.status
         report.nodes = result.nodes
         final = result.best
     report.final = final
     if final is not None:
         report.status = "solved"
-        handoff = report.handoff
-        if handoff is not None:
-            report.delta = (improvement_delta(handoff.makespan, final.makespan)
-                            if handoff.makespan > 0 and final.makespan > 0
-                            else 0.0)
     return report
 
 
@@ -115,62 +131,31 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
 # serialization
 
 
-def _points_to_list(points):
-    return [{"t": p.t, "makespan": p.makespan, "swap_count": p.swap_count,
-             "source": p.source} for p in points]
-
-
-def _points_from_list(raw):
-    return [TracePoint(p["t"], p["makespan"], p["swap_count"], p["source"])
-            for p in raw]
+# (to JSON, from JSON) of each field that is not a JSON value itself
+_IDENTITY = (lambda value: value, lambda value: value)
+_SCHEDULE = (lambda s: None if s is None else schedule_to_dict(s),
+             lambda raw: None if raw is None else schedule_from_dict(raw))
+_CODECS = {"trace": (lambda trace: [asdict(p) for p in trace],
+                     lambda raw: [TracePoint(**p) for p in raw]),
+           "handoff": _SCHEDULE, "final": _SCHEDULE}
 
 
 def report_to_dict(report: RunReport) -> dict:
-    return {
-        "instance_id": report.instance_id,
-        "engine": report.engine,
-        "budget_s": report.budget_s,
-        "seed": report.seed,
-        "stage1": _points_to_list(report.stage1),
-        "stage2": _points_to_list(report.stage2),
-        "stage2_start_s": report.stage2_start_s,
-        "handoff": schedule_to_dict(report.handoff) if report.handoff else None,
-        "final": schedule_to_dict(report.final) if report.final else None,
-        "status": report.status,
-        "cp_status": report.cp_status,
-        "delta": report.delta,
-        "nodes": report.nodes,
-        "node_budget": report.node_budget,
-        "instance_digest": report.instance_digest,
-    }
+    return {f.name: _CODECS.get(f.name, _IDENTITY)[0](getattr(report, f.name))
+            for f in fields(RunReport)}
 
 
 def report_from_dict(d: dict) -> RunReport:
+    """Read a report, ignoring keys that are not fields (the ``stage1``,
+    ``stage2``, ``delta`` and ``stage_seeds`` of older reports); a missing
+    optional field takes its default."""
     if not isinstance(d, dict):
         raise ParseError("run report is not an object")
     try:
-        report = RunReport(
-            instance_id=d["instance_id"],
-            engine=d["engine"],
-            budget_s=d["budget_s"],
-            seed=d["seed"],
-            stage1=_points_from_list(d.get("stage1", [])),
-            stage2=_points_from_list(d.get("stage2", [])),
-            stage2_start_s=d.get("stage2_start_s"),
-            handoff=schedule_from_dict(d["handoff"]) if d.get("handoff") else None,
-            final=schedule_from_dict(d["final"]) if d.get("final") else None,
-            status=d.get("status", "unsolved"),
-            cp_status=d.get("cp_status"),
-            delta=d.get("delta"),
-            nodes=d.get("nodes", 0),
-            node_budget=d.get("node_budget"),
-            instance_digest=d.get("instance_digest", ""),
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc} in run report") from exc
-    except TypeError as exc:   # a field of the wrong type
+        return RunReport(**{f.name: _CODECS.get(f.name, _IDENTITY)[1](
+            d[f.name]) for f in fields(RunReport) if f.name in d})
+    except TypeError as exc:   # a missing or wrong-typed field
         raise ParseError(f"malformed run report: {exc}") from exc
-    return report
 
 
 def write_report(report: RunReport, path: str | Path) -> None:

@@ -53,22 +53,6 @@ class GateTask(NamedTuple):
         return self.start < other.end and other.start < self.end
 
 
-def swap_task(u: int, v: int, start: int, duration: int) -> GateTask:
-    return GateTask(SWAP, (min(u, v), max(u, v)), start, duration)
-
-
-def ps_task(u: int, v: int, start: int, duration: int, goal_index: int) -> GateTask:
-    return GateTask(PS, (min(u, v), max(u, v)), start, duration, goal_index=goal_index)
-
-
-def mix_task(qubit: int, start: int, duration: int, state: int) -> GateTask:
-    return GateTask(MIX, qubit, start, duration, state=state)
-
-
-def init_task(qubit: int, state: int) -> GateTask:
-    return GateTask(INIT, qubit, 0, 0, state=state)
-
-
 @dataclass(frozen=True)
 class Schedule:
     tasks: tuple[GateTask, ...]

@@ -68,7 +68,7 @@ def test_resume_reruns_a_cell_whose_settings_changed(tmp_path, chip, change):
         path.write_text("[]")
     elif change == "bad-field":
         data = json.loads(path.read_text())
-        data["stage1"] = 5
+        data["trace"] = 5
         path.write_text(json.dumps(data))
     else:                     # a report stored before these fields existed
         data = json.loads(path.read_text())
@@ -116,6 +116,10 @@ def test_matrix_rejects_bad_input(tmp_path, chip):
     suite = gen_suite(chip, 1, 1, "qcc", 1, seed=0)
     with pytest.raises(ValueError):
         run_matrix(suite, ["warp-drive"], 1.0, tmp_path)
+    with pytest.raises(ValueError):
+        run_matrix(suite, ["router", "router"], 1.0, tmp_path)
+    with pytest.raises(ValueError):
+        run_matrix(suite + suite, ["router"], 1.0, tmp_path)
 
 
 def test_matrix_reports_round_trip(tmp_path, chip):

@@ -105,6 +105,16 @@ def test_solve_validate_gantt_pipeline(tmp_path, capsys):
     assert "makespan=" in capsys.readouterr().out
 
 
+def test_unsolved_run_prints_the_search_status(tmp_path, capsys):
+    assert main(["gen", "--chip", "rigetti-8", "--goals", "4", "--variant",
+                 "qcc-x", "--stages", "2", "--seed", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    instance_path = capsys.readouterr().out.strip()
+    assert main(["solve", instance_path, "--engine", "cp",
+                 "--node-budget", "1", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "unsolved (timeout)\n"
+
+
 def test_validate_rejects_corrupted(tmp_path, capsys):
     assert main(["gen", "--chip", "grid:2", "--goals", "1", "--seed", "2",
                  "--out-dir", str(tmp_path)]) == 0
@@ -136,6 +146,18 @@ def test_bench_writes_table(tmp_path, capsys):
     assert table == capsys.readouterr().out
     assert "qcc/s1" in table and "qcc-x/s1" in table
     assert "router" in table and "cp" in table
+
+
+def test_bench_runs_each_repeated_flag_once(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert main(["bench", "--chip", "grid:2", "--goals", "2", "--count", "2",
+                 "--variant", "qcc", "--variant", "qcc",
+                 "--engine", "router", "--engine", "router",
+                 "--budget", "0.05", "--out-dir", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:4] for row in rows] == [
+        ["qcc/s1", "router", "1.00", "(2)"]]
+    assert len(list(out.glob("*.json"))) == 2
 
 
 def test_bench_exits_nonzero_on_errors(tmp_path, capsys, monkeypatch):

@@ -15,8 +15,8 @@ from qcsched.instance import (BLUE, DEFAULT_PS_DURATION, PS_COLORS, Chip,
 from qcsched.oracle import optimal_makespan
 from qcsched.router import (RoutingError, solve_greedy,
                             solve_sequential_baseline)
-from qcsched.schedule import (GateTask, Schedule, init_task, mix_task, ps_task,
-                              swap_task, validate)
+from qcsched.schedule import GateTask, Schedule, validate
+from tasks import init_task, mix_task, ps_task, swap_task
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ from qcsched.fixtures import worked_example
 from qcsched.gantt import render, render_svg, render_text
 from qcsched.instance import Instance, build_grid_chip, generate_instance
 from qcsched.router import solve_greedy
-from qcsched.schedule import Schedule, ps_task, swap_task
+from qcsched.schedule import Schedule
+from tasks import ps_task, swap_task
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
+from dataclasses import MISSING, fields
+
 import pytest
 
-from qcsched.hybrid import (ENGINES, read_report, report_from_dict,
-                            report_to_dict, run_engine, write_report)
+from qcsched.hybrid import (ENGINES, RunReport, TracePoint, read_report,
+                            report_from_dict, report_to_dict, run_engine,
+                            write_report)
 from qcsched.instance import build_grid_chip, build_preset_chip, generate_instance
-from qcsched.schedule import validate
+from qcsched.schedule import improvement_delta, validate
 
 
 @pytest.fixture
@@ -16,7 +19,7 @@ def test_half_pipeline(instance):
     report = run_engine(instance, "half", budget_s=1.0, seed=1)
     assert report.status == "solved"
     assert report.engine == "half"
-    assert report.stage1 and report.handoff is not None
+    assert report.trace[0].source == "baseline" and report.handoff is not None
     assert report.final.objective() <= report.handoff.objective()
     assert validate(instance, report.final).valid
     assert report.delta is not None and report.delta >= 0
@@ -27,17 +30,17 @@ def test_half_pipeline(instance):
 def test_last_pipeline(instance):
     report = run_engine(instance, "last", budget_s=1.0, seed=1)
     assert report.status == "solved"
-    last_stage1 = report.stage1[-1]
-    assert report.final.objective() <= (last_stage1.makespan,
-                                        last_stage1.swap_count)
-    assert report.stage2_start_s == last_stage1.t
+    last_routed = [p for p in report.trace if p.source != "cp"][-1]
+    assert report.final.objective() <= (last_routed.makespan,
+                                        last_routed.swap_count)
+    assert report.stage2_start_s == last_routed.t
     assert report.delta >= 0
 
 
 def test_standalone_router(instance):
     report = run_engine(instance, "router", budget_s=0.3, seed=2)
     assert report.status == "solved"
-    assert report.final.makespan == report.stage1[-1].makespan
+    assert report.final.makespan == report.trace[-1].makespan
     assert report.delta is None
 
 
@@ -82,9 +85,11 @@ def test_report_roundtrip(tmp_path, instance):
     again = read_report(path)
     assert report_to_dict(again) == report_to_dict(report)
     assert again.final == report.final
-    assert again.stage1 == report.stage1
-    # reports written while they kept a stage_seeds list still load
-    older = {**report_to_dict(report), "stage_seeds": [7]}
+    assert again.trace == report.trace
+    # reports written while they kept a stage_seeds list, two stage lists
+    # and a stored delta still load
+    older = {**report_to_dict(report), "stage_seeds": [7], "stage1": [],
+             "stage2": [], "delta": 12.5}
     assert report_to_dict(report_from_dict(older)) == report_to_dict(report)
 
 
@@ -92,4 +97,45 @@ def test_report_dict_defaults():
     report = report_from_dict({"instance_id": "x", "engine": "cp",
                                "budget_s": 1.0, "seed": 0})
     assert report.status == "unsolved"
-    assert report.final is None
+    assert report.final is None and report.trace == []
+
+
+def test_report_round_trips_every_field(instance):
+    """Every field is written under its own name and read back; a field
+    added to ``RunReport`` must be set here, or this test fails."""
+    solved = run_engine(instance, "half", budget_s=0.5, seed=3)
+    report = RunReport(
+        instance_id="x", engine="half", budget_s=2.5, seed=7,
+        trace=[TracePoint(0.01, 9, 4, "baseline"),
+               TracePoint(0.02, 8, 3, "greedy"),
+               TracePoint(1.5, 7, 2, "cp")],
+        stage2_start_s=1.25, handoff=solved.handoff, final=solved.final,
+        status="solved", cp_status="timeout", nodes=40, node_budget=50,
+        instance_digest="abc")
+    for f in fields(RunReport):
+        default = (f.default_factory() if f.default_factory is not MISSING
+                   else f.default)
+        assert getattr(report, f.name) != default, f.name
+    data = report_to_dict(report)
+    assert list(data) == [f.name for f in fields(RunReport)]
+    assert report_from_dict(data) == report
+
+
+def test_trace_is_one_clock_and_delta_is_derived(instance):
+    # the router's incumbents, then the search's, on the run's clock
+    improvable = generate_instance(build_preset_chip("rigetti-8"), 3,
+                                   stages=1, variant="qcc", seed=1)
+    half = run_engine(improvable, "half", budget_s=0.5, seed=3,
+                      node_budget=200)
+    sources = [p.source for p in half.trace]
+    assert sources[0] == "baseline" and sources[-1] == "cp"
+    cut = half.stage2_start_s
+    assert all(p.t <= cut for p in half.trace if p.source != "cp")
+    assert all(p.t >= cut for p in half.trace if p.source == "cp")
+    assert half.delta == improvement_delta(half.handoff.makespan,
+                                           half.final.makespan) > 0
+    cp = run_engine(instance, "cp", budget_s=5.0, seed=3)
+    assert cp.stage2_start_s is None
+    assert cp.trace and {p.source for p in cp.trace} == {"cp"}
+    for report in (cp, run_engine(instance, "router", budget_s=0.3, seed=3)):
+        assert report.delta is None

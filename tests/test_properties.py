@@ -25,8 +25,8 @@ from qcsched.instance import build_grid_chip, build_preset_chip, \
 from qcsched.oracle import optimal_makespan
 from qcsched.router import _Timeline, all_pairs_distances, solve_greedy
 from qcsched.schedule import (TWO_QUBIT_KINDS, GateTask, Schedule, Violation,
-                              init_task, mix_task, ps_task, schedule_from_dict,
-                              schedule_to_dict, swap_task, validate)
+                              schedule_from_dict, schedule_to_dict, validate)
+from tasks import init_task, mix_task, ps_task, swap_task
 
 CHIPS = {"rigetti-21": build_preset_chip("rigetti-21"),
          "grid:3": build_grid_chip(3)}

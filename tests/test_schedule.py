@@ -6,10 +6,10 @@ import pytest
 from qcsched.fixtures import worked_example
 from qcsched.instance import Instance, build_grid_chip, build_preset_chip
 from qcsched.schedule import (GateTask, Schedule, _task_from_dict,
-                              _task_to_dict, improvement_delta, init_task,
-                              mix_task, ps_task, read_schedule,
+                              _task_to_dict, improvement_delta, read_schedule,
                               schedule_from_dict, schedule_to_dict, score,
-                              swap_task, validate, write_schedule)
+                              validate, write_schedule)
+from tasks import init_task, mix_task, ps_task, swap_task
 
 
 @pytest.fixture
