@@ -7,20 +7,12 @@ for that goal on that chip.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
-from .instance import Instance, _instance_from_dict
+from .instance import DATA, Instance, _instance_from_dict, read_json
 from .schedule import Schedule, schedule_from_dict
 
 
-def _load(name: str) -> dict:
-    raw = resources.files("qcsched.data").joinpath(name).read_text()
-    return json.loads(raw)
-
-
 def worked_example() -> tuple[Instance, Schedule]:
-    instance = _instance_from_dict(_load("example-instance.json"),
-                                   label="worked-example")
-    schedule = schedule_from_dict(_load("example-schedule.json"))
-    return instance, schedule
+    instance = read_json(DATA / "example-instance.json",
+                         lambda d: _instance_from_dict(d, "worked-example"))
+    return instance, read_json(DATA / "example-schedule.json",
+                               schedule_from_dict)

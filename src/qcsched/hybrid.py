@@ -11,24 +11,22 @@ improvement — a best-case estimate of switching at exactly the right moment.
 
 A ``RunReport`` keeps one trace of the run's incumbents, the router's and
 then the search's, on one clock: seconds into the run's budget.  Its
-``delta`` is derived from the handoff and the final schedule.  Its JSON form
-has one key per dataclass field, so a field added to ``RunReport``
-round-trips through ``report_to_dict`` and ``report_from_dict`` unchanged.
+``delta`` is derived from the handoff and the final schedule.  Its file
+form is ``to_json``'s, one key per dataclass field, and ``report_from_dict``
+reads each field back by name after checking its declared type.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .cpsolver import build_model, search
-from .instance import Instance, ParseError
+from .instance import Instance, ParseError, read_json, require, write_json
 from .router import solve_anytime
-from .schedule import (Schedule, improvement_delta, schedule_from_dict,
-                       schedule_to_dict)
+from .schedule import Schedule, improvement_delta, schedule_from_dict
 
 ENGINE_ROUTER = "router"
 ENGINE_CP = "cp"
@@ -131,40 +129,41 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
 # serialization
 
 
-# (to JSON, from JSON) of each field that is not a JSON value itself
-_IDENTITY = (lambda value: value, lambda value: value)
-_SCHEDULE = (lambda s: None if s is None else schedule_to_dict(s),
-             lambda raw: None if raw is None else schedule_from_dict(raw))
-_CODECS = {"trace": (lambda trace: [asdict(p) for p in trace],
-                     lambda raw: [TracePoint(**p) for p in raw]),
-           "handoff": _SCHEDULE, "final": _SCHEDULE}
+# (JSON type, reader) of each field whose JSON form is not its value
+_DECODE = {"trace": ("list", lambda raw: [_from_fields(TracePoint, p)
+                                          for p in raw]),
+           "handoff": ("dict | None", schedule_from_dict),
+           "final": ("dict | None", schedule_from_dict)}
 
 
-def report_to_dict(report: RunReport) -> dict:
-    return {f.name: _CODECS.get(f.name, _IDENTITY)[0](getattr(report, f.name))
-            for f in fields(RunReport)}
+def _from_fields(cls, d: dict):
+    """A ``cls`` from the JSON object ``d``, one key per field, each of its
+    declared type; a missing optional field takes its default, and keys
+    that are not fields are ignored."""
+    if not isinstance(d, dict):
+        raise ParseError(f"{cls.__name__} {d!r} is not an object")
+    values = {}
+    for f in fields(cls):
+        if f.name not in d and (f.default is not MISSING
+                                or f.default_factory is not MISSING):
+            continue
+        declared, decode = _DECODE.get(f.name, (f.type, None))
+        value = require(d, f.name, cls.__name__, declared)
+        if decode is not None and value is not None:
+            value = decode(value)
+        values[f.name] = value
+    return cls(**values)
 
 
 def report_from_dict(d: dict) -> RunReport:
-    """Read a report, ignoring keys that are not fields (the ``stage1``,
-    ``stage2``, ``delta`` and ``stage_seeds`` of older reports); a missing
-    optional field takes its default."""
-    if not isinstance(d, dict):
-        raise ParseError("run report is not an object")
-    try:
-        return RunReport(**{f.name: _CODECS.get(f.name, _IDENTITY)[1](
-            d[f.name]) for f in fields(RunReport) if f.name in d})
-    except TypeError as exc:   # a missing or wrong-typed field
-        raise ParseError(f"malformed run report: {exc}") from exc
+    """Read a report, ignoring the ``stage1``, ``stage2``, ``delta`` and
+    ``stage_seeds`` of older reports."""
+    return _from_fields(RunReport, d)
 
 
 def write_report(report: RunReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    write_json(report, path)
 
 
 def read_report(path: str | Path) -> RunReport:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return report_from_dict(data)
+    return read_json(path, report_from_dict)

@@ -1,8 +1,13 @@
-"""Chip architectures, problem instances and the instance file format.
+"""Chip architectures, problem instances and the one file form.
 
 A chip is a graph of qubits with colored 2-qubit gate edges; an instance adds
 a goal set (pairs of qubit states that need a phase-separation gate), the
 number of phase-separation stages, and the problem variant.
+
+Every file the package writes (instance, schedule, run report) is
+``to_json`` of its record: the record's fields by name.  ``write_json``
+writes one and ``read_json`` reads one back through a hand-written decoder,
+which checks each value's type with ``of_type``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import combinations
@@ -27,6 +32,7 @@ QCC_X = "qcc-x"
 VARIANTS = (QCC, QCC_I, QCC_X)
 
 PRESET_CHIPS = ("rigetti-8", "rigetti-21")
+DATA = resources.files("qcsched.data")     # the bundled files
 
 DEFAULT_SWAP_DURATION = 2
 DEFAULT_MIX_DURATION = 1
@@ -342,7 +348,7 @@ class Instance:
     def content_digest(self) -> str:
         """Hash of the chip, goals, stages and variant, not of the label."""
         return hashlib.sha256(
-            json.dumps(_instance_to_dict(self), sort_keys=True).encode()
+            json.dumps(to_json(self), sort_keys=True).encode()
         ).hexdigest()[:12]
 
     @cached_property
@@ -354,8 +360,7 @@ def build_preset_chip(name: str) -> Chip:
     """Load one of the bundled chips transcribed from the reference hardware."""
     if name not in PRESET_CHIPS:
         raise ValueError(f"unknown preset chip {name!r}; known: {PRESET_CHIPS}")
-    raw = resources.files("qcsched.data").joinpath(f"{name}.json").read_text()
-    return _chip_from_dict(json.loads(raw))
+    return read_json(DATA / f"{name}.json", _chip_from_dict)
 
 
 def build_grid_chip(side: int, coloring: str = "alternating") -> Chip:
@@ -405,86 +410,93 @@ def generate_instance(chip: Chip, goal_count: int, stages: int, variant: str,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _chip_to_dict(chip: Chip) -> dict:
-    return {
-        "qubit_count": chip.qubit_count,
-        "swap_duration": chip.swap_duration,
-        "mix_duration": chip.mix_duration,
-        "edges": [
-            {"u": e.u, "v": e.v, "ps_color": e.ps_color,
-             "ps_duration": e.ps_duration, "swap_enabled": e.swap_enabled}
-            for e in chip.edges
-        ],
-    }
+def to_json(value):
+    """The file form of ``value``: a dataclass is an object of its compared
+    fields by name (so an ``Instance``'s label, its file's stem, is not
+    written), a NamedTuple an object of its fields, and a tuple or list a
+    list; anything else is a JSON value already."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name))
+                for f in fields(value) if f.compare}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: to_json(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return value
 
 
-def parse_int(value, what: str) -> int:
-    """``value`` if it is an int (a bool is not one), else a ParseError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ParseError(f"{what} {value!r} is not an integer")
+def write_json(value, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(to_json(value), indent=2) + "\n")
 
 
-def _require(d: dict, key: str, context: str):
+def read_json(path, decode):
+    """``decode`` of the JSON in file ``path`` (a path, or a bundled
+    resource); a ParseError or ValidationError it raises names the file."""
+    try:
+        return decode(json.loads(
+            (Path(path) if isinstance(path, str) else path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+# The JSON form of each type a field may declare; an int is a float too.
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
+               "list": list, "dict": dict, "None": type(None)}
+
+
+def of_type(value, declared: str, what: str):
+    """``value`` if it is a JSON value of the type ``declared`` ("int",
+    "float | None", ...), where a bool is only a bool; else a ParseError
+    that names ``what``."""
+    kinds = declared.split(" | ")
+    if (isinstance(value, bool) and "bool" not in kinds) or not isinstance(
+            value, tuple(_JSON_TYPES[kind] for kind in kinds)):
+        raise ParseError(f"{what} {value!r} is not of type {declared}")
+    return value
+
+
+def require(d: dict, key: str, context: str, declared: str = ""):
+    """``d[key]``, of the type ``declared`` when given; a ParseError if
+    ``d`` is not an object with that key."""
     if not isinstance(d, dict) or key not in d:
         raise ParseError(f"missing field {key!r} in {context}")
-    return d[key]
-
-
-def _require_int(d: dict, key: str, context: str) -> int:
-    return parse_int(_require(d, key, context), f"{context} {key}")
-
-
-def require_list(d: dict, key: str, context: str) -> list:
-    value = _require(d, key, context)
-    if not isinstance(value, list):
-        raise ParseError(f"{context} {key} {value!r} is not a list")
-    return value
+    if not declared:
+        return d[key]
+    return of_type(d[key], declared, f"{context} {key}")
 
 
 def _chip_from_dict(d: dict) -> Chip:
     # Unknown keys are ignored, so older files with a side_length still load.
     edges = []
-    for raw in require_list(d, "edges", "chip"):
-        u = _require_int(raw, "u", "edge")    # so raw is an object
-        swap_enabled = raw.get("swap_enabled", True)
-        if not isinstance(swap_enabled, bool):
-            raise ParseError(f"edge swap_enabled {swap_enabled!r} is not a "
-                             "boolean")
+    for raw in require(d, "edges", "chip", "list"):
         edges.append(Edge(
-            u=u,
-            v=_require_int(raw, "v", "edge"),
-            ps_color=_require(raw, "ps_color", "edge"),
-            ps_duration=_require_int(raw, "ps_duration", "edge"),
-            swap_enabled=swap_enabled,
+            u=require(raw, "u", "edge", "int"),    # so raw is an object
+            v=require(raw, "v", "edge", "int"),
+            ps_color=require(raw, "ps_color", "edge"),
+            ps_duration=require(raw, "ps_duration", "edge", "int"),
+            swap_enabled=of_type(raw.get("swap_enabled", True), "bool",
+                                 "edge swap_enabled"),
         ))
     return Chip(
-        qubit_count=_require_int(d, "qubit_count", "chip"),
-        swap_duration=parse_int(d.get("swap_duration", DEFAULT_SWAP_DURATION),
-                                "chip swap_duration"),
-        mix_duration=parse_int(d.get("mix_duration", DEFAULT_MIX_DURATION),
-                               "chip mix_duration"),
+        qubit_count=require(d, "qubit_count", "chip", "int"),
+        swap_duration=of_type(d.get("swap_duration", DEFAULT_SWAP_DURATION),
+                              "int", "chip swap_duration"),
+        mix_duration=of_type(d.get("mix_duration", DEFAULT_MIX_DURATION),
+                             "int", "chip mix_duration"),
         edges=tuple(edges),
     )
 
 
-def _instance_to_dict(instance: Instance) -> dict:
-    return {
-        "chip": _chip_to_dict(instance.chip),
-        "goals": [list(g) for g in instance.goals],
-        "stages": instance.stages,
-        "variant": instance.variant,
-    }
-
-
 def _instance_from_dict(d: dict, label: str = "") -> Instance:
     goals = []
-    for raw in require_list(d, "goals", "instance"):
+    for raw in require(d, "goals", "instance", "list"):
         if not (isinstance(raw, list) and len(raw) == 2):
             raise ParseError(f"goal entry {raw!r} is not a pair")
-        goals.append((parse_int(raw[0], "goal state"),
-                      parse_int(raw[1], "goal state")))
-    variant = _require(d, "variant", "instance")
+        goals.append((of_type(raw[0], "int", "goal state"),
+                      of_type(raw[1], "int", "goal state")))
+    variant = require(d, "variant", "instance")
     # Older files name the placement too; it must agree with the variant.
     placement = "free" if variant == QCC_I else "identity"
     if d.get("initial_mapping", placement) != placement:
@@ -492,23 +504,17 @@ def _instance_from_dict(d: dict, label: str = "") -> Instance:
             f"variant {variant} requires initial_mapping={placement!r}, "
             f"got {d['initial_mapping']!r}")
     return Instance(
-        chip=_chip_from_dict(_require(d, "chip", "instance")),
+        chip=_chip_from_dict(require(d, "chip", "instance")),
         goals=tuple(goals),
-        stages=_require_int(d, "stages", "instance"),
+        stages=require(d, "stages", "instance", "int"),
         variant=variant,
         label=label,
     )
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_instance_to_dict(instance), indent=2) + "\n")
+    write_json(instance, path)
 
 
 def read_instance(path: str | Path) -> Instance:
-    try:
-        data = json.loads(Path(path).read_text())
-        return _instance_from_dict(data, label=Path(path).stem)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return read_json(path, lambda d: _instance_from_dict(d, Path(path).stem))

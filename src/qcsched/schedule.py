@@ -12,7 +12,6 @@ the task list into one tuple per field, and its rules index those tuples.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -20,7 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import instance as inst
-from .instance import Instance, ParseError, parse_int, require_list
+from .instance import (Instance, ParseError, of_type, read_json, require,
+                       write_json)
 
 SWAP = "swap"
 PS = "ps"
@@ -353,25 +353,6 @@ def improvement_delta(before: int, after: int) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _task_to_dict(t: GateTask) -> dict:
-    return {
-        "kind": t.kind,
-        "location": list(t.location) if isinstance(t.location, tuple) else t.location,
-        "start": t.start,
-        "duration": t.duration,
-        "goal_index": t.goal_index,
-        "state": t.state,
-    }
-
-
-def _int_field(d: dict, key: str, default):
-    """``d[key]`` or ``default``: an int, or None where the default is."""
-    value = d.get(key, default)
-    if value is None and default is None:
-        return value
-    return parse_int(value, f"task {key}")
-
-
 def _task_from_dict(d: dict) -> GateTask:
     if not isinstance(d, dict) or not isinstance(d.get("kind", ""), str):
         raise ParseError(f"task {d!r} is not an object with a string kind")
@@ -384,40 +365,29 @@ def _task_from_dict(d: dict) -> GateTask:
     return GateTask(
         kind=d.get("kind", ""),
         location=loc,
-        start=_int_field(d, "start", 0),
-        duration=_int_field(d, "duration", 0),
-        goal_index=_int_field(d, "goal_index", None),
-        state=_int_field(d, "state", None),
+        start=of_type(d.get("start", 0), "int", "task start"),
+        duration=of_type(d.get("duration", 0), "int", "task duration"),
+        goal_index=of_type(d.get("goal_index"), "int | None",
+                           "task goal_index"),
+        state=of_type(d.get("state"), "int | None", "task state"),
     )
-
-
-def schedule_to_dict(schedule: Schedule) -> dict:
-    return {
-        "instance_id": schedule.instance_id,
-        "makespan": schedule.makespan,
-        "swap_count": schedule.swap_count,
-        "tasks": [_task_to_dict(t) for t in schedule.tasks],
-    }
 
 
 def schedule_from_dict(d: dict) -> Schedule:
     return Schedule(
-        tasks=tuple(_task_from_dict(t)
-                    for t in require_list(d, "tasks", "schedule")),
-        makespan=parse_int(d.get("makespan", 0), "schedule makespan"),
-        swap_count=parse_int(d.get("swap_count", 0), "schedule swap_count"),
-        instance_id=d.get("instance_id", ""),
+        tasks=tuple(_task_from_dict(t)     # read first, so d is an object
+                    for t in require(d, "tasks", "schedule", "list")),
+        makespan=of_type(d.get("makespan", 0), "int", "schedule makespan"),
+        swap_count=of_type(d.get("swap_count", 0), "int",
+                           "schedule swap_count"),
+        instance_id=of_type(d.get("instance_id", ""), "str",
+                            "schedule instance_id"),
     )
 
 
 def write_schedule(schedule: Schedule, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(schedule), indent=2) + "\n")
+    write_json(schedule, path)
 
 
 def read_schedule(path: str | Path) -> Schedule:
-    try:
-        return schedule_from_dict(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return read_json(path, schedule_from_dict)

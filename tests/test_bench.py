@@ -87,6 +87,19 @@ def test_resume_reruns_a_cell_whose_settings_changed(tmp_path, chip, change):
         assert report.nodes <= settings["node_budget"]
 
 
+def test_resume_reruns_a_cell_with_a_wrong_typed_field(tmp_path, chip):
+    suite = gen_suite(chip, 1, 2, "qcc", 1, seed=1)
+    run_matrix(suite, ["router"], budget_s=0.2, out_dir=tmp_path, seed=1)
+    path = tmp_path / f"{suite[0].instance_id}-router.json"
+    data = json.loads(path.read_text())
+    data["status"] = 5
+    path.write_text(json.dumps(data))
+    result = run_matrix(suite, ["router"], budget_s=0.2, out_dir=tmp_path,
+                        seed=1)
+    assert "qcc/s1" in result.table()
+    assert read_report(path).status == "solved"
+
+
 def test_scores_bounded_by_one(tmp_path, chip):
     suite = gen_suite(chip, 3, 2, "qcc", 1, seed=3)
     result = run_matrix(suite, ["router", "cp"], budget_s=0.5,

@@ -3,9 +3,9 @@ from dataclasses import MISSING, fields
 import pytest
 
 from qcsched.hybrid import (ENGINES, RunReport, TracePoint, read_report,
-                            report_from_dict, report_to_dict, run_engine,
-                            write_report)
-from qcsched.instance import build_grid_chip, build_preset_chip, generate_instance
+                            report_from_dict, run_engine, write_report)
+from qcsched.instance import (ParseError, build_grid_chip, build_preset_chip,
+                              generate_instance, to_json)
 from qcsched.schedule import improvement_delta, validate
 
 
@@ -83,14 +83,14 @@ def test_report_roundtrip(tmp_path, instance):
     path = tmp_path / "report.json"
     write_report(report, path)
     again = read_report(path)
-    assert report_to_dict(again) == report_to_dict(report)
+    assert to_json(again) == to_json(report)
     assert again.final == report.final
     assert again.trace == report.trace
     # reports written while they kept a stage_seeds list, two stage lists
     # and a stored delta still load
-    older = {**report_to_dict(report), "stage_seeds": [7], "stage1": [],
+    older = {**to_json(report), "stage_seeds": [7], "stage1": [],
              "stage2": [], "delta": 12.5}
-    assert report_to_dict(report_from_dict(older)) == report_to_dict(report)
+    assert to_json(report_from_dict(older)) == to_json(report)
 
 
 def test_report_dict_defaults():
@@ -98,6 +98,40 @@ def test_report_dict_defaults():
                                "budget_s": 1.0, "seed": 0})
     assert report.status == "unsolved"
     assert report.final is None and report.trace == []
+
+
+def test_read_report_errors_name_the_file(tmp_path):
+    path = tmp_path / "cell.json"
+    path.write_text('{"engine": "cp"}')
+    with pytest.raises(ParseError, match="cell.json: missing field "
+                                         "'instance_id'"):
+        read_report(path)
+    path.write_text('{"engine": ')
+    with pytest.raises(ParseError, match="cell.json: not valid JSON"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("change,says", [
+    ({"status": 5}, "status 5"),
+    ({"seed": True}, "seed True"),
+    ({"seed": 1.5}, "seed 1.5"),
+    ({"budget_s": "1"}, "budget_s '1'"),
+    ({"node_budget": False}, "node_budget False"),
+    ({"trace": 5}, "trace 5"),
+    ({"trace": [{"t": 0, "makespan": "9", "swap_count": 1,
+                 "source": "baseline"}]}, "makespan '9'"),
+    ({"final": []}, "final"),
+    ({"final": {"tasks": [], "instance_id": 3}}, "instance_id 3"),
+])
+def test_report_fields_are_read_by_declared_type(change, says):
+    base = {"instance_id": "x", "engine": "cp", "budget_s": 1.0, "seed": 0}
+    with pytest.raises(ParseError, match=says):
+        report_from_dict({**base, **change})
+    # an int is a float, and an optional field may be null
+    report = report_from_dict({**base, "budget_s": 2, "node_budget": None,
+                               "trace": [{"t": 0, "makespan": 9,
+                                          "swap_count": 1, "source": "cp"}]})
+    assert report.budget_s == 2 and report.trace[0].t == 0
 
 
 def test_report_round_trips_every_field(instance):
@@ -116,7 +150,7 @@ def test_report_round_trips_every_field(instance):
         default = (f.default_factory() if f.default_factory is not MISSING
                    else f.default)
         assert getattr(report, f.name) != default, f.name
-    data = report_to_dict(report)
+    data = to_json(report)
     assert list(data) == [f.name for f in fields(RunReport)]
     assert report_from_dict(data) == report
 

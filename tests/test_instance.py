@@ -9,7 +9,8 @@ from qcsched.cpsolver import OPTIMAL, build_model, search
 from qcsched.instance import (BLUE, RED, VARIANTS, Chip, Edge, Instance,
                               ParseError, ValidationError, build_grid_chip,
                               build_preset_chip, generate_instance,
-                              read_instance, write_instance)
+                              read_instance, to_json, write_instance)
+from qcsched.fixtures import worked_example
 from qcsched.router import solve_sequential_baseline
 from qcsched.schedule import validate
 
@@ -242,14 +243,38 @@ def test_contradicting_initial_mapping_rejected(tmp_path):
             read_instance(path)
 
 
+def test_content_digest_is_pinned():
+    """A stored bench cell is reused only while its instance's digest holds,
+    so a change to the file form must not move these."""
+    assert worked_example()[0].content_digest == "0335e177d1cd"
+    instance = generate_instance(build_preset_chip("rigetti-21"), 10, 2,
+                                 "qcc-i", seed=3)
+    assert instance.content_digest == "fd00b81eca24"
+
+
+def test_file_form_is_the_fields_by_name(tmp_path):
+    instance = generate_instance(build_grid_chip(2), 2, 2, "qcc-x", seed=1,
+                                 label="kept-out")
+    data = to_json(instance)
+    assert list(data) == ["chip", "goals", "stages", "variant"]
+    assert data["goals"] == [list(g) for g in instance.goals]
+    assert data["chip"]["edges"][0] == {
+        "u": 1, "v": 2, "ps_color": BLUE, "ps_duration": 3,
+        "swap_enabled": True}
+    path = tmp_path / "stem.json"
+    write_instance(instance, path)
+    assert json.loads(path.read_text()) == data
+    assert read_instance(path).label == "stem"
+
+
 def test_read_instance_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="bad.json: not valid JSON"):
         read_instance(bad)
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"goals": []}))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="missing.json: missing field"):
         read_instance(missing)
 
 

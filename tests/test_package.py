@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import qcsched
@@ -45,3 +46,47 @@ def test_no_module_imports_an_unused_name():
     found = {f"{path.parent.name}/{path.name}": _unused_imports(path.read_text())
              for path in sorted(paths)}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each private name (``_x``, not dunder) bound at
+    module level, by a def, a class or an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: as a bare name, an
+    attribute or an imported name."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def test_no_private_name_is_dead():
+    """Every module-level private name of the package is read somewhere in
+    the package outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(qcsched.__file__).parent.rglob("*.py"))}
+    read = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = [f"{module}: {name}" for module, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if read[name] == _references(node)[name]]
+    assert dead == []

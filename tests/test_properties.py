@@ -21,11 +21,11 @@ from qcsched import instance as inst
 from qcsched.cpsolver import (_IDLE, OPTIMAL, _Engine, _OutOfBudget, _Rec,
                               build_model, search)
 from qcsched.instance import build_grid_chip, build_preset_chip, \
-    generate_instance
+    generate_instance, to_json
 from qcsched.oracle import optimal_makespan
 from qcsched.router import _Timeline, all_pairs_distances, solve_greedy
 from qcsched.schedule import (TWO_QUBIT_KINDS, GateTask, Schedule, Violation,
-                              schedule_from_dict, schedule_to_dict, validate)
+                              schedule_from_dict, validate)
 from tasks import init_task, mix_task, ps_task, swap_task
 
 CHIPS = {"rigetti-21": build_preset_chip("rigetti-21"),
@@ -709,8 +709,7 @@ def test_schedule_json_round_trip(chip_name, variant, stages, goals, seed,
     if searched:
         schedule = search(build_model(instance), schedule,
                           node_budget=300).best
-    back = schedule_from_dict(json.loads(json.dumps(
-        schedule_to_dict(schedule))))
+    back = schedule_from_dict(json.loads(json.dumps(to_json(schedule))))
     assert back == schedule
     assert validate(instance, back).violations == \
         validate(instance, schedule).violations

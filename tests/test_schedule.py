@@ -4,11 +4,12 @@ from dataclasses import replace
 import pytest
 
 from qcsched.fixtures import worked_example
-from qcsched.instance import Instance, build_grid_chip, build_preset_chip
+from qcsched.instance import (Instance, ParseError, build_grid_chip,
+                              build_preset_chip, to_json)
 from qcsched.schedule import (GateTask, Schedule, _task_from_dict,
-                              _task_to_dict, improvement_delta, read_schedule,
-                              schedule_from_dict, schedule_to_dict, score,
-                              validate, write_schedule)
+                              improvement_delta, read_schedule,
+                              schedule_from_dict, score, validate,
+                              write_schedule)
 from tasks import init_task, mix_task, ps_task, swap_task
 
 
@@ -34,7 +35,7 @@ def test_gate_task_contract():
     assert mix._replace(start=6) == GateTask("mix", 3, 6, 1, state=3)
     assert mix.start == 4
     for task in (swap, mix, ps_task(2, 1, 3, 3, 1), init_task(5, 2)):
-        again = _task_from_dict(json.loads(json.dumps(_task_to_dict(task))))
+        again = _task_from_dict(json.loads(json.dumps(to_json(task))))
         assert again == task and type(again) is GateTask
 
 
@@ -182,7 +183,20 @@ def test_schedule_roundtrip(tmp_path, example):
     write_schedule(schedule, path)
     again = read_schedule(path)
     assert again == schedule
-    assert schedule_from_dict(schedule_to_dict(schedule)) == schedule
+    assert schedule_from_dict(to_json(schedule)) == schedule
+
+
+@pytest.mark.parametrize("change,says", [
+    ({"instance_id": 7}, "instance_id 7"),
+    ({"makespan": True}, "makespan True"),
+    ({"tasks": {}}, "tasks {}"),
+])
+def test_read_schedule_checks_field_types(tmp_path, example, change, says):
+    path = tmp_path / "sched.json"
+    write_schedule(example[1], path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    with pytest.raises(ParseError, match=f"sched.json: .*{says}"):
+        read_schedule(path)
 
 
 def test_total_span_vs_makespan():
