@@ -13,6 +13,7 @@ from .hybrid import ENGINES, run_engine, write_report
 from .instance import (Chip, ParseError, ValidationError, build_grid_chip,
                        build_preset_chip, read_instance, write_instance,
                        PRESET_CHIPS, QCC, QCC_I, QCC_X)
+from .router import RoutingError
 from .schedule import read_schedule, validate, write_schedule
 
 
@@ -45,7 +46,8 @@ def _number(kind, ok, need: str):
     return parse
 
 
-_SECONDS = _number(float, lambda v: v > 0, "a positive number of seconds")
+_SECONDS = _number(float, lambda v: 0 < v < math.inf,
+                   "a positive, finite number of seconds")
 _NON_NEGATIVE = _number(int, lambda v: v >= 0, "a non-negative integer")
 _COUNT = _number(int, lambda v: v >= 1, "a count of at least 1")
 _DENSITY = _number(float, lambda v: 0 <= v <= 1, "a fraction in [0, 1]")
@@ -99,8 +101,11 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
-    report = run_engine(instance, args.engine, args.budget, seed=args.seed,
-                        node_budget=args.node_budget)
+    try:
+        report = run_engine(instance, args.engine, args.budget,
+                            seed=args.seed, node_budget=args.node_budget)
+    except RoutingError as exc:     # a goal no swap path can route
+        raise SystemExit(f"{args.instance}: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{instance.instance_id}-{args.engine}"

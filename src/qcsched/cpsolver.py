@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import permutations
 
 from . import instance as inst
@@ -28,7 +28,7 @@ from .instance import Instance
 # the search reads chip.swap_hops; all_pairs_distances stays importable
 # here because perfbench/tracing.py wraps it under this module's name
 from .router import all_pairs_distances, require_routable  # noqa: F401
-from .schedule import GateTask, Schedule
+from .schedule import GateTask, Incumbent, Schedule
 
 OPTIMAL = "optimal"
 TIMEOUT = "timeout"
@@ -229,24 +229,11 @@ def warm_start(model: Model, schedule: Schedule) -> None:
 # search
 
 
-@dataclass(frozen=True)
-class CPIncumbent:
-    makespan: int
-    swap_count: int
-    found_at: float
-    nodes: int
-    build: object = field(repr=False, compare=False)   # makes ``schedule``
-
-    @cached_property
-    def schedule(self) -> Schedule:
-        return self.build()
-
-
 @dataclass
 class SearchResult:
     status: str
     best: Schedule | None
-    incumbents: list[CPIncumbent] = field(default_factory=list)
+    incumbents: list[Incumbent] = field(default_factory=list)
     nodes: int = 0
 
 
@@ -437,7 +424,7 @@ class _Engine:
         self.on_incumbent = on_incumbent
         self.warm: Schedule | None = None
         self.best_obj = (model.horizon, float("inf"))
-        self.incumbents: list[CPIncumbent] = []
+        self.incumbents: list[Incumbent] = []
         self.nodes = 0
         self.t0 = time.monotonic()
 
@@ -664,8 +651,8 @@ class _Engine:
     def _complete(self, t, swaps, committed):
         # the last ps gate ended at t; (t, swaps) passed _branch's bound
         self.best_obj = (t, swaps)
-        self.incumbents.append(CPIncumbent(
-            t, swaps, time.monotonic() - self.t0, self.nodes,
+        self.incumbents.append(Incumbent(
+            time.monotonic() - self.t0, t, swaps, "cp", self.nodes,
             partial(_leaf_schedule, self.model, committed,
                     self._root_mapping)))
         if self.on_incumbent:

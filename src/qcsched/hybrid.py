@@ -9,24 +9,28 @@ that is left.  ``last`` gives the router the whole budget, then warm-starts
 the exact search with the time that remained after the router's last
 improvement — a best-case estimate of switching at exactly the right moment.
 
-A ``RunReport`` keeps one trace of the run's incumbents, the router's and
-then the search's, on one clock: seconds into the run's budget.  Its
-``delta`` is derived from the handoff and the final schedule.  Its file
-form is ``to_json``'s, one key per dataclass field, and ``report_from_dict``
-reads each field back by name after checking its declared type.
+A ``RunReport`` keeps one trace of the run's incumbents: the router's
+``Incumbent`` records, then the search's with ``stage2_start_s`` added to
+their time, all on one clock, seconds into the run's budget.  Its ``delta``
+is derived from the handoff and the final schedule.  Its file form is
+``to_json``'s, one key per compared dataclass field, and
+``report_from_dict`` reads each such field back by name after checking its
+declared type.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .cpsolver import build_model, search
 from .instance import Instance, ParseError, read_json, require, write_json
 from .router import solve_anytime
-from .schedule import Schedule, improvement_delta, schedule_from_dict
+from .schedule import (Incumbent, Schedule, improvement_delta,
+                       schedule_from_dict)
 
 ENGINE_ROUTER = "router"
 ENGINE_CP = "cp"
@@ -35,28 +39,13 @@ ENGINE_LAST = "last"
 ENGINES = (ENGINE_ROUTER, ENGINE_CP, ENGINE_HALF, ENGINE_LAST)
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """One incumbent of a run.
-
-    ``t`` is seconds into the run's budget: a router point counts from the
-    run's start, a search point from ``RunReport.stage2_start_s`` (from 0
-    for ``cp``).  ``source`` names the stage that found it.
-    """
-
-    t: float
-    makespan: int
-    swap_count: int
-    source: str       # baseline | greedy | cp
-
-
 @dataclass
 class RunReport:
     instance_id: str
     engine: str
     budget_s: float
     seed: int
-    trace: list[TracePoint] = field(default_factory=list)
+    trace: list[Incumbent] = field(default_factory=list)
     stage2_start_s: float | None = None   # when the search took over
     handoff: Schedule | None = None
     final: Schedule | None = None
@@ -88,8 +77,8 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if budget_s <= 0:
-        raise ValueError("budget_s must be positive")
+    if not 0 < budget_s < math.inf:
+        raise ValueError("budget_s must be positive and finite")
     report = RunReport(instance.instance_id, engine, budget_s, seed,
                        node_budget=node_budget,
                        instance_digest=instance.content_digest)
@@ -99,9 +88,7 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
         routed = solve_anytime(
             instance, budget_s / 2 if engine == ENGINE_HALF else budget_s,
             seed=random.Random(seed).getrandbits(32))
-        report.trace = [TracePoint(i.found_at, i.schedule.makespan,
-                                   i.schedule.swap_count, i.source)
-                        for i in routed.incumbents]
+        report.trace = list(routed.incumbents)
         final = routed.best
         if engine != ENGINE_ROUTER:
             report.handoff = final
@@ -113,8 +100,7 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
         result = search(build_model(instance), incumbent=report.handoff,
                         budget_s=cp_budget, node_budget=node_budget)
         start = report.stage2_start_s or 0.0
-        report.trace += [TracePoint(start + i.found_at, i.makespan,
-                                    i.swap_count, "cp")
+        report.trace += [replace(i, t=start + i.t)
                          for i in result.incumbents]
         report.cp_status = result.status
         report.nodes = result.nodes
@@ -130,22 +116,22 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
 
 
 # (JSON type, reader) of each field whose JSON form is not its value
-_DECODE = {"trace": ("list", lambda raw: [_from_fields(TracePoint, p)
+_DECODE = {"trace": ("list", lambda raw: [_from_fields(Incumbent, p)
                                           for p in raw]),
            "handoff": ("dict | None", schedule_from_dict),
            "final": ("dict | None", schedule_from_dict)}
 
 
 def _from_fields(cls, d: dict):
-    """A ``cls`` from the JSON object ``d``, one key per field, each of its
-    declared type; a missing optional field takes its default, and keys
-    that are not fields are ignored."""
+    """A ``cls`` from the JSON object ``d``, one key per compared field
+    (the fields ``to_json`` writes), each of its declared type; a missing
+    optional field takes its default, and other keys are ignored."""
     if not isinstance(d, dict):
         raise ParseError(f"{cls.__name__} {d!r} is not an object")
     values = {}
     for f in fields(cls):
-        if f.name not in d and (f.default is not MISSING
-                                or f.default_factory is not MISSING):
+        if not f.compare or f.name not in d and (
+                f.default is not MISSING or f.default_factory is not MISSING):
             continue
         declared, decode = _DECODE.get(f.name, (f.type, None))
         value = require(d, f.name, cls.__name__, declared)

@@ -23,11 +23,12 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from . import instance as inst
 from .instance import Chip, Instance
-from .schedule import INIT, MIX, PS, SWAP, Schedule
+from .schedule import INIT, MIX, PS, SWAP, Incumbent, Schedule
 
 
 class RoutingError(ValueError):
@@ -354,11 +355,9 @@ def solve_greedy(instance: Instance, seed: int = 0,
     return Schedule.from_tasks(rows, instance_id=instance.instance_id)
 
 
-@dataclass(frozen=True)
-class Incumbent:
-    schedule: Schedule
-    found_at: float
-    source: str
+def _itself(schedule: Schedule) -> Schedule:
+    """A router incumbent's ``build``: unlike a lambda, it pickles."""
+    return schedule
 
 
 @dataclass
@@ -396,7 +395,9 @@ def solve_anytime(instance: Instance, budget_s: float | None = None,
     incumbents: list[Incumbent] = []
 
     def record(schedule: Schedule, source: str) -> None:
-        item = Incumbent(schedule, time.monotonic() - t0, source)
+        item = Incumbent(time.monotonic() - t0, schedule.makespan,
+                         schedule.swap_count, source,
+                         build=partial(_itself, schedule))
         incumbents.append(item)
         if on_incumbent:
             on_incumbent(item)

@@ -13,10 +13,11 @@ the task list into one tuple per field, and its rules index those tuples.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import instance as inst
 from .instance import (Instance, ParseError, of_type, read_json, require,
@@ -87,6 +88,26 @@ class Schedule:
     def objective(self) -> tuple[int, int]:
         """Lexicographic objective: makespan first, swap count as tiebreak."""
         return (self.makespan, self.swap_count)
+
+
+@dataclass(frozen=True)
+class Incumbent:
+    """One improving schedule, found ``t`` seconds in by ``source``
+    (baseline | greedy | cp) after ``nodes`` search nodes (0 for the
+    router). ``build`` makes the schedule when ``schedule`` is first read;
+    it is not compared, and the file form leaves it out."""
+
+    t: float
+    makespan: int
+    swap_count: int
+    source: str
+    nodes: int = 0
+    build: Callable[[], Schedule] | None = field(default=None, compare=False,
+                                                 repr=False)
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -357,10 +378,9 @@ def _task_from_dict(d: dict) -> GateTask:
     if not isinstance(d, dict) or not isinstance(d.get("kind", ""), str):
         raise ParseError(f"task {d!r} is not an object with a string kind")
     loc = d.get("location")
-    if isinstance(loc, list) and len(loc) == 2 and \
-            all(isinstance(q, int) for q in loc):
-        loc = (loc[0], loc[1])
-    elif not isinstance(loc, int):
+    if isinstance(loc, list) and len(loc) == 2:
+        loc = tuple(of_type(q, "int", "task location qubit") for q in loc)
+    elif isinstance(loc, bool) or not isinstance(loc, int):
         raise ParseError(f"task location {loc!r} is not a qubit or a pair")
     return GateTask(
         kind=d.get("kind", ""),

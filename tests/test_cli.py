@@ -55,9 +55,13 @@ def test_bad_grid_spec_exits_cleanly(tmp_path, spec):
 @pytest.mark.parametrize("argv", [
     ["solve", "{instance}", "--budget", "0"],
     ["solve", "{instance}", "--budget", "-1"],
+    ["solve", "{instance}", "--budget", "inf"],
+    ["solve", "{instance}", "--budget", "nan"],
     ["solve", "{instance}", "--node-budget", "-5"],
     ["bench", "--chip", "grid:2", "--goals", "1", "--engine", "router",
      "--budget", "-1"],
+    ["bench", "--chip", "grid:2", "--goals", "1", "--engine", "router",
+     "--budget", "inf"],
     ["bench", "--chip", "grid:2", "--goals", "1", "--engine", "router",
      "--count", "0"],
     ["gen", "--chip", "grid:2", "--goals", "-2"],
@@ -113,6 +117,24 @@ def test_unsolved_run_prints_the_search_status(tmp_path, capsys):
     assert main(["solve", instance_path, "--engine", "cp",
                  "--node-budget", "1", "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().out == "unsolved (timeout)\n"
+
+
+@pytest.mark.parametrize("engine", ["router", "cp", "half", "last"])
+def test_unroutable_goal_exits_with_one_line(tmp_path, engine):
+    # no edge of the path 1-2-3 can swap, so states 1 and 3 never meet
+    edges = [{"u": u, "v": u + 1, "ps_color": "blue", "ps_duration": 3,
+              "swap_enabled": False} for u in (1, 2)]
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps({"chip": {"qubit_count": 3, "edges": edges},
+                                "goals": [[1, 3]], "stages": 1,
+                                "variant": "qcc"}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), "--engine", engine, "--budget", "0.2",
+              "--out-dir", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    assert "swap" in message and not out.exists()
 
 
 def test_validate_rejects_corrupted(tmp_path, capsys):

@@ -1,12 +1,13 @@
+import math
 from dataclasses import MISSING, fields
 
 import pytest
 
-from qcsched.hybrid import (ENGINES, RunReport, TracePoint, read_report,
+from qcsched.hybrid import (ENGINES, RunReport, read_report,
                             report_from_dict, run_engine, write_report)
 from qcsched.instance import (ParseError, build_grid_chip, build_preset_chip,
                               generate_instance, to_json)
-from qcsched.schedule import improvement_delta, validate
+from qcsched.schedule import Incumbent, improvement_delta, validate
 
 
 @pytest.fixture
@@ -57,8 +58,10 @@ def test_engine_dispatch(instance):
 
 
 def test_budget_must_be_positive(instance):
+    # and finite: an infinite budget never ends a router stage, and a
+    # search never times out on a nan one
     for engine in ENGINES:
-        for budget_s in (0, -1):
+        for budget_s in (0, -1, math.inf, math.nan):
             with pytest.raises(ValueError):
                 run_engine(instance, engine, budget_s=budget_s)
 
@@ -127,11 +130,16 @@ def test_report_fields_are_read_by_declared_type(change, says):
     base = {"instance_id": "x", "engine": "cp", "budget_s": 1.0, "seed": 0}
     with pytest.raises(ParseError, match=says):
         report_from_dict({**base, **change})
-    # an int is a float, and an optional field may be null
+    # an int is a float, and an optional field may be null; a trace point
+    # stored before points kept nodes has 0, and a "build" key, which no
+    # report writes, is ignored
+    point = {"t": 0, "makespan": 9, "swap_count": 1, "source": "cp"}
     report = report_from_dict({**base, "budget_s": 2, "node_budget": None,
-                               "trace": [{"t": 0, "makespan": 9,
-                                          "swap_count": 1, "source": "cp"}]})
-    assert report.budget_s == 2 and report.trace[0].t == 0
+                               "trace": [point, {**point, "nodes": 7,
+                                                 "build": "object"}]})
+    assert report.budget_s == 2 and report.trace == [
+        Incumbent(0, 9, 1, "cp"), Incumbent(0, 9, 1, "cp", nodes=7)]
+    assert report.trace[1].build is None
 
 
 def test_report_round_trips_every_field(instance):
@@ -140,9 +148,9 @@ def test_report_round_trips_every_field(instance):
     solved = run_engine(instance, "half", budget_s=0.5, seed=3)
     report = RunReport(
         instance_id="x", engine="half", budget_s=2.5, seed=7,
-        trace=[TracePoint(0.01, 9, 4, "baseline"),
-               TracePoint(0.02, 8, 3, "greedy"),
-               TracePoint(1.5, 7, 2, "cp")],
+        trace=[Incumbent(0.01, 9, 4, "baseline"),
+               Incumbent(0.02, 8, 3, "greedy"),
+               Incumbent(1.5, 7, 2, "cp", nodes=31)],
         stage2_start_s=1.25, handoff=solved.handoff, final=solved.final,
         status="solved", cp_status="timeout", nodes=40, node_budget=50,
         instance_digest="abc")
@@ -168,6 +176,12 @@ def test_trace_is_one_clock_and_delta_is_derived(instance):
     assert all(p.t >= cut for p in half.trace if p.source == "cp")
     assert half.delta == improvement_delta(half.handoff.makespan,
                                            half.final.makespan) > 0
+    # the router's points visit no nodes; the search's count its nodes
+    assert all(p.nodes == 0 for p in half.trace if p.source != "cp")
+    nodes = [p.nodes for p in half.trace if p.source == "cp"]
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+    assert 0 < nodes[-1] <= half.nodes
+    assert half.trace[-1].schedule == half.final
     cp = run_engine(instance, "cp", budget_s=5.0, seed=3)
     assert cp.stage2_start_s is None
     assert cp.trace and {p.source for p in cp.trace} == {"cp"}

@@ -90,3 +90,15 @@ def test_no_private_name_is_dead():
             for name, node in _private_definitions(tree)
             if read[name] == _references(node)[name]]
     assert dead == []
+
+
+def test_no_two_modules_define_a_class_of_one_name():
+    """Each record of the package (``Incumbent``, ``Schedule``, ...) is
+    defined in one module only."""
+    where: dict[str, list[str]] = {}
+    for path in sorted(Path(qcsched.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                where.setdefault(node.name, []).append(path.name)
+    assert {name: modules for name, modules in where.items()
+            if len(modules) > 1} == {}

@@ -165,7 +165,7 @@ def test_anytime_stream_improves_strictly():
     objectives = [i.schedule.objective() for i in incumbents]
     for a, b in zip(objectives, objectives[1:]):
         assert b < a
-    times = [i.found_at for i in incumbents]
+    times = [i.t for i in incumbents]
     assert times == sorted(times)
 
 

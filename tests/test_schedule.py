@@ -190,6 +190,10 @@ def test_schedule_roundtrip(tmp_path, example):
     ({"instance_id": 7}, "instance_id 7"),
     ({"makespan": True}, "makespan True"),
     ({"tasks": {}}, "tasks {}"),
+    ({"tasks": [{"kind": "swap", "location": [True, 4], "start": 0,
+                 "duration": 2}]}, "task location qubit True"),
+    ({"tasks": [{"kind": "mix", "location": True, "start": 0,
+                 "duration": 1, "state": 1}]}, "task location True"),
 ])
 def test_read_schedule_checks_field_types(tmp_path, example, change, says):
     path = tmp_path / "sched.json"
