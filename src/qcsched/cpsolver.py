@@ -8,6 +8,14 @@ end by. ``search`` emits every lexicographically improving schedule and
 proves optimality on exhaustion; a warm-start schedule can be installed as
 the initial incumbent.
 
+Swaps are the optional tasks. A node tries its children in one order: ps
+gates, mixes and the swaps that bring a waiting goal's states one hop
+closer are taken before they are left out, and every other swap is left out
+before it is taken (after SABRE's rule of scoring a swap by the pending
+gates it brings closer; Li, Ding and Xie, ASPLOS 2019). So a dive routes
+goals instead of filling the horizon with swaps, and the order changes only
+which subset comes first, never which subsets there are.
+
 ``check_assignment`` is a second, independent checker of the same rules: it
 checks each rule once against a finished schedule's tasks, in one section
 per rule.
@@ -18,6 +26,7 @@ no code is shared with the independent validator or the brute-force oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -273,10 +282,16 @@ def search(model: Model, incumbent: Schedule | None = None,
     swap rounds it still needs cannot beat the bound's swaps. No
     swap starts on a gate at the instant the previous swap on that gate
     ends: deleting both keeps every other task where it is and saves two
-    swaps, so no lexicographic optimum has such a pair. Exhaustion yields
-    ``optimal`` (or ``infeasible`` with no solution); hitting the node or
-    wall-clock budget yields ``timeout`` with the best schedule so far.
+    swaps, so no lexicographic optimum has such a pair. A node's children
+    take its ps gates, mixes and useful swaps (those that move a waiting
+    goal's state one hop closer to its partner) first, and leave its other
+    swaps out first. Exhaustion yields ``optimal`` (or ``infeasible`` with
+    no solution); hitting the node or wall-clock budget yields ``timeout``
+    with the best schedule so far. A non-finite ``budget_s`` raises
+    ``ValueError``.
     """
+    if budget_s is not None and not math.isfinite(budget_s):
+        raise ValueError("budget_s must be finite")
     engine = _Engine(model, budget_s, node_budget, on_incumbent)
     if incumbent is not None:
         warm_start(model, incumbent)   # loud divergence check
@@ -367,7 +382,13 @@ class _Engine:
     running ps gate and each state's chain of ps gates. ``chip.swap_hops``
     gives the rounds to an edge of either kind, and is infinite for states
     that no edge can join.
-    Only a node that survives builds its memo key. An improving leaf keeps
+    Only a node that survives builds its memo key, and only then lists its
+    candidates: ps gates, mixes, the useful swaps, then the deferred ones.
+    A swap is useful when ``chip.swap_next_gates`` has its gate bit for a
+    state of a waiting goal and the qubit of the goal's other state.
+    ``_subsets`` takes the candidates before the deferred swaps first and
+    leaves the deferred swaps out first, so the first child routes and
+    every compatible subset is still a child once. An improving leaf keeps
     its committed tasks; ``_leaf_schedule`` makes them a ``Schedule`` only
     when the incumbent is read.
     """
@@ -381,6 +402,7 @@ class _Engine:
         self.tau_mix = chip.mix_duration
         self.min_ps = chip.min_ps_duration
         self.hops = chip.swap_hops
+        self.closer = chip.swap_next_gates
         self.free_placement = self.instance.variant == inst.QCC_I
         self.two_stage = self.instance.stages == 2
         self.goal_states = self.instance.goal_states
@@ -601,10 +623,12 @@ class _Engine:
                     continue
                 else:
                     entries.append((t, n))
-                candidates = self._candidates(t, loc, still, pend, mix, undo)
+                candidates, lazy = self._candidates(t, loc, still, pend, mix,
+                                                    undo)
                 committed.extend(chosen)
                 self._branch(mapping, loc, child_key, still, pend, wait, mix,
-                             n, committed, self._subsets(candidates, first))
+                             n, committed,
+                             self._subsets(candidates, lazy, first))
                 del committed[depth:]
             finally:
                 if n != swaps:   # swaps sit on disjoint qubits: redo = undo
@@ -623,12 +647,16 @@ class _Engine:
                 return r.end - t
 
     @staticmethod
-    def _subsets(candidates, first):
+    def _subsets(candidates, lazy, first):
         """Every pairwise-compatible subset of the candidates, depth first,
-        each taken before it is left out, with the earliest end of the
-        subset and ``first``. A subset takes each candidate that fits the OR
-        of its qubit, payload and zone bits and stacks the state without it;
-        the explicit stack keeps one Python frame per event time."""
+        each yielded once with the earliest end of the subset and ``first``.
+        A candidate fits when it misses the OR of the subset's qubit, payload
+        and zone bits. One before index ``lazy`` is taken before it is left
+        out: the subset takes it and stacks the state without it. One from
+        ``lazy`` on (a deferred swap) is left out before it is taken: the
+        state with it is stacked. So the first subset holds every ps gate,
+        mix and useful swap it can and no deferred swap. The explicit stack
+        keeps one Python frame per event time."""
         end = len(candidates)
         stack = [(0, (), 0, 0, 0, first)]
         while stack:
@@ -637,14 +665,20 @@ class _Engine:
                 task = candidates[idx]
                 idx += 1
                 qm, pm, zm = task.qmask, task.pbit, task.zmask
-                if not (qm & qs or pm & ps or zm & qs or qm & zs):
-                    stack.append((idx, chosen, qs, ps, zs, first))
-                    chosen += (task,)
-                    qs |= qm
-                    ps |= pm
-                    zs |= zm
-                    if task.end < first:
-                        first = task.end
+                if qm & qs or pm & ps or zm & qs or qm & zs:
+                    continue
+                if idx > lazy:
+                    stack.append((idx, chosen + (task,), qs | qm, ps | pm,
+                                  zs | zm,
+                                  task.end if task.end < first else first))
+                    continue
+                stack.append((idx, chosen, qs, ps, zs, first))
+                chosen += (task,)
+                qs |= qm
+                ps |= pm
+                zs |= zm
+                if task.end < first:
+                    first = task.end
             yield chosen, first
 
     # -- leaf handling ----------------------------------------------------
@@ -660,9 +694,14 @@ class _Engine:
 
     # -- candidate generation --------------------------------------------
     def _candidates(self, t, loc, running, pending, mixed, undo):
-        """Gates that fit at ``t``: ps, mix, and swap on no gate of undo.
-        A ps gate ends by the bound's makespan; a swap or mix ends ``min_ps``
-        earlier, as goal gates of improving schedules all start by then."""
+        """Gates that fit at ``t`` and the index of the first deferred swap.
+        In order: ps gates, mixes, the useful swaps (on no gate of undo),
+        then the deferred ones. A swap is useful when it moves a state of a
+        waiting goal (pending, its ps gate not started) one hop closer to
+        the goal's other state, as ``chip.swap_next_gates`` lists them, and
+        deferred otherwise. A ps gate ends by the bound's makespan; a swap or
+        mix ends ``min_ps`` earlier, as goal gates of improving schedules all
+        start by then."""
         busy = blocked = started = 0
         for r in running:
             busy |= r.qmask
@@ -670,18 +709,22 @@ class _Engine:
             started |= r.pbit
         ps_deadline = self.best_obj[0]
         deadline = ps_deadline - self.min_ps   # for swaps and mixes
-        two_stage, ps_at = self.two_stage, self.ps_at
+        two_stage, ps_at, closer = self.two_stage, self.ps_at, self.closer
+        useful = 0       # gate bits of the useful swaps
         out = []
         for g, bit, s1, s2, later, sbits, mbits in self.goal_rows:
             if not pending & bit:
                 continue
+            a, b = loc[s1], loc[s2]
+            if not started & bit:
+                useful |= closer[b][a] | closer[a][b]
             if two_stage:
                 if later:
                     if mixed & sbits != sbits:
                         continue
                 elif mixed & sbits or started & mbits:
                     continue
-            edge = ps_at[loc[s1]][loc[s2]]
+            edge = ps_at[a][b]
             if edge is not None:
                 pair, duration, qm, zm = edge
                 end = t + duration
@@ -701,9 +744,14 @@ class _Engine:
                 for q, qm in self.qubit_bits:
                     if free & qm:
                         out.append(_Rec("mix", (q,), t, end, s, qm, 0, mbit))
-        if t + self.tau_swap <= deadline:
-            for pair, qm, zm, gbit in self.swap_gates:
-                if not (gbit & undo or (qm | zm) & busy or qm & blocked):
-                    out.append(_Rec("swap", pair, t, t + self.tau_swap, gbit,
-                                    qm, zm, 0))
-        return out
+        end = t + self.tau_swap
+        if end > deadline:
+            return out, len(out)
+        deferred = []
+        for pair, qm, zm, gbit in self.swap_gates:
+            if not (gbit & undo or (qm | zm) & busy or qm & blocked):
+                (out if gbit & useful else deferred).append(
+                    _Rec("swap", pair, t, end, gbit, qm, zm, 0))
+        lazy = len(out)
+        out += deferred
+        return out, lazy

@@ -79,9 +79,10 @@ class Chip:
 
     Tables that depend only on the graph (edge lookup, ps durations,
     neighbors, the swap adjacency, swap distances, swap rounds, next hops
-    and diameter, placement ranks, crosstalk zones) are computed on first
-    use and cached on the instance; callers must not mutate them. They are
-    not fields, so two chips with the same graph compare equal.
+    and their swap gates, diameter, placement ranks, crosstalk zones) are
+    computed on first use and cached on the instance; callers must not
+    mutate them. They are not fields, so two chips with the same graph
+    compare equal.
 
     Each qubit-pair fact has one table, and it reads the same in either
     order. ``edge_map`` is a dict keyed by both orders of each edge, as it
@@ -214,6 +215,17 @@ class Chip:
                 tuple(n for n in self.swap_neighbors[q] if d[n] == d[q] - 1)
                 if d[q] != inf else () for q in self.qubits])
         return out
+
+    @cached_property
+    def swap_next_gates(self) -> list[list[int]]:
+        """Indexed [target][qubit]: the gate bits of the swaps from the
+        qubit to its ``swap_next_hops``, bit i for ``swap_edges[i]``; 0 at
+        the target and where the swap edges do not reach it."""
+        bit = {}
+        for i, e in enumerate(self.swap_edges):
+            bit[e.u, e.v] = bit[e.v, e.u] = 1 << i
+        return [[sum(bit[q, n] for n in hops) for q, hops in enumerate(row)]
+                for row in self.swap_next_hops]
 
     @cached_property
     def ps_durations(self) -> list[list[int]]:

@@ -19,6 +19,7 @@ incumbent's objective, so a restart that does not beat it builds nothing.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from bisect import bisect_left
@@ -379,7 +380,7 @@ def solve_anytime(instance: Instance, budget_s: float | None = None,
 
     Restarts run until ``budget_s`` seconds pass or ``max_restarts`` have
     run, whichever comes first; ``None`` lifts that limit, and one of the two
-    must be set.
+    must be set. A non-finite ``budget_s`` raises ``ValueError``.
 
     Under qcc-i the baseline keeps every state on its own qubit, which may
     leave a goal's states apart on the swap graph where another placement
@@ -390,6 +391,8 @@ def solve_anytime(instance: Instance, budget_s: float | None = None,
     """
     if budget_s is None and max_restarts is None:
         raise ValueError("solve_anytime needs budget_s or max_restarts")
+    if budget_s is not None and not math.isfinite(budget_s):
+        raise ValueError("budget_s must be finite")
     t0 = time.monotonic()
     rng = random.Random(seed)
     incumbents: list[Incumbent] = []

@@ -27,6 +27,7 @@ def test_engines_share_the_hop_table():
                        None, None, None)
                for stages in (1, 2) for variant in ("qcc", "qcc-i", "qcc-x")]
     assert all(e.hops is chip.swap_hops for e in engines)
+    assert all(e.closer is chip.swap_next_gates for e in engines)
 
 
 def test_tables_match_the_graph():
@@ -97,6 +98,20 @@ def test_next_hops_step_one_closer_in_neighbor_order():
                 closer = [n for n in chip.swap_neighbors[q]
                           if dist[n] == dist[q] - 1]
                 assert list(hops) == closer
+
+
+def test_next_gates_are_the_swaps_to_the_next_hops():
+    for chip in CHIPS:
+        table = chip.swap_next_gates
+        assert table is chip.swap_next_gates
+        assert len(table) == chip.qubit_count + 1
+        for b in chip.qubits:
+            assert len(table[b]) == chip.qubit_count + 1
+            for q in chip.qubits:
+                assert table[b][q] == sum(
+                    1 << i for i, e in enumerate(chip.swap_edges)
+                    if q in e.pair and
+                    e.u + e.v - q in chip.swap_next_hops[b][q])
 
 
 def test_shortest_path_without_rng_takes_the_first_option():
@@ -201,6 +216,7 @@ def test_placement_ranks_put_larger_swap_components_first():
 def test_solvers_leave_the_router_tables_unchanged():
     chip = build_preset_chip("rigetti-8")
     hops = copy.deepcopy(chip.swap_next_hops)
+    gates = copy.deepcopy(chip.swap_next_gates)
     durations = copy.deepcopy(chip.ps_durations)
     distances = copy.deepcopy(chip.swap_distances)
     ranks = copy.deepcopy(chip.placement_ranks)
@@ -214,6 +230,7 @@ def test_solvers_leave_the_router_tables_unchanged():
     optimal_makespan(generate_instance(chip, 3, stages=1, variant="qcc",
                                        seed=4))
     assert chip.swap_next_hops == hops
+    assert chip.swap_next_gates == gates
     assert chip.ps_durations == durations
     assert chip.swap_distances == distances
     assert chip.placement_ranks == ranks

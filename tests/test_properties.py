@@ -262,7 +262,9 @@ class SetPredicates:
                     return False
         return True
 
-    def subsets(self, candidates):
+    def subsets(self, candidates, lazy):
+        """Each compatible subset, depth first: a candidate before index
+        ``lazy`` taken before it is left out, one from ``lazy`` on after."""
         stack = [(0, ())]
         while stack:
             idx, chosen = stack.pop()
@@ -270,14 +272,34 @@ class SetPredicates:
                 yield chosen
                 continue
             task = candidates[idx]
-            stack.append((idx + 1, chosen))
-            if self.compatible(task, chosen):
-                stack.append((idx + 1, chosen + (task,)))
+            taken = [(idx + 1, chosen + (task,))] \
+                if self.compatible(task, chosen) else []
+            left = [(idx + 1, chosen)]
+            stack += taken + left if idx >= lazy else left + taken
+
+    def useful(self, edge, mapping, running, pending):
+        """Whether a swap on ``edge`` moves a state of a pending goal whose
+        ps gate is not running one hop closer to the goal's other state."""
+        dist = self.engine.chip.swap_distances
+        where = {s: q for q, s in enumerate(mapping, 1)}
+        waiting = set(pending) - {r.payload for r in running
+                                  if r.kind == "ps"}
+        for g in waiting:
+            s1, s2 = self.engine.instance.goal_pair(g)
+            for here, there in ((where[s1], where[s2]),
+                                (where[s2], where[s1])):
+                if dist[there][here] == float("inf"):
+                    continue
+                for a, b in (edge.pair, edge.pair[::-1]):
+                    if a == here and dist[there][b] == dist[there][a] - 1:
+                        return True
+        return False
 
     def candidates(self, t, mapping, running, pending, mixed, ending):
         """(kind, qubits, start, end, payload) of every gate that fits, in
-        the search's order; a swap's payload is its gate bit, and no swap
-        starts on a gate of ``ending``, whose swap ends at ``t``."""
+        the search's order, and the index of the first deferred swap; a
+        swap's payload is its gate bit, and no swap starts on a gate of
+        ``ending``, whose swap ends at ``t``."""
         e = self.engine
         instance, chip = e.instance, e.chip
         ps_deadline = e.best_obj[0]     # the incumbent's, or the horizon
@@ -309,12 +331,15 @@ class SetPredicates:
                 out.extend(("mix", (q,), t, t + e.tau_mix, s)
                            for q in chip.qubits
                            if self.gate_ok((q,), busy, blocked, running))
+        useful, deferred = [], []
         if t + e.tau_swap <= deadline:
             for i, edge in enumerate(chip.swap_edges):
                 if edge.pair not in ending and \
                         self.gate_ok(edge.pair, busy, blocked, running):
-                    out.append(("swap", edge.pair, t, t + e.tau_swap, 1 << i))
-        return out
+                    (useful if self.useful(edge, mapping, running, pending)
+                     else deferred).append(
+                        ("swap", edge.pair, t, t + e.tau_swap, 1 << i))
+        return out + useful + deferred, len(out) + len(useful)
 
 
 class SetBounds:
@@ -463,32 +488,55 @@ def test_mask_fit_matches_set_predicates(chip_name, variant, stages, goals,
         engine.best_obj = (rng.randint(2, 10), 0)
     args = (1, tuple(mapping), busy, pending, mixed, ending)
     loc = _placement(mapping, ())
-    got = [(r.kind, r.qubits, r.start, r.end, r.payload)
-           for r in engine._candidates(1, loc, busy, _bits(pending),
-                                       _bits(mixed), undo)]
-    assert got == SetPredicates(engine).candidates(*args)
+    candidates, lazy = engine._candidates(1, loc, busy, _bits(pending),
+                                          _bits(mixed), undo)
+    got = [(r.kind, r.qubits, r.start, r.end, r.payload) for r in candidates]
+    assert (got, lazy) == SetPredicates(engine).candidates(*args)
+
+
+# A subset of at most 9 picks; from index ``lazy`` on they are deferred.
+SUBSET_DRAWS = dict(picks=st.lists(st.integers(0, 10 ** 6), max_size=9),
+                    lazy=st.integers(0, 10), **SEARCH_STATES)
 
 
 @settings(max_examples=300, deadline=None)
-@given(picks=st.lists(st.integers(0, 10 ** 6), max_size=9), **SEARCH_STATES)
+@given(**SUBSET_DRAWS)
 def test_mask_subsets_match_set_predicates(chip_name, variant, stages, goals,
-                                           seed, picks):
+                                           seed, picks, lazy):
     engine = _engine(chip_name, variant, stages, goals, seed)
     gates = _gates(engine, random.Random(seed))
     candidates = [gates[p % len(gates)] for p in picks]
-    assert [chosen for chosen, _ in engine._subsets(candidates, _IDLE)] == \
-        list(SetPredicates(engine).subsets(candidates))
+    assert [chosen for chosen, _
+            in engine._subsets(candidates, lazy, _IDLE)] == \
+        list(SetPredicates(engine).subsets(candidates, lazy))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**SUBSET_DRAWS)
+def test_deferral_only_reorders_the_subsets(chip_name, variant, stages, goals,
+                                            seed, picks, lazy):
+    """Deferring the candidates from ``lazy`` on yields each subset that
+    taking every candidate first yields, once, and the first subset holds
+    none of them."""
+    engine = _engine(chip_name, variant, stages, goals, seed)
+    gates = _gates(engine, random.Random(seed))
+    candidates = list(dict.fromkeys(gates[p % len(gates)] for p in picks))
+    got = [chosen for chosen, _ in engine._subsets(candidates, lazy, _IDLE)]
+    plain = [chosen for chosen, _
+             in engine._subsets(candidates, len(candidates), _IDLE)]
+    assert len(set(got)) == len(got)
+    assert set(got) == set(plain)
+    assert not set(got[0]) & set(candidates[lazy:])
 
 
 @settings(max_examples=100, deadline=None)
-@given(picks=st.lists(st.integers(0, 10 ** 6), max_size=9),
-       first=st.integers(1, 30), **SEARCH_STATES)
+@given(first=st.integers(1, 30), **SUBSET_DRAWS)
 def test_subsets_carry_their_earliest_end(chip_name, variant, stages, goals,
-                                          seed, picks, first):
+                                          seed, picks, lazy, first):
     engine = _engine(chip_name, variant, stages, goals, seed)
     gates = _gates(engine, random.Random(seed))
     candidates = [gates[p % len(gates)] for p in picks]
-    for chosen, end in engine._subsets(candidates, first):
+    for chosen, end in engine._subsets(candidates, lazy, first):
         assert end == min([first] + [r.end for r in chosen])
 
 
@@ -638,8 +686,11 @@ def _records(engine, visit):
 # neither, as the set reference's bound says, and the loop must hand the
 # node's mapping and placement back unchanged. The bound sits one below, at
 # or one above the reference's bound of each child, so the swap tie-break
-# decides some of them.
-@settings(max_examples=300, deadline=None)
+# decides some of them. One draw can take minutes, so the draws are pinned:
+# the same code, run the same way, draws the same examples. (Hypothesis also
+# draws constants found in the loaded modules, so the draws move when those
+# change.)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(mix=st.sampled_from([1, 3]), mk_offset=st.sampled_from([-1, 0, 1]),
        swaps=st.integers(0, 4), most_offset=st.sampled_from([-1, 0, 1]),
        **SEARCH_STATES)
@@ -659,10 +710,10 @@ def test_children_loop_bounds_each_child_as_a_root(
     undo = sum(r.payload for r in running if r.kind == "swap" and r.end <= t)
     first = min([r.end for r in still], default=_IDLE)
     started = _bits(r.payload for r in still if r.kind == "ps")
-    candidates = engine._candidates(t, loc, still, _bits(pending),
-                                    _bits(mixed), undo)
+    candidates, lazy = engine._candidates(t, loc, still, _bits(pending),
+                                          _bits(mixed), undo)
     ref = SetBounds(engine)
-    for chosen, next_t in engine._subsets(candidates, first):
+    for chosen, next_t in engine._subsets(candidates, lazy, first):
         if next_t == _IDLE:
             continue
         moved = [r for r in chosen if r.kind == "swap"]
@@ -716,8 +767,9 @@ def test_schedule_json_round_trip(chip_name, variant, stages, goals, seed,
 
 
 # The oracle takes up to about 15 s on a two-stage, three-goal grid:2
-# instance, so the draw is kept small.
-@settings(max_examples=20, deadline=None)
+# instance, so the draw is kept small, and pinned like the children-loop
+# test's.
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(variant=st.sampled_from([inst.QCC, inst.QCC_I, inst.QCC_X]),
        stages=st.sampled_from([1, 2]), goals=st.integers(1, 3),
        seed=st.integers(0, 10 ** 6))

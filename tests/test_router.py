@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
@@ -195,3 +197,10 @@ def test_anytime_needs_a_limit():
         solve_anytime(instance)
     with pytest.raises(ValueError):
         solve_anytime(instance, budget_s=None, max_restarts=None)
+
+
+def test_anytime_rejects_a_non_finite_budget():
+    instance = generate_instance(build_grid_chip(2), 2, stages=1,
+                                 variant="qcc", seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        solve_anytime(instance, budget_s=math.inf, max_restarts=1)
