@@ -72,9 +72,7 @@ def _add_instance_shape_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--goals", type=_NON_NEGATIVE, help="number of goals")
     group.add_argument("--density", type=_DENSITY,
                        help="goals as a fraction of all state pairs")
-    p.add_argument("--variant", choices=[QCC, QCC_I, QCC_X], default=QCC)
     p.add_argument("--stages", type=int, choices=[1, 2], default=1)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
@@ -177,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance suite")
     _add_instance_shape_flags(p)
+    p.add_argument("--variant", choices=[QCC, QCC_I, QCC_X], default=QCC)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_COUNT, default=1)
     p.add_argument("--label", default="")
     p.add_argument("--out-dir", required=True)
@@ -195,14 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bench", help="run an engine matrix and print the table")
-    p.add_argument("--chip", required=True,
-                   help="preset name or grid:SIDE[:COLORING]")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--goals", type=_NON_NEGATIVE)
-    group.add_argument("--density", type=_DENSITY)
+    _add_instance_shape_flags(p)
     p.add_argument("--variant", choices=[QCC, QCC_I, QCC_X], action="append",
                    default=None, help="repeatable; defaults to qcc")
-    p.add_argument("--stages", type=int, choices=[1, 2], default=1)
     _add_engine_flags(p)
     p.add_argument("--count", type=_COUNT, default=5)
     p.add_argument("--engine", choices=ENGINES, action="append",

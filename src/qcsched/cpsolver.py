@@ -493,8 +493,7 @@ class _Engine:
     def _check_budget(self):
         if self.node_budget is not None and self.nodes >= self.node_budget:
             raise _OutOfBudget
-        if self.budget_s is not None and (
-                self.nodes % 256 == 0 or self.budget_s <= 0):
+        if self.budget_s is not None and self.nodes % 256 == 0:
             if time.monotonic() - self.t0 >= self.budget_s:
                 raise _OutOfBudget
 

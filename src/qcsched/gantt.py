@@ -59,7 +59,7 @@ def _grid(instance: Instance, schedule: Schedule) -> dict[int, list[str]]:
         if t.duration == 0:
             continue
         if t.kind == "ps":
-            edge = chip.edge_between(*t.location)
+            edge = chip.edge_map[t.location]
             char = BLUE_CHAR if edge.ps_color == inst.BLUE else RED_CHAR
         elif t.kind == "swap":
             char = SWAP_CHAR
@@ -149,7 +149,7 @@ def render_svg(instance: Instance, schedule: Schedule) -> str:
         if t.duration == 0:
             continue
         if t.kind == "ps":
-            edge = chip.edge_between(*t.location)
+            edge = chip.edge_map[t.location]
             color = SVG_COLORS[edge.ps_color]
             label = f"g{t.goal_index}"
         elif t.kind == "swap":

@@ -80,7 +80,8 @@ class Chip:
     Tables that depend only on the graph (edge lookup, ps durations,
     neighbors, the swap adjacency, swap distances, swap rounds, next hops
     and their swap gates, diameter, placement ranks, crosstalk zones) are
-    computed on first use and cached on the instance; callers must not
+    computed on first use and cached on the instance (the neighbors on
+    construction, which checks connectivity on them); callers must not
     mutate them. They are not fields, so two chips with the same graph
     compare equal.
 
@@ -118,7 +119,7 @@ class Chip:
                 raise ValidationError(f"edge {e.u}-{e.v} has unknown color {e.ps_color!r}")
             if e.ps_duration < 1:
                 raise ValidationError(f"edge {e.u}-{e.v} has nonpositive duration")
-        if len(_hop_counts(self._adjacency(self.edges), 1)) < self.qubit_count:
+        if len(_hop_counts(self.neighbors, 1)) < self.qubit_count:
             raise ValidationError("chip graph is not connected")
 
     @property
@@ -263,9 +264,6 @@ class Chip:
     def min_ps_duration(self) -> int:
         return min(e.ps_duration for e in self.edges)
 
-    def edge_between(self, u: int, v: int) -> Edge | None:
-        return self.edge_map.get((u, v))
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -325,13 +323,6 @@ class Instance:
     def goal_states(self) -> tuple[int, ...]:
         """The states named by some goal, ascending."""
         return tuple(s for s, gs in self.state_goals.items() if gs)
-
-    def goal_pair(self, goal_index: int) -> tuple[int, int]:
-        """Goal for a 1-based goal index; indexes the first set then its duplicate."""
-        try:
-            return self.goal_pairs[goal_index]
-        except KeyError:
-            raise IndexError(f"goal index {goal_index} out of range") from None
 
     def goal_stage(self, goal_index: int) -> int:
         return 1 if goal_index <= len(self.goals) else 2

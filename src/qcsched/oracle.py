@@ -4,6 +4,13 @@ Iterative deepening over the makespan: for each candidate bound, a depth-first
 enumeration over event times tries every compatible set of gate starts. This
 is deliberately independent of the CP-style solver: no swap dominance rule,
 no incumbent reasoning. Intended for desk-size chips only.
+
+One memo serves the whole call. It keeps, per state, the most room (bound
+minus time) the state has failed in, and a state is not searched again with
+no more room. That holds across bounds and placements: bounds are tried in
+ascending order, so a later visit with no more room is no earlier, and a
+completion shifted earlier ends no later and still passes the final mixing
+check against the horizon.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class _Searcher:
         self.all_goals = frozenset(range(1, instance.total_goals + 1))
         self.goal_states = sorted({s for g in instance.goals for s in g})
         self.zones = self.chip.crosstalk_zones
+        self.memo: dict = {}     # state key -> the most room it failed in
 
     def _meeting_rounds(self) -> list[list[float]]:
         """Indexed [qubit][qubit]: the fewest rounds of swaps that bring the
@@ -100,11 +108,9 @@ class _Searcher:
 
     # -- feasibility at a fixed makespan bound ----------------------------
     def feasible(self, bound: int) -> bool:
-        for mapping in self.initial_mappings():
-            self.memo: dict = {}
-            if self._search(0, mapping, (), self.all_goals, frozenset(), bound):
-                return True
-        return False
+        return any(self._search(0, mapping, (), self.all_goals, frozenset(),
+                                bound)
+                   for mapping in self.initial_mappings())
 
     def _search(self, t, mapping, running, pending, mixed, bound) -> bool:
         # harvest finished tasks
@@ -133,10 +139,10 @@ class _Searcher:
 
         key = (mapping, tuple(sorted(task.rel(t) for task in running)),
                pending, mixed)
-        seen = self.memo.get(key)
-        if seen is not None and seen <= t:
+        room = bound - t
+        if self.memo.get(key, -1) >= room:
             return False
-        self.memo[key] = t
+        self.memo[key] = room
 
         candidates = self._candidates(t, mapping, running, pending, mixed, bound)
         return self._choose(t, mapping, running, pending, mixed, bound,
@@ -211,10 +217,10 @@ class _Searcher:
         busy, blocked = self._busy_and_blocked(running)
         out = []
         running_ps_states = {s for task in running if task.kind == "ps"
-                             for s in instance.goal_pair(task.payload)}
+                             for s in instance.goal_pairs[task.payload]}
         # goal PS gates
         for g in sorted(pending):
-            s1, s2 = instance.goal_pair(g)
+            s1, s2 = instance.goal_pairs[g]
             if instance.stages == 2:
                 if instance.goal_stage(g) == 1:
                     if self._mix_started(s1, running, mixed) or \
@@ -277,7 +283,7 @@ class _Searcher:
             for g in pending:
                 if g in running_ps:
                     continue  # in flight; ends by task.end <= bound
-                s1, s2 = instance.goal_pair(g)
+                s1, s2 = instance.goal_pairs[g]
                 # infinite for a free placement that no edge can join
                 goal_lb = self.rounds[loc[s1]][loc[s2]] * self.tau_swap
                 if instance.stages == 2 and instance.goal_stage(g) == 2:

@@ -157,31 +157,32 @@ class _Timeline:
                 blocked[q].append(interval)
 
 
-def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
-    """Free-placement heuristic: high-degree goal states near the center.
+def _greedy_placement(instance: Instance, rng: random.Random) -> list[int]:
+    """Free-placement heuristic: high-degree goal states near the center;
+    returns each state's qubit, indexed by state.
 
     The first state goes to a qubit of the lowest ``Chip.placement_ranks``:
     the center of a largest swap component, so a qubit no swap edge reaches
     never wins while another can. A qubit the swap edges do not connect to a
     placed partner costs infinity, so a partner lands in the same swap
-    component when one is free."""
+    component when one is free. States no goal names sort last and take the
+    lowest free qubits."""
     chip = instance.chip
     dist = chip.swap_distances
     ranks = chip.placement_ranks
-    degree = {s: 0 for s in range(1, instance.state_count + 1)}
-    partners: dict[int, list[int]] = {s: [] for s in degree}
+    n = instance.state_count
+    partners: list[list[int]] = [[] for _ in range(n + 1)]
     for a, b in instance.goals:
-        degree[a] += 1
-        degree[b] += 1
         partners[a].append(b)
         partners[b].append(a)
 
-    placement: dict[int, int] = {}
-    free = sorted(chip.qubits)
-    for s in sorted(degree, key=lambda s: (-degree[s], s)):
-        if degree[s] == 0:
+    loc = [0] * (n + 1)                        # 0 until the state is placed
+    free = list(chip.qubits)
+    for s in sorted(range(1, n + 1), key=lambda s: (-len(partners[s]), s)):
+        if not partners[s]:
+            loc[s] = free.pop(0)
             continue
-        placed_partners = [placement[p] for p in partners[s] if p in placement]
+        placed_partners = [loc[p] for p in partners[s] if loc[p]]
         if placed_partners:
             cost = {q: sum(dist[q][p] for p in placed_partners)
                     for q in free}
@@ -189,12 +190,9 @@ def _greedy_placement(instance: Instance, rng: random.Random) -> dict[int, int]:
             cost = {q: ranks[q] for q in free}
         best = min(cost.values())
         q = rng.choice([c for c in free if cost[c] == best])
-        placement[s] = q
+        loc[s] = q
         free.remove(q)
-    for s in sorted(degree, key=lambda s: (-degree[s], s)):
-        if s not in placement:
-            placement[s] = free.pop(0)
-    return placement
+    return loc
 
 
 def _swap_states(loc: list[int], holder: list[int], u: int, v: int) -> None:
@@ -265,8 +263,7 @@ def solve_greedy(instance: Instance, seed: int = 0,
     n = instance.state_count
     rng = random.Random(seed)
     if instance.variant == inst.QCC_I:
-        placement = _greedy_placement(instance, rng)
-        loc = [0] + [placement[s] for s in range(1, n + 1)]
+        loc = _greedy_placement(instance, rng)
     else:
         loc = list(range(n + 1))               # state -> qubit
     require_routable(instance, loc)

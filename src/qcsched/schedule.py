@@ -194,7 +194,7 @@ def validate(instance: Instance, schedule: Schedule,
             if not isinstance(loc, tuple) or len(loc) != 2:
                 flag("R5", f"task {i}: {kind} needs an edge location", i)
                 continue
-            edge = chip.edge_between(*loc)
+            edge = chip.edge_map.get(loc)
             if edge is None:
                 flag("R5", f"task {i}: no edge {loc} on the chip", i)
                 continue

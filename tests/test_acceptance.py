@@ -218,10 +218,10 @@ def test_criterion_7_mix_separates_the_stages():
         for state in {s for pair in instance.goals for s in pair}:
             first_ends = [t.end for t in schedule.tasks if t.kind == "ps"
                           and t.goal_index <= n
-                          and state in instance.goal_pair(t.goal_index)]
+                          and state in instance.goal_pairs[t.goal_index]]
             second_starts = [t.start for t in schedule.tasks
                              if t.kind == "ps" and t.goal_index > n
-                             and state in instance.goal_pair(t.goal_index)]
+                             and state in instance.goal_pairs[t.goal_index]]
             mix = mixes.get(state)
             if (mix is None or mix.start < max(first_ends)
                     or mix.end > min(second_starts)):
@@ -253,7 +253,7 @@ def test_criterion_8_scoring_fixture():
 def test_criterion_9_half_hybrid_helps_under_crosstalk(tmp_path):
     chip = build_preset_chip("rigetti-8")
     suite = gen_suite(chip, 20, 4, "qcc-x", 1, seed=2026, label="desk")
-    result = run_matrix(suite, ["router", "half"], budget_s=10.0,
+    result = run_matrix(suite, ["router", "half"], budget_s=1.0,
                         out_dir=tmp_path, seed=2026)
     router_avg = result.cell("router", ("qcc-x", 1))[0]
     half_avg = result.cell("half", ("qcc-x", 1))[0]

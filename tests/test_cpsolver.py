@@ -250,7 +250,12 @@ def test_incumbents_strictly_improve():
             (1, "qcc", 3, 50000), (2, "qcc", 3, 5000)):
         instance = generate_instance(chip, 3, stages=stages, variant=variant,
                                      seed=seed)
-        result = search(build_model(instance), node_budget=nodes)
+        hooked = []
+        result = search(build_model(instance), node_budget=nodes,
+                        on_incumbent=hooked.append)
+        # the hook got each incumbent, in order, as the record kept
+        assert len(hooked) == len(result.incumbents)
+        assert all(a is b for a, b in zip(hooked, result.incumbents))
         objectives = [i.schedule.objective() for i in result.incumbents]
         assert objectives
         if len(objectives) > 1:

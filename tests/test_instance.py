@@ -156,13 +156,10 @@ def test_goal_indexing(chip):
     instance = Instance(chip=chip, goals=((1, 2), (3, 4)), stages=2)
     assert instance.goal_count == 2
     assert instance.total_goals == 4
-    assert instance.goal_pair(1) == (1, 2)
-    assert instance.goal_pair(3) == (1, 2)   # stage-2 duplicate
+    assert instance.goal_pairs[1] == (1, 2)
+    assert instance.goal_pairs[3] == (1, 2)   # stage-2 duplicate
     assert instance.goal_stage(2) == 1
     assert instance.goal_stage(4) == 2
-    for bad in (0, -1, 5):
-        with pytest.raises(IndexError):
-            instance.goal_pair(bad)
 
 
 def test_goal_tables(chip):

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import replace
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from qcsched import instance as inst
 from qcsched.cpsolver import (_IDLE, OPTIMAL, _Engine, _OutOfBudget, _Rec,
@@ -95,7 +95,7 @@ def pairwise_r2(tasks, chip):
              [tasks[i].location[1]] for i in busy
              if tasks[i].kind in TWO_QUBIT_KINDS
              and isinstance(tasks[i].location, tuple)
-             and chip.edge_between(*tasks[i].location)}
+             and chip.edge_map.get(tasks[i].location)}
     out = []
     for a in range(len(busy)):
         for b in range(a + 1, len(busy)):
@@ -285,7 +285,7 @@ class SetPredicates:
         waiting = set(pending) - {r.payload for r in running
                                   if r.kind == "ps"}
         for g in waiting:
-            s1, s2 = self.engine.instance.goal_pair(g)
+            s1, s2 = self.engine.instance.goal_pairs[g]
             for here, there in ((where[s1], where[s2]),
                                 (where[s2], where[s1])):
                 if dist[there][here] == float("inf"):
@@ -307,10 +307,10 @@ class SetPredicates:
         busy, blocked = self.busy_and_blocked(running)
         started = mixed | {r.payload for r in running if r.kind == "mix"}
         running_ps_states = {s for r in running if r.kind == "ps"
-                             for s in instance.goal_pair(r.payload)}
+                             for s in instance.goal_pairs[r.payload]}
         out = []
         for g in sorted(pending):
-            s1, s2 = instance.goal_pair(g)
+            s1, s2 = instance.goal_pairs[g]
             if instance.stages == 2:
                 if instance.goal_stage(g) == 1:
                     if s1 in started or s2 in started:
@@ -466,6 +466,29 @@ SEARCH_STATES = dict(
     variant=st.sampled_from([inst.QCC, inst.QCC_X]),
     stages=st.sampled_from([1, 2]), goals=st.integers(1, 5),
     seed=st.integers(0, 10 ** 6))
+# the values SEARCH_STATES draws from, for pinned draws
+SEARCH_VALUES = dict(
+    chip_name=sorted(SEARCH_CHIPS), variant=[inst.QCC, inst.QCC_X],
+    stages=[1, 2], goals=range(1, 6), seed=range(10 ** 6 + 1))
+
+
+def pinned(count, draw_seed, **values):
+    """Run a test on ``count`` cases that ``random.Random(draw_seed)``
+    draws from ``values`` (argument name -> the values it may take), as
+    Hypothesis's explicit examples only. Hypothesis's own draws mix in
+    constants from the loaded modules, so they change with what was
+    imported before; these do not."""
+    rng = random.Random(draw_seed)
+    cases = [{name: rng.choice(vs) for name, vs in values.items()}
+             for _ in range(count)]
+
+    def pin(test):
+        test = given(**{name: st.sampled_from(vs)
+                        for name, vs in values.items()})(test)
+        for case in reversed(cases):    # run in the order drawn
+            test = example(**case)(test)
+        return settings(phases=[Phase.explicit], deadline=None)(test)
+    return pin
 
 
 @settings(max_examples=300, deadline=None)
@@ -555,7 +578,7 @@ def _search_state(engine, rng):
     placed = {}     # qubit -> state, for the running ps gates
     running = []
     for g in sorted(pending):
-        s1, s2 = instance.goal_pair(g)
+        s1, s2 = instance.goal_pairs[g]
         edges = [e for e in chip.edges if e.u in free and e.v in free]
         if rng.random() < 0.5 or not edges or {s1, s2} & set(placed.values()):
             continue
@@ -686,14 +709,10 @@ def _records(engine, visit):
 # neither, as the set reference's bound says, and the loop must hand the
 # node's mapping and placement back unchanged. The bound sits one below, at
 # or one above the reference's bound of each child, so the swap tie-break
-# decides some of them. One draw can take minutes, so the draws are pinned:
-# the same code, run the same way, draws the same examples. (Hypothesis also
-# draws constants found in the loaded modules, so the draws move when those
-# change.)
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(mix=st.sampled_from([1, 3]), mk_offset=st.sampled_from([-1, 0, 1]),
-       swaps=st.integers(0, 4), most_offset=st.sampled_from([-1, 0, 1]),
-       **SEARCH_STATES)
+# decides some of them. One draw can take half a minute, so the draws are
+# pinned: every run tries the same cases.
+@pinned(300, draw_seed=0, mix=[1, 3], mk_offset=[-1, 0, 1], swaps=range(5),
+        most_offset=[-1, 0, 1], **SEARCH_VALUES)
 def test_children_loop_bounds_each_child_as_a_root(
         chip_name, variant, stages, goals, seed, mix, mk_offset, swaps,
         most_offset):
@@ -766,13 +785,10 @@ def test_schedule_json_round_trip(chip_name, variant, stages, goals, seed,
         validate(instance, schedule).violations
 
 
-# The oracle takes up to about 15 s on a two-stage, three-goal grid:2
-# instance, so the draw is kept small, and pinned like the children-loop
-# test's.
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(variant=st.sampled_from([inst.QCC, inst.QCC_I, inst.QCC_X]),
-       stages=st.sampled_from([1, 2]), goals=st.integers(1, 3),
-       seed=st.integers(0, 10 ** 6))
+# The oracle takes seconds on some two-stage, three-goal grid:2 instances,
+# so the draw is kept small, and pinned like the children-loop test's.
+@pinned(20, draw_seed=0, variant=[inst.QCC, inst.QCC_I, inst.QCC_X],
+        stages=[1, 2], goals=range(1, 4), seed=range(10 ** 6 + 1))
 def test_schedules_respect_the_oracle_on_grid2(variant, stages, goals, seed):
     instance = generate_instance(ROUND_TRIP_CHIPS["grid:2"], goals,
                                  stages=stages, variant=variant, seed=seed)

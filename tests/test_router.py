@@ -40,7 +40,7 @@ def test_shortest_path_endpoints():
     assert path[0] == 1 and path[-1] == 9
     assert len(path) == 5
     for a, b in zip(path, path[1:]):
-        assert chip.edge_between(a, b) is not None
+        assert (a, b) in chip.edge_map
 
 
 def test_baseline_is_valid_and_fits_horizon():
@@ -161,8 +161,13 @@ def test_fixed_placement_anytime_starts_from_the_baseline():
 def test_anytime_stream_improves_strictly():
     chip = build_preset_chip("rigetti-8")
     instance = generate_instance(chip, 5, stages=1, variant="qcc", seed=3)
+    hooked = []
     incumbents = solve_anytime(instance, budget_s=30.0, seed=3,
-                               max_restarts=60).incumbents
+                               max_restarts=60,
+                               on_incumbent=hooked.append).incumbents
+    # the hook got each incumbent, in order, as the record kept
+    assert len(hooked) == len(incumbents)
+    assert all(a is b for a, b in zip(hooked, incumbents))
     assert incumbents[0].source == "baseline"
     objectives = [i.schedule.objective() for i in incumbents]
     for a, b in zip(objectives, objectives[1:]):
