@@ -13,9 +13,8 @@ A ``RunReport`` keeps one trace of the run's incumbents: the router's
 ``Incumbent`` records, then the search's with ``stage2_start_s`` added to
 their time, all on one clock, seconds into the run's budget.  Its ``delta``
 is derived from the handoff and the final schedule.  Its file form is
-``to_json``'s, one key per compared dataclass field, and
-``report_from_dict`` reads each such field back by name after checking its
-declared type.
+``to_json``'s, one key per compared dataclass field, and ``from_json``
+reads it back, with ``_DECODE`` naming the fields that hold records.
 """
 
 from __future__ import annotations
@@ -23,11 +22,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .cpsolver import build_model, search
-from .instance import Instance, ParseError, read_json, require, write_json
+from .instance import Instance, from_json, read_json, write_json
 from .router import solve_anytime
 from .schedule import (Incumbent, Schedule, improvement_delta,
                        schedule_from_dict)
@@ -116,35 +115,16 @@ def run_engine(instance: Instance, engine: str, budget_s: float,
 
 
 # (JSON type, reader) of each field whose JSON form is not its value
-_DECODE = {"trace": ("list", lambda raw: [_from_fields(Incumbent, p)
+_DECODE = {"trace": ("list", lambda raw: [from_json(Incumbent, p, "incumbent")
                                           for p in raw]),
            "handoff": ("dict | None", schedule_from_dict),
            "final": ("dict | None", schedule_from_dict)}
 
 
-def _from_fields(cls, d: dict):
-    """A ``cls`` from the JSON object ``d``, one key per compared field
-    (the fields ``to_json`` writes), each of its declared type; a missing
-    optional field takes its default, and other keys are ignored."""
-    if not isinstance(d, dict):
-        raise ParseError(f"{cls.__name__} {d!r} is not an object")
-    values = {}
-    for f in fields(cls):
-        if not f.compare or f.name not in d and (
-                f.default is not MISSING or f.default_factory is not MISSING):
-            continue
-        declared, decode = _DECODE.get(f.name, (f.type, None))
-        value = require(d, f.name, cls.__name__, declared)
-        if decode is not None and value is not None:
-            value = decode(value)
-        values[f.name] = value
-    return cls(**values)
-
-
 def report_from_dict(d: dict) -> RunReport:
     """Read a report, ignoring the ``stage1``, ``stage2``, ``delta`` and
     ``stage_seeds`` of older reports."""
-    return _from_fields(RunReport, d)
+    return from_json(RunReport, d, "report", _DECODE)
 
 
 def write_report(report: RunReport, path: str | Path) -> None:

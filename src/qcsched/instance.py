@@ -6,8 +6,9 @@ number of phase-separation stages, and the problem variant.
 
 Every file the package writes (instance, schedule, run report) is
 ``to_json`` of its record: the record's fields by name.  ``write_json``
-writes one and ``read_json`` reads one back through a hand-written decoder,
-which checks each value's type with ``of_type``.
+writes one and ``read_json`` reads one back with ``from_json``, the inverse
+of ``to_json``, which reads each field by name and checks its declared type
+with ``of_type``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import combinations
@@ -119,7 +120,9 @@ class Chip:
                 raise ValidationError(f"edge {e.u}-{e.v} has unknown color {e.ps_color!r}")
             if e.ps_duration < 1:
                 raise ValidationError(f"edge {e.u}-{e.v} has nonpositive duration")
-        if len(_hop_counts(self.neighbors, 1)) < self.qubit_count:
+        # n qubits need n - 1 edges to connect: count before the adjacency
+        if len(self.edges) < self.qubit_count - 1 or len(
+                _hop_counts(self.neighbors, 1)) < self.qubit_count:
             raise ValidationError("chip graph is not connected")
 
     @property
@@ -436,10 +439,13 @@ def read_json(path, decode):
     """``decode`` of the JSON in file ``path`` (a path, or a bundled
     resource); a ParseError or ValidationError it raises names the file."""
     try:
-        return decode(json.loads(
-            (Path(path) if isinstance(path, str) else path).read_text()))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+        try:
+            data = json.loads((Path(path) if isinstance(path, str)
+                               else path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:     # too deep a nesting for the parser
+            raise ParseError(f"not valid JSON: {exc}") from exc
+        return decode(data)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -460,59 +466,60 @@ def of_type(value, declared: str, what: str):
     return value
 
 
-def require(d: dict, key: str, context: str, declared: str = ""):
-    """``d[key]``, of the type ``declared`` when given; a ParseError if
-    ``d`` is not an object with that key."""
-    if not isinstance(d, dict) or key not in d:
-        raise ParseError(f"missing field {key!r} in {context}")
-    if not declared:
-        return d[key]
-    return of_type(d[key], declared, f"{context} {key}")
+def from_json(cls, d, what: str, decode=None, required=(), **given):
+    """The ``cls`` that ``to_json`` wrote as the object ``d`` (``what`` in
+    errors), plus the fields ``given``. Each field it writes is read by
+    name as its declared type, or as the JSON type that ``decode`` maps it
+    to, with a reader for its value; a field with a default may be
+    missing unless it is ``required``, and other keys are ignored."""
+    if not isinstance(d, dict):
+        raise ParseError(f"{what} {d!r} is not an object")
+    if is_dataclass(cls):
+        declared = {f.name: f.type for f in fields(cls) if f.compare}
+        optional = {f.name for f in fields(cls) if f.default is not MISSING
+                    or f.default_factory is not MISSING}
+    else:       # a NamedTuple, whose annotations are ForwardRefs
+        declared = {name: t.__forward_arg__
+                    for name, t in cls.__annotations__.items()}
+        optional = cls._field_defaults
+    decode = decode or {}
+    for name, kind in declared.items():
+        if name in d:
+            kind, read = decode.get(name, (kind, None))
+            value = of_type(d[name], kind, f"{what} {name}")
+            given[name] = read(value) if read and value is not None else value
+        elif name not in optional or name in required:
+            raise ParseError(f"missing field {name!r} in {what}")
+    return cls(**given)
 
 
 def _chip_from_dict(d: dict) -> Chip:
     # Unknown keys are ignored, so older files with a side_length still load.
-    edges = []
-    for raw in require(d, "edges", "chip", "list"):
-        edges.append(Edge(
-            u=require(raw, "u", "edge", "int"),    # so raw is an object
-            v=require(raw, "v", "edge", "int"),
-            ps_color=require(raw, "ps_color", "edge"),
-            ps_duration=require(raw, "ps_duration", "edge", "int"),
-            swap_enabled=of_type(raw.get("swap_enabled", True), "bool",
-                                 "edge swap_enabled"),
-        ))
-    return Chip(
-        qubit_count=require(d, "qubit_count", "chip", "int"),
-        swap_duration=of_type(d.get("swap_duration", DEFAULT_SWAP_DURATION),
-                              "int", "chip swap_duration"),
-        mix_duration=of_type(d.get("mix_duration", DEFAULT_MIX_DURATION),
-                             "int", "chip mix_duration"),
-        edges=tuple(edges),
-    )
+    return from_json(Chip, d, "chip", {"edges": ("list", lambda raw: tuple(
+        from_json(Edge, e, "edge") for e in raw))})
+
+
+def _goals_from_list(raw: list) -> tuple[tuple[int, int], ...]:
+    goals = []
+    for pair in raw:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(f"goal entry {pair!r} is not a pair")
+        goals.append(tuple(of_type(s, "int", "goal state") for s in pair))
+    return tuple(goals)
 
 
 def _instance_from_dict(d: dict, label: str = "") -> Instance:
-    goals = []
-    for raw in require(d, "goals", "instance", "list"):
-        if not (isinstance(raw, list) and len(raw) == 2):
-            raise ParseError(f"goal entry {raw!r} is not a pair")
-        goals.append((of_type(raw[0], "int", "goal state"),
-                      of_type(raw[1], "int", "goal state")))
-    variant = require(d, "variant", "instance")
+    instance = from_json(Instance, d, "instance",
+                         {"chip": ("dict", _chip_from_dict),
+                          "goals": ("list", _goals_from_list)},
+                         required=("stages", "variant"), label=label)
     # Older files name the placement too; it must agree with the variant.
-    placement = "free" if variant == QCC_I else "identity"
+    placement = "free" if instance.variant == QCC_I else "identity"
     if d.get("initial_mapping", placement) != placement:
         raise ValidationError(
-            f"variant {variant} requires initial_mapping={placement!r}, "
-            f"got {d['initial_mapping']!r}")
-    return Instance(
-        chip=_chip_from_dict(require(d, "chip", "instance")),
-        goals=tuple(goals),
-        stages=require(d, "stages", "instance", "int"),
-        variant=variant,
-        label=label,
-    )
+            f"variant {instance.variant} requires "
+            f"initial_mapping={placement!r}, got {d['initial_mapping']!r}")
+    return instance
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:

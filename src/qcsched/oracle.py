@@ -63,7 +63,7 @@ class _Searcher:
         self.tau_mix = self.chip.mix_duration
         self.min_ps = self.chip.min_ps_duration
         self.all_goals = frozenset(range(1, instance.total_goals + 1))
-        self.goal_states = sorted({s for g in instance.goals for s in g})
+        self.goal_states = instance.goal_states
         self.zones = self.chip.crosstalk_zones
         self.memo: dict = {}     # state key -> the most room it failed in
 

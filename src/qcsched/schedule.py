@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import instance as inst
-from .instance import (Instance, ParseError, of_type, read_json, require,
+from .instance import (Instance, ParseError, from_json, of_type, read_json,
                        write_json)
 
 SWAP = "swap"
@@ -374,35 +374,22 @@ def improvement_delta(before: int, after: int) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _task_from_dict(d: dict) -> GateTask:
-    if not isinstance(d, dict) or not isinstance(d.get("kind", ""), str):
-        raise ParseError(f"task {d!r} is not an object with a string kind")
-    loc = d.get("location")
-    if isinstance(loc, list) and len(loc) == 2:
-        loc = tuple(of_type(q, "int", "task location qubit") for q in loc)
-    elif isinstance(loc, bool) or not isinstance(loc, int):
+def _task_location(loc: list | int) -> tuple[int, int] | int:
+    if isinstance(loc, int):
+        return loc
+    if len(loc) != 2:
         raise ParseError(f"task location {loc!r} is not a qubit or a pair")
-    return GateTask(
-        kind=d.get("kind", ""),
-        location=loc,
-        start=of_type(d.get("start", 0), "int", "task start"),
-        duration=of_type(d.get("duration", 0), "int", "task duration"),
-        goal_index=of_type(d.get("goal_index"), "int | None",
-                           "task goal_index"),
-        state=of_type(d.get("state"), "int | None", "task state"),
-    )
+    return tuple(of_type(q, "int", "task location qubit") for q in loc)
+
+
+def _task_from_dict(d: dict) -> GateTask:
+    return from_json(GateTask, d, "task",
+                     {"location": ("list | int", _task_location)})
 
 
 def schedule_from_dict(d: dict) -> Schedule:
-    return Schedule(
-        tasks=tuple(_task_from_dict(t)     # read first, so d is an object
-                    for t in require(d, "tasks", "schedule", "list")),
-        makespan=of_type(d.get("makespan", 0), "int", "schedule makespan"),
-        swap_count=of_type(d.get("swap_count", 0), "int",
-                           "schedule swap_count"),
-        instance_id=of_type(d.get("instance_id", ""), "str",
-                            "schedule instance_id"),
-    )
+    return from_json(Schedule, d, "schedule", {"tasks": (
+        "list", lambda raw: tuple(_task_from_dict(t) for t in raw))})
 
 
 def write_schedule(schedule: Schedule, path: str | Path) -> None:

@@ -47,7 +47,8 @@ def test_run_matrix_and_resume(tmp_path, chip):
 
 @pytest.mark.parametrize("change", ["seed", "budget", "node_budget", "chip",
                                     "old_file", "truncated",
-                                    "not-an-object", "bad-field"])
+                                    "not-an-object", "bad-field",
+                                    "not-utf8"])
 def test_resume_reruns_a_cell_whose_settings_changed(tmp_path, chip, change):
     settings = dict(budget_s=0.3, seed=1, node_budget=40)
     suite = gen_suite(chip, 1, 2, "qcc", 1, seed=1)
@@ -66,6 +67,8 @@ def test_resume_reruns_a_cell_whose_settings_changed(tmp_path, chip, change):
         path.write_text(path.read_text()[:40])
     elif change == "not-an-object":
         path.write_text("[]")
+    elif change == "not-utf8":
+        path.write_bytes(b"\xff" + path.read_bytes())
     elif change == "bad-field":
         data = json.loads(path.read_text())
         data["trace"] = 5

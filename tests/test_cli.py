@@ -222,6 +222,10 @@ def _set(**fields):
     return _edit(lambda data: data.update(fields))
 
 
+def _write(data):
+    return lambda path: path.write_bytes(data)
+
+
 def _chip(**fields):
     return _edit(lambda data: data["chip"].update(fields))
 
@@ -237,7 +241,7 @@ MALFORMED = {
                    "task goal_index"),
     "duration": ("validate", "schedule", _first_task(duration=None),
                  "task duration"),
-    "kind": ("validate", "schedule", _first_task(kind=3), "string kind"),
+    "kind": ("validate", "schedule", _first_task(kind=3), "kind 3"),
     "location": ("validate", "schedule", _first_task(location=[1, "2"]),
                  "task location"),
     "makespan": ("validate", "schedule", _set(makespan="5"),
@@ -247,7 +251,13 @@ MALFORMED = {
     "no-tasks": ("validate", "schedule", _drop("tasks"), "'tasks'"),
     "tasks": ("validate", "schedule", _set(tasks=3), "tasks 3"),
     "no-schedule": ("validate", "schedule", Path.unlink, "No such file"),
+    "not-utf8": ("validate", "schedule", _write(b'{"tasks": "\xff"}'),
+                 "not valid JSON: 'utf-8' codec"),
+    "too-deep": ("validate", "schedule", _write(b"[" * 200000),
+                 "not valid JSON: maximum recursion depth"),
     "no-chip": ("validate", "instance", _drop("chip"), "'chip'"),
+    "no-stages": ("validate", "instance", _drop("stages"), "'stages'"),
+    "no-variant": ("validate", "instance", _drop("variant"), "'variant'"),
     "gantt-start": ("gantt", "schedule", _first_task(start="0"), "task start"),
     "gantt-no-instance": ("gantt", "instance", Path.unlink, "No such file"),
     "solve-no-chip": ("solve", "instance", _drop("chip"), "'chip'"),

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsched.cpsolver import OPTIMAL, build_model, search
-from qcsched.instance import (BLUE, RED, VARIANTS, Chip, Edge, Instance,
-                              ParseError, ValidationError, build_grid_chip,
-                              build_preset_chip, generate_instance,
-                              read_instance, to_json, write_instance)
+from qcsched.instance import (BLUE, QCC_X, RED, VARIANTS, Chip, Edge,
+                              Instance, ParseError, ValidationError,
+                              _chip_from_dict, _instance_from_dict,
+                              build_grid_chip, build_preset_chip, from_json,
+                              generate_instance, read_instance, to_json,
+                              write_instance)
 from qcsched.fixtures import worked_example
 from qcsched.router import solve_sequential_baseline
 from qcsched.schedule import validate
+from tasks import assert_round_trips
 
 
 def test_preset_rigetti8_shape():
@@ -75,6 +78,12 @@ def test_chip_rejects_self_loop():
 def test_chip_rejects_disconnected():
     with pytest.raises(ValidationError):
         Chip(4, (Edge(1, 2, BLUE, 3), Edge(3, 4, BLUE, 3)))
+
+
+def test_chip_with_too_few_edges_to_connect_is_rejected_at_once():
+    """Found before an adjacency for every named qubit is built."""
+    with pytest.raises(ValidationError, match="chip graph is not connected"):
+        Chip(10**9, (Edge(1, 2, BLUE, 3),))
 
 
 def test_chip_rejects_bad_color():
@@ -262,6 +271,20 @@ def test_file_form_is_the_fields_by_name(tmp_path):
     write_instance(instance, path)
     assert json.loads(path.read_text()) == data
     assert read_instance(path).label == "stem"
+
+
+def test_chip_records_round_trip_every_field():
+    """A field added to ``Edge``, ``Chip`` or ``Instance`` must be set
+    here, or this test fails."""
+    edge = Edge(u=1, v=3, ps_color=RED, ps_duration=5, swap_enabled=False)
+    assert_round_trips(edge, lambda d: from_json(Edge, d, "edge"))
+    chip = Chip(qubit_count=3, edges=(edge, Edge(2, 3, BLUE, 3)),
+                swap_duration=3, mix_duration=2)
+    assert_round_trips(chip, _chip_from_dict)
+    instance = Instance(chip=chip, goals=((1, 2), (2, 3)), stages=2,
+                        variant=QCC_X, label="stem")
+    assert_round_trips(instance, lambda d: _instance_from_dict(d, "stem"))
+    assert _instance_from_dict(to_json(instance), "stem").label == "stem"
 
 
 def test_read_instance_errors(tmp_path):

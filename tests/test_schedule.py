@@ -5,12 +5,13 @@ import pytest
 
 from qcsched.fixtures import worked_example
 from qcsched.instance import (Instance, ParseError, build_grid_chip,
-                              build_preset_chip, to_json)
-from qcsched.schedule import (GateTask, Schedule, _task_from_dict,
+                              build_preset_chip, from_json, to_json)
+from qcsched.schedule import (GateTask, Incumbent, Schedule, _task_from_dict,
                               improvement_delta, read_schedule,
                               schedule_from_dict, score, validate,
                               write_schedule)
-from tasks import init_task, mix_task, ps_task, swap_task
+from tasks import (assert_round_trips, init_task, mix_task, ps_task,
+                   swap_task)
 
 
 @pytest.fixture
@@ -201,6 +202,37 @@ def test_read_schedule_checks_field_types(tmp_path, example, change, says):
     path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
     with pytest.raises(ParseError, match=f"sched.json: .*{says}"):
         read_schedule(path)
+
+
+@pytest.mark.parametrize("field,says", [
+    ("start", "missing field 'start' in task"),
+    ("makespan", "missing field 'makespan' in schedule"),
+])
+def test_read_schedule_needs_each_field_without_a_default(tmp_path, example,
+                                                          field, says):
+    path = tmp_path / "sched.json"
+    write_schedule(example[1], path)
+    data = json.loads(path.read_text())
+    del (data["tasks"][0] if field == "start" else data)[field]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=f"sched.json: {says}"):
+        read_schedule(path)
+
+
+def test_schedule_records_round_trip_every_field():
+    """A field added to ``GateTask``, ``Schedule`` or ``Incumbent`` must be
+    set here, or this test fails."""
+    task = GateTask(kind="ps", location=(2, 3), start=4, duration=3,
+                    goal_index=2, state=5)
+    assert_round_trips(task, _task_from_dict)
+    assert_round_trips(GateTask("mix", 3, 1, 1, 1, 3), _task_from_dict)
+    schedule = Schedule(tasks=(task,), makespan=7, swap_count=1,
+                        instance_id="x")
+    assert_round_trips(schedule, schedule_from_dict)
+    incumbent = Incumbent(t=0.5, makespan=7, swap_count=1, source="cp",
+                          nodes=12, build=lambda: schedule)
+    assert_round_trips(incumbent,
+                       lambda d: from_json(Incumbent, d, "incumbent"))
 
 
 def test_total_span_vs_makespan():
