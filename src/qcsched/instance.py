@@ -18,7 +18,7 @@ import json
 import random
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
@@ -466,6 +466,22 @@ def of_type(value, declared: str, what: str):
     return value
 
 
+@cache
+def _layout(cls) -> tuple[tuple[tuple[str, str], ...], frozenset[str]]:
+    """The fields of ``cls`` that ``to_json`` writes, as (name, declared
+    type) pairs, and the names of the fields with a default; worked out
+    once per class."""
+    if is_dataclass(cls):
+        every = fields(cls)
+        return (tuple((f.name, f.type) for f in every if f.compare),
+                frozenset(f.name for f in every if f.default is not MISSING
+                          or f.default_factory is not MISSING))
+    # a NamedTuple, whose annotations are ForwardRefs
+    return (tuple((name, t.__forward_arg__)
+                  for name, t in cls.__annotations__.items()),
+            frozenset(cls._field_defaults))
+
+
 def from_json(cls, d, what: str, decode=None, required=(), **given):
     """The ``cls`` that ``to_json`` wrote as the object ``d`` (``what`` in
     errors), plus the fields ``given``. Each field it writes is read by
@@ -474,16 +490,9 @@ def from_json(cls, d, what: str, decode=None, required=(), **given):
     missing unless it is ``required``, and other keys are ignored."""
     if not isinstance(d, dict):
         raise ParseError(f"{what} {d!r} is not an object")
-    if is_dataclass(cls):
-        declared = {f.name: f.type for f in fields(cls) if f.compare}
-        optional = {f.name for f in fields(cls) if f.default is not MISSING
-                    or f.default_factory is not MISSING}
-    else:       # a NamedTuple, whose annotations are ForwardRefs
-        declared = {name: t.__forward_arg__
-                    for name, t in cls.__annotations__.items()}
-        optional = cls._field_defaults
+    declared, optional = _layout(cls)
     decode = decode or {}
-    for name, kind in declared.items():
+    for name, kind in declared:
         if name in d:
             kind, read = decode.get(name, (kind, None))
             value = of_type(d[name], kind, f"{what} {name}")

@@ -11,10 +11,14 @@ keep their state in lists indexed by qubit or state and record each
 committed task as a row for ``Schedule.from_tasks``. The greedy checks
 once, after placement, that the swap edges connect each goal's states;
 states move only along swap edges, so that cannot change. It picks the
-nearest goal from ``Chip.swap_distances``. Under qcc-x its timeline reads
-crosstalk zones from ``Chip.crosstalk_zones`` and bisects each qubit's
-sorted crosstalk intervals. ``solve_anytime`` passes each restart the
-incumbent's objective, so a restart that does not beat it builds nothing.
+nearest goal from ``Chip.swap_distances`` and routes it by its timeline's
+per-qubit release times: at each hop it keeps the next hops released
+first, and it splits the path where the goal's ps gate would end first.
+Under qcc-x that price ignores crosstalk, so it is a lower bound on the
+end; the timeline itself reads crosstalk zones from
+``Chip.crosstalk_zones`` and bisects each qubit's sorted crosstalk
+intervals. ``solve_anytime`` passes each restart the incumbent's
+objective, so a restart that does not beat it builds nothing.
 """
 
 from __future__ import annotations
@@ -59,18 +63,64 @@ def require_routable(instance: Instance,
 
 
 def shortest_path(chip: Chip, a: int, b: int,
-                  rng: random.Random | None = None) -> list[int]:
-    """A shortest swap path from a to b; rng picks among equal-length ones,
-    which ``Chip.swap_next_hops`` lists hop by hop."""
+                  rng: random.Random | None = None,
+                  ready: Sequence[int] | None = None) -> list[int]:
+    """A shortest swap path from a to b, hop by hop through the options
+    ``Chip.swap_next_hops`` lists. Without rng it takes the first option.
+    With rng it keeps the options whose release time in ``ready`` (indexed
+    by qubit) is lowest, and draws among those only when more than one is
+    left."""
     if chip.swap_distances[b][a] == float("inf"):
         raise RoutingError(f"no swap path between qubits {a} and {b}")
     hops = chip.swap_next_hops[b]
     path = [a]
     while a != b:
         options = hops[a]
-        a = rng.choice(options) if rng else options[0]
+        if rng is not None and len(options) > 1:
+            soonest = min([ready[q] for q in options])
+            options = [q for q in options if ready[q] == soonest]
+            a = options[0] if len(options) == 1 else rng.choice(options)
+        else:
+            a = options[0]
         path.append(a)
     return path
+
+
+def _split_ends(ready: Sequence[int], path: Sequence[int], swap: int,
+                ps: Sequence[Sequence[int]], not_before: int) -> list[int]:
+    """When each split of ``path`` would end its ps gate, from the release
+    times ``ready`` (indexed by qubit), in one pass each way.
+
+    Split m swaps the state on ``path[0]`` along the path to ``path[m]``,
+    the state on ``path[d]`` back to ``path[m+1]``, and runs the goal's ps
+    gate on that edge, no earlier than ``not_before``. ``left[m]`` is when
+    the first state reaches ``path[m]``; walking back from ``path[d]``, ``t``
+    is when the second state reaches ``path[m+1]``. The two chains share no
+    qubit. Without crosstalk this is the end that committing the split
+    gives; under qcc-x crosstalk can only delay the tasks, so it is a lower
+    bound."""
+    d = len(path) - 1
+    t = ready[path[0]]
+    left = [t]
+    for q in path[1:d]:
+        r = ready[q]
+        t = (t if t > r else r) + swap
+        left.append(t)
+    ends = [0] * d
+    t = ready[path[d]]
+    m, v = d - 1, path[d]
+    while m >= 0:
+        u = path[m]
+        end = left[m]
+        if t > end:
+            end = t
+        if not_before > end:
+            end = not_before
+        ends[m] = end + ps[u][v]
+        r = ready[u]                # the second state swaps onto u
+        t = (t if t > r else r) + swap
+        m, v = m - 1, u
+    return ends
 
 
 class _Timeline:
@@ -252,6 +302,14 @@ def solve_greedy(instance: Instance, seed: int = 0,
                  beat: tuple[int, int] | None = None) -> Schedule | None:
     """Interleaving goal router: nearest pending goal first, tasks start ASAP.
 
+    Each goal's path takes, hop by hop, a next hop whose qubit the timeline
+    releases first (``shortest_path`` with ``ready``). The path is split
+    where ``_split_ends`` prices the goal's ps gate to end first, from the
+    same release times; crosstalk is not priced, so under qcc-x the gate
+    may end later than priced. Ties between nearest goals, next hops and
+    splits are drawn from the seeded rng, and only when more than one is
+    left.
+
     The restart records each task as a row and tracks its makespan and swap
     count as it goes. When ``beat`` is given and ``(makespan, swaps) >=
     beat``, it returns None and builds no schedule; otherwise it returns
@@ -271,7 +329,7 @@ def solve_greedy(instance: Instance, seed: int = 0,
     for s in range(1, n + 1):
         holder[loc[s]] = s
     tl = _Timeline(instance)
-    earliest, commit = tl.earliest, tl.commit
+    earliest, commit, ready = tl.earliest, tl.commit, tl.ready
     rows: list[tuple] = []
     if instance.variant == inst.QCC_I:
         rows = [(INIT, q, 0, 0, None, holder[q]) for q in chip.qubits]
@@ -291,16 +349,20 @@ def solve_greedy(instance: Instance, seed: int = 0,
 
     def run_goal(goal_index: int, s1: int, s2: int, stage: int) -> None:
         nonlocal makespan, swaps
-        path = shortest_path(chip, loc[s1], loc[s2], rng)
+        path = shortest_path(chip, loc[s1], loc[s2], rng, ready)
         d = len(path) - 1
-        best, splits = None, []                # the cheapest m, ascending
-        for m in range(d):
-            cost = max(m, d - 1 - m) * swap + ps[path[m]][path[m + 1]]
-            if best is None or cost < best:
-                best, splits = cost, [m]
-            elif cost == best:
-                splits.append(m)
-        m = rng.choice(splits)
+        not_before = 0
+        if stage == 2:
+            not_before = max(mix_end[s1], mix_end[s2])
+        m = 0
+        if d > 1:
+            ends = _split_ends(ready, path, swap, ps, not_before)
+            first = min(ends)
+            if ends.count(first) == 1:
+                m = ends.index(first)
+            else:
+                m = rng.choice([m for m, end in enumerate(ends)
+                                if end == first])
         for i in range(m):
             do_swap(path[i], path[i + 1])
         for i in range(d, m + 1, -1):
@@ -308,9 +370,6 @@ def solve_greedy(instance: Instance, seed: int = 0,
         swaps += d - 1
         u, v = uv = path[m], path[m + 1]
         duration = ps[u][v]
-        not_before = 0
-        if stage == 2:
-            not_before = max(mix_end[s1], mix_end[s2])
         start = earliest(uv, duration, not_before)
         end = start + duration
         commit(uv, start, end)
@@ -327,14 +386,16 @@ def solve_greedy(instance: Instance, seed: int = 0,
         pending = [(o, *instance.goal_pairs[o])
                    for o in range(base + 1, base + instance.goal_count + 1)]
         while pending:
-            nearest, ties = None, []           # nearest goals, ascending
+            nearest, ties = math.inf, []       # nearest goals, ascending
             for row in pending:
                 d = dist[loc[row[1]]][loc[row[2]]]
-                if nearest is None or d < nearest:
+                if d > nearest:
+                    continue
+                if d < nearest:
                     nearest, ties = d, [row]
-                elif d == nearest:
+                else:
                     ties.append(row)
-            row = rng.choice(ties)
+            row = ties[0] if len(ties) == 1 else rng.choice(ties)
             pending.remove(row)
             run_goal(*row, stage)
 

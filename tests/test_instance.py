@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import replace
 from importlib import resources
@@ -5,6 +6,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcsched import instance as instance_module
 from qcsched.cpsolver import OPTIMAL, build_model, search
 from qcsched.instance import (BLUE, QCC_X, RED, VARIANTS, Chip, Edge,
                               Instance, ParseError, ValidationError,
@@ -285,6 +287,20 @@ def test_chip_records_round_trip_every_field():
                         variant=QCC_X, label="stem")
     assert_round_trips(instance, lambda d: _instance_from_dict(d, "stem"))
     assert _instance_from_dict(to_json(instance), "stem").label == "stem"
+
+
+def test_chip_decode_reads_each_record_layout_once(monkeypatch):
+    # decoding works out a record class's fields once, not once per record
+    data, calls = to_json(build_preset_chip("rigetti-21")), []
+
+    def counted(cls):
+        calls.append(cls)
+        return dataclasses.fields(cls)
+
+    monkeypatch.setattr(instance_module, "fields", counted)
+    chips = [_chip_from_dict(data), _chip_from_dict(data)]
+    assert chips[0] == chips[1] == build_preset_chip("rigetti-21")
+    assert calls.count(Edge) <= 1 and calls.count(Chip) <= 1
 
 
 def test_read_instance_errors(tmp_path):

@@ -7,8 +7,9 @@ qubit for R1, every pair for R2), and the exact search's
 set-based gate fit and subset compatibility tests and its set-based lower
 bounds. Each must agree with the package exactly, as must a greedy restart
 given an objective to beat with the same restart given none. The last tests send
-schedules through their JSON form and back, and hold the greedy and searched
-schedules of small grid:2 instances to the brute-force oracle's optimum.
+schedules through their JSON form and back, hold the greedy and searched
+schedules of small grid:2 instances to the brute-force oracle's optimum, and
+hold the greedy's split prices to the ends that committing each split gives.
 """
 
 import json
@@ -23,7 +24,8 @@ from qcsched.cpsolver import (_IDLE, OPTIMAL, _Engine, _OutOfBudget, _Rec,
 from qcsched.instance import build_grid_chip, build_preset_chip, \
     generate_instance, to_json
 from qcsched.oracle import optimal_makespan
-from qcsched.router import _Timeline, all_pairs_distances, solve_greedy
+from qcsched.router import (_split_ends, _Timeline, all_pairs_distances,
+                             shortest_path, solve_greedy)
 from qcsched.schedule import (TWO_QUBIT_KINDS, GateTask, Schedule, Violation,
                               schedule_from_dict, validate)
 from tasks import init_task, mix_task, ps_task, swap_task
@@ -803,3 +805,49 @@ def test_schedules_respect_the_oracle_on_grid2(variant, stages, goals, seed):
     for r in runs:
         if r.status == OPTIMAL:
             assert r.best.makespan == best
+
+
+def _committed(instance, tasks):
+    """A fresh timeline with ``tasks`` committed in order."""
+    timeline = _Timeline(instance)
+    for t in tasks:
+        timeline.commit(t.qubits, t.start, t.end)
+    return timeline
+
+
+# A greedy schedule's first tasks, committed in start order, give a timeline
+# partway through a restart. On it, each split of a drawn path is priced by
+# _split_ends and then committed the way solve_greedy commits it: the first
+# state's swaps forward, the second's backward, then the ps gate no earlier
+# than not_before. Without crosstalk the price is that end; under qcc-x the
+# crosstalk can only delay the committed tasks.
+@pinned(300, draw_seed=0, chip_name=sorted(CHIPS), variant=inst.VARIANTS,
+        stages=[1, 2], goals=range(1, 13), seed=range(10 ** 6 + 1),
+        prefix=range(101), not_before=range(0, 40, 3))
+def test_split_ends_price_the_committed_end(chip_name, variant, stages,
+                                            goals, seed, prefix, not_before):
+    chip = CHIPS[chip_name]
+    instance = generate_instance(chip, goals, stages=stages, variant=variant,
+                                 seed=seed)
+    tasks = sorted(solve_greedy(instance, seed=seed).tasks,
+                   key=lambda t: t.start)
+    tasks = tasks[:len(tasks) * prefix // 100]
+    ready = _committed(instance, tasks).ready
+    rng = random.Random(seed)
+    path = shortest_path(chip, *rng.sample(chip.qubits, 2), rng, ready)
+    swap, ps = chip.swap_duration, chip.ps_durations
+    ends = _split_ends(ready, path, swap, ps, not_before)
+    d = len(path) - 1
+    assert len(ends) == d
+    for m in range(d):
+        timeline = _committed(instance, tasks)
+        for uv in ([(path[i], path[i + 1]) for i in range(m)]
+                   + [(path[i], path[i - 1]) for i in range(d, m + 1, -1)]):
+            start = timeline.earliest(uv, swap, 0)
+            timeline.commit(uv, start, start + swap)
+        u, v = path[m], path[m + 1]
+        end = timeline.earliest((u, v), ps[u][v], not_before) + ps[u][v]
+        if variant == inst.QCC_X:
+            assert ends[m] <= end
+        else:
+            assert ends[m] == end

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from qcsched.instance import (Instance, build_grid_chip, build_preset_chip,
-                              generate_instance)
+from qcsched import router
+from qcsched.instance import (BLUE, Chip, Edge, Instance, build_grid_chip,
+                              build_preset_chip, generate_instance)
 from qcsched.router import (RoutingError, all_pairs_distances, shortest_path,
                             solve_anytime, solve_greedy,
                             solve_sequential_baseline)
@@ -75,8 +76,40 @@ def test_greedy_usually_beats_baseline():
     assert wins > losses
 
 
+def test_greedy_walks_to_the_next_hop_released_first(monkeypatch):
+    # the ring 1-2-4-3 with qubit 5 on 2: goal (2, 5) is nearest, and its ps
+    # gate holds qubit 2 until 3, so goal (1, 4) must route through qubit 3
+    chip = Chip(qubit_count=5, edges=tuple(
+        Edge(u, v, BLUE, 3) for u, v in ((1, 2), (1, 3), (2, 4), (3, 4),
+                                         (2, 5))))
+    walks, walk = [], router.shortest_path
+
+    def spy(chip, a, b, rng=None, ready=None):
+        path = walk(chip, a, b, rng, ready)
+        walks.append((chip, list(ready), path))
+        return path
+
+    monkeypatch.setattr(router, "shortest_path", spy)
+    instance = Instance(chip=chip, goals=((2, 5), (1, 4)))
+    for seed in range(6):
+        schedule = solve_greedy(instance, seed=seed)
+        assert validate(instance, schedule).valid and schedule.makespan == 5
+        assert walks[-1][2] == [1, 3, 4]
+        assert all(2 not in t.qubits for t in schedule.tasks
+                   if t.kind == "swap" or t.goal_index == 2)
+    # every greedy path is a shortest swap path through next hops released
+    # first, on the small chip and on generated instances
+    for instance in _random_instances(12):
+        solve_greedy(instance, seed=3)
+    for chip, ready, path in walks:
+        hops = chip.swap_next_hops[path[-1]]
+        assert len(path) == chip.swap_distances[path[-1]][path[0]] + 1
+        for a, b in zip(path, path[1:]):
+            assert b in hops[a]
+            assert ready[b] == min(ready[q] for q in hops[a])
+
+
 def test_unroutable_goal():
-    from qcsched.instance import BLUE, Chip, Edge
     edges = tuple(Edge(u, v, BLUE, 3, swap_enabled=False)
                   for u, v in ((1, 2), (1, 3), (2, 4), (3, 4)))
     chip = Chip(qubit_count=4, edges=edges)
@@ -87,7 +120,6 @@ def test_unroutable_goal():
 
 def _path_with_ps_only_middle(qubits: int):
     """The path 1-2-...-n whose edge (2, 3) runs ps gates but cannot swap."""
-    from qcsched.instance import BLUE, Chip, Edge
     return Chip(qubit_count=qubits, edges=tuple(
         Edge(u, u + 1, BLUE, 3, swap_enabled=(u != 2))
         for u in range(1, qubits)))
@@ -137,7 +169,6 @@ def test_free_placement_anytime_starts_from_a_routable_restart():
 def test_free_placement_avoids_a_qubit_no_swap_edge_reaches():
     # qubit 4 joins the chip by a ps-only edge, so its summed swap distance
     # is 0; the first state must still go to the swap path's center
-    from qcsched.instance import BLUE, Chip, Edge
     chip = Chip(qubit_count=4, edges=(
         Edge(1, 2, BLUE, 3), Edge(2, 3, BLUE, 3),
         Edge(3, 4, BLUE, 3, swap_enabled=False)))

@@ -17,62 +17,62 @@ from qcsched.router import solve_anytime
 CASES = [
     # (chip, goals, variant, stages, seed), (makespan, swaps, sha1 of tasks)
     (("rigetti-21", 20, "qcc", 1, 3),
-     (48, 50, "1442b75a9b2dc92e554ea703af5e71d40b8a77c3")),
+     (35, 49, "f565e75ca6ab486bae4cb216cc8eb6a360399c61")),
     (("rigetti-21", 20, "qcc", 1, 11),
-     (42, 36, "378ffac077bfd20d2a8640a790ebe1289fbc57ef")),
+     (34, 38, "ec14fb0a46081b79602b56df35ee6b70421283c0")),
     (("rigetti-21", 20, "qcc", 2, 3),
-     (85, 63, "ef4d27706d899815257442d8d677114cf880a684")),
+     (73, 76, "e729268cb7838a68f16600a85892921512ab82f3")),
     (("rigetti-21", 20, "qcc", 2, 11),
-     (87, 63, "57c82448584390116b63055056aba77be1d7c58c")),
+     (70, 68, "c18facaf4b3032418bcf0aecf267873860e8b29c")),
     (("rigetti-21", 20, "qcc-i", 1, 3),
-     (28, 13, "4caf8b714c4a1bc8d8b5f7466ea87d3b4db2b2b3")),
+     (25, 22, "28baa83f131124fbb34ebb2fe563ea1cf9ef090c")),
     (("rigetti-21", 20, "qcc-i", 1, 11),
-     (31, 22, "f6360278fd6cf6371502e3075a6cbbf2d536af31")),
+     (24, 18, "fe8dfdb54418a36705d8c730e2b628163fb27fb7")),
     (("rigetti-21", 20, "qcc-i", 2, 3),
-     (60, 34, "744b3f0179b9fb210e98bc7657df84bd9a6808f7")),
+     (51, 51, "d9a7da0863db6aac8c6aadcb4cc18563379e1737")),
     (("rigetti-21", 20, "qcc-i", 2, 11),
-     (64, 38, "b0951060a04c7d68c4f03ca54749a6452837e24c")),
+     (49, 34, "abc72c51cc91788d679b019891afa10ba7dcddcd")),
     (("rigetti-21", 20, "qcc-x", 1, 3),
-     (71, 50, "8e5e97b90967a7fda27a39ba3941024ae8573957")),
+     (62, 46, "45361e991f571826f557a6905a922aafc8295099")),
     (("rigetti-21", 20, "qcc-x", 1, 11),
-     (50, 36, "aed2fedc57454a147510e05026be212840b81e21")),
+     (50, 42, "f5dafaf2476f76c1a40db1e2f7400046bcd78611")),
     (("rigetti-21", 20, "qcc-x", 2, 3),
-     (103, 63, "94bff2bcd9a3d0d35e2e9394349b6b9e5a3c89fd")),
+     (115, 76, "a43c553af5877dd3c4a79521f748b193b22dce0d")),
     (("rigetti-21", 20, "qcc-x", 2, 11),
-     (108, 63, "b1793574b32bbec1eb059ae9dc73cb33e8cb1478")),
+     (95, 72, "837a128be9b827225f4b56acd722c9b309c681fd")),
     (("grid:3", 6, "qcc", 1, 3),
-     (16, 6, "906dde29e245663fc01522251b529d7097080d30")),
+     (14, 6, "344cfa1c3f62aa9c1f8e0cbbb8cbf7d725afcbbe")),
     (("grid:3", 6, "qcc", 1, 11),
-     (13, 3, "97390278a8673c879828195a5e0b6465929522fe")),
+     (13, 3, "caff37295e013eac95bdf0fc89e5e22af2f6dd39")),
     (("grid:3", 6, "qcc", 2, 3),
-     (33, 8, "87571fb7c62b19aab55bffcaeaf9ef941124d565")),
+     (26, 9, "db87bde94fa6a03678fbc3791c6a2389a89bd6d9")),
     (("grid:3", 6, "qcc", 2, 11),
-     (26, 5, "12df8acda987336ddabf12d98fa63343e93eebb7")),
+     (26, 5, "4229d964a32c86f0029383d1eda52c4f3ec2f814")),
     (("grid:3", 6, "qcc-i", 1, 3),
      (11, 1, "a17e49ac766deb63fae71871214eccd40a69f6a5")),
     (("grid:3", 6, "qcc-i", 1, 11),
-     (12, 1, "b3a34e57d7139b6d122f6e69644f92a35b8fc88b")),
+     (10, 1, "c81adb0644cd41422979ef38655c9995b3fe08a0")),
     (("grid:3", 6, "qcc-i", 2, 3),
-     (25, 2, "bb7809fb82529f11ee1b128928bd8fadcc07b7f7")),
+     (23, 2, "5967919b4e434ee5eebfed407453bd88e2fc0224")),
     (("grid:3", 6, "qcc-i", 2, 11),
-     (25, 2, "7c207a81e8a7840c2c31a856be4624fa90eba246")),
+     (21, 2, "e5b4ca04668c885ce866a9103b45d536099872f0")),
     (("grid:3", 6, "qcc-x", 1, 3),
-     (23, 6, "c0d446eef6bbe7d201431928e928127d9d00ece0")),
+     (22, 5, "a5d66717968690ab12658e86d9e9bcccf026de53")),
     (("grid:3", 6, "qcc-x", 1, 11),
-     (21, 3, "daa337a8910a7f67dc0c67701b7cf0ace8c78c6c")),
+     (23, 3, "136e129cb3233284f397efd4caa8cf2e41080a70")),
     (("grid:3", 6, "qcc-x", 2, 3),
-     (47, 8, "a6683f17668c53878a248a176a122242b01ca240")),
+     (44, 7, "ddd64e9a421b9ea9da2aaddd28c93d3dfb633e12")),
     (("grid:3", 6, "qcc-x", 2, 11),
-     (39, 4, "e532dfbbc132a592852afed16ef6f4e4110dd848")),
+     (46, 5, "d795e0369e20869df64f972c52dfb0216cf4a3c9")),
     # route-21 sizes: long crosstalk interval lists and long pending lists
     (("rigetti-21", 60, "qcc-x", 2, 3),
-     (288, 165, "184c74b9ccecb60797ee550bff7410a793afc8f7")),
+     (299, 164, "9591945bb13ac273bc4c4af95416f6e233d3b136")),
     (("rigetti-21", 60, "qcc-x", 2, 11),
-     (288, 158, "de27ce1a2108ced8ab9cc29cec5a551505662e44")),
+     (272, 148, "64385075841777483b7948b53ad1f996fa6cdafc")),
     (("rigetti-21", 40, "qcc-i", 1, 3),
-     (64, 58, "ae0379c9912ea6e6d6b286b99d8df5b6a8819943")),
+     (51, 49, "e6f9ef9c21dd7878d0293dd7ae3377ce74f9aead")),
     (("rigetti-21", 40, "qcc-i", 1, 11),
-     (62, 43, "92c2e01fb8991e3ddd0481e4fb0b261795192915")),
+     (55, 58, "bc1d77d8071cfb3c855cdec939e161b3240b9987")),
 ]
 
 

@@ -21,131 +21,128 @@ RESTARTS = 8
 CASES = [
     # (chip, goals, variant, stages, seed), restarts, incumbents
     (("rigetti-21", 20, "qcc", 1, 5),
-     ("7511edf0f5", "c5e6d33cf0", "497a25ac05", "d4d70300bc", "ecebb81bc9",
-      "53b8d27c94", "fc70550233", "9184abeb7e"),
-     ("b:eebf27b46c", "g:7511edf0f5", "g:497a25ac05")),
+     ("3e00963356", "e9b81ac9e2", "3e3d221cbe", "e5459c414d", "460e8d77d0",
+      "f830bf321c", "4929da0679", "5341679c1d"),
+     ("b:eebf27b46c", "g:3e00963356", "g:e5459c414d", "g:4929da0679")),
     (("rigetti-21", 20, "qcc", 2, 5),
-     ("64a42848e9", "8beb145829", "154b67ee04", "3d05f8c607", "fbd0b0f367",
-      "9f4c1479e6", "00d9f5cd87", "7e446b6b67"),
-     ("b:0d137c1b21", "g:64a42848e9", "g:3d05f8c607")),
+     ("5bb4cb7854", "12d171329e", "4e5083e8d2", "9e1c884675", "677ad235fc",
+      "53cbb277fc", "68203e6d20", "cea1b05cfd"),
+     ("b:0d137c1b21", "g:5bb4cb7854", "g:9e1c884675", "g:68203e6d20")),
     (("rigetti-21", 20, "qcc-i", 1, 5),
-     ("e5b35580d7", "faac1512f3", "8225327e47", "c8cddb4973", "101250989a",
-      "594a326cf0", "31e6ea264d", "84a3c02eef"),
-     ("b:41933fb2f5", "g:e5b35580d7", "g:c8cddb4973", "g:101250989a")),
+     ("7e94297f0a", "2f3f9de200", "c5780dee82", "2cd5a23597", "187d95d894",
+      "649aa15c67", "eff608a5c6", "31fb2d59af"),
+     ("b:41933fb2f5", "g:7e94297f0a", "g:2f3f9de200", "g:649aa15c67",
+      "g:eff608a5c6")),
     (("rigetti-21", 20, "qcc-i", 2, 5),
-     ("8d301e2a7e", "9baa8ee73f", "07aa4d7901", "4bd1fb0c73", "9c5eca9323",
-      "347768dcb9", "4d2408bd34", "24ede46a9c"),
-     ("b:9ce43236d2", "g:8d301e2a7e", "g:9baa8ee73f", "g:07aa4d7901",
-      "g:9c5eca9323", "g:24ede46a9c")),
+     ("3f3e7fca01", "e0beb5a487", "77c1dc3dba", "48760cac07", "d97744ff3e",
+      "467cbc9b1c", "4712d4eaeb", "ba957d43cf"),
+     ("b:9ce43236d2", "g:3f3e7fca01", "g:e0beb5a487", "g:77c1dc3dba",
+      "g:467cbc9b1c", "g:4712d4eaeb")),
     (("rigetti-21", 20, "qcc-x", 1, 5),
-     ("908fc32ce5", "5fa4b58b33", "e31bfe8247", "07d52f03f7", "2aa761fea8",
-      "c157a5884f", "e477c9ddb0", "bc0411ca22"),
-     ("b:eebf27b46c", "g:908fc32ce5", "g:5fa4b58b33", "g:e31bfe8247",
-      "g:c157a5884f")),
+     ("6121187282", "a40b649979", "50c15488c3", "37cdf8748f", "016d8d2cf1",
+      "324454af44", "f881144b8e", "a5d971f3d7"),
+     ("b:eebf27b46c", "g:6121187282", "g:016d8d2cf1", "g:324454af44")),
     (("rigetti-21", 20, "qcc-x", 2, 5),
-     ("4158a19693", "bd5760ec9c", "9c6b5aaa28", "a4867b4ea3", "0d6829c614",
-      "d8a9c64bfb", "5dfa6074e8", "bdb588eec2"),
-     ("b:0d137c1b21", "g:4158a19693", "g:bd5760ec9c", "g:a4867b4ea3",
-      "g:0d6829c614", "g:d8a9c64bfb")),
+     ("09b07dcc3b", "e12a15d342", "c7c4f380f1", "8d3aa95bdf", "f77d44eb5b",
+      "5a7826879d", "656a581c59", "2593f6a23b"),
+     ("b:0d137c1b21", "g:09b07dcc3b", "g:656a581c59")),
     (("rigetti-21", 40, "qcc", 1, 5),
-     ("2b921136ca", "349688abb6", "a02273b552", "8f11c07699", "133daff52e",
-      "e63f7beab1", "a7d5fd8474", "8bc720fa8e"),
-     ("b:943c0b7935", "g:2b921136ca", "g:8f11c07699", "g:e63f7beab1",
-      "g:a7d5fd8474")),
+     ("2efaa88b40", "b080653eeb", "dbabf8549b", "2a458ba13f", "c692b17a6d",
+      "e204ffa5b9", "87fb3d854d", "ec49b28980"),
+     ("b:943c0b7935", "g:2efaa88b40", "g:b080653eeb")),
     (("rigetti-21", 40, "qcc", 2, 5),
-     ("8b1d09730f", "3fd103ae51", "b1ed5c70b9", "a798af4759", "28aab9c738",
-      "6242b57df4", "00ba7c2f17", "18b1ffade0"),
-     ("b:1748957c1c", "g:8b1d09730f", "g:b1ed5c70b9", "g:00ba7c2f17")),
+     ("ab8f2116fd", "75404adff1", "dfd505123e", "94ac86a580", "7ec50037f2",
+      "f90535b0bf", "16a830a75d", "2360454fee"),
+     ("b:1748957c1c", "g:ab8f2116fd")),
     (("rigetti-21", 40, "qcc-i", 1, 5),
-     ("c4ac4a2f07", "a61db5b8cf", "9fa84f27ac", "f9ef7a096b", "8161a211ba",
-      "be7640cc71", "f096917ce3", "f75073ebb6"),
-     ("b:d71fd0833b", "g:c4ac4a2f07")),
+     ("68d25933c4", "8b5e90f7f4", "1ac3c9b73e", "aa365f5ae3", "52dd70b87f",
+      "77846c240a", "ff0e14ca89", "891a51a275"),
+     ("b:d71fd0833b", "g:68d25933c4", "g:52dd70b87f", "g:ff0e14ca89")),
     (("rigetti-21", 40, "qcc-i", 2, 5),
-     ("89cc58be13", "62e683ec99", "5a84147922", "c706fd115b", "9cef119207",
-      "c45d90d91e", "05df161ba9", "49af92fcec"),
-     ("b:eeac73addd", "g:89cc58be13", "g:5a84147922", "g:05df161ba9")),
+     ("c456334f7d", "7c4b74a3f5", "0e79415f27", "ac5576d720", "7e10439a4f",
+      "b00fdc821e", "3c63c35660", "a4952b170b"),
+     ("b:eeac73addd", "g:c456334f7d", "g:7c4b74a3f5", "g:7e10439a4f")),
     (("rigetti-21", 40, "qcc-x", 1, 5),
-     ("745ca443a5", "2469844118", "0ae9dc0ed5", "b5e2e23e57", "239dd309cc",
-      "f2f8ab7e7d", "5ed4888ea2", "cafeed697e"),
-     ("b:943c0b7935", "g:745ca443a5", "g:0ae9dc0ed5", "g:5ed4888ea2")),
+     ("bcb34068da", "68eba90aa2", "bca0f11b8c", "aad439823e", "7f597a8153",
+      "71571071a9", "89a3f5d764", "26e8cf7975"),
+     ("b:943c0b7935", "g:bcb34068da", "g:68eba90aa2")),
     (("rigetti-21", 40, "qcc-x", 2, 5),
-     ("a7239e40f2", "50f4be9ec7", "1f67bff497", "896e67521a", "47b99af3a1",
-      "ae33242553", "4462acb43c", "42921dadc0"),
-     ("b:1748957c1c", "g:a7239e40f2", "g:1f67bff497")),
+     ("011c84c7fc", "0161563937", "6b2bfbe63e", "6643485c8f", "30eab2a32c",
+      "1bc3d1b594", "6ccf81a514", "041d9e3fc9"),
+     ("b:1748957c1c", "g:011c84c7fc", "g:6643485c8f")),
     (("rigetti-21", 60, "qcc", 1, 5),
-     ("1f78fd5d33", "52671d6a72", "067fdf6836", "d1f3b81788", "720ded7778",
-      "8a1226bdf3", "44047ec673", "d49fe8dd66"),
-     ("b:b62dfa22b6", "g:1f78fd5d33", "g:52671d6a72", "g:067fdf6836")),
+     ("63b839996f", "773f307e11", "51e4f9879f", "1af4a82219", "9120065cb5",
+      "fc15a3cdc1", "56331474d1", "c964104098"),
+     ("b:b62dfa22b6", "g:63b839996f", "g:773f307e11", "g:fc15a3cdc1")),
     (("rigetti-21", 60, "qcc", 2, 5),
-     ("9bcc18a5a2", "5879f12680", "ca9252a8fb", "850d04c3f3", "d542c32baa",
-      "bc692060e8", "cedf9d8f40", "b937024519"),
-     ("b:47602205fb", "g:9bcc18a5a2", "g:5879f12680", "g:ca9252a8fb",
-      "g:d542c32baa", "g:cedf9d8f40")),
+     ("f967fc721d", "205d063166", "36c46ef4e2", "6bce17d088", "2f7ba936c6",
+      "d312c02d27", "dfef3946e8", "12730184b3"),
+     ("b:47602205fb", "g:f967fc721d", "g:205d063166", "g:d312c02d27")),
     (("rigetti-21", 60, "qcc-i", 1, 5),
-     ("0e40341a26", "2d73139674", "ac04ccfa2b", "8162a78cb2", "1398a5dd28",
-      "dcd65315ed", "6e3695a4b2", "cfba7e4820"),
-     ("b:14a791ac57", "g:0e40341a26", "g:2d73139674")),
+     ("e6b34db5e1", "5825c0b8af", "60961f59cb", "3f029f5588", "10b2605ce8",
+      "ab6c233591", "606a8b6012", "64b906f44a"),
+     ("b:14a791ac57", "g:e6b34db5e1", "g:64b906f44a")),
     (("rigetti-21", 60, "qcc-i", 2, 5),
-     ("127018600b", "6526c390d6", "d7bed715e0", "d3d3ef6947", "327b23f56f",
-      "7d26c9883d", "ae7c707dbd", "ca28002284"),
-     ("b:568193fafc", "g:127018600b", "g:6526c390d6", "g:d7bed715e0",
-      "g:ae7c707dbd", "g:ca28002284")),
+     ("6f1465f54c", "782b91fadb", "98a46eaeb1", "83d4b0403d", "718d2f7161",
+      "892749e396", "ce90e992ee", "364956d88e"),
+     ("b:568193fafc", "g:6f1465f54c", "g:782b91fadb")),
     (("rigetti-21", 60, "qcc-x", 1, 5),
-     ("01d066f6cb", "8f0cc4771f", "3751fd935a", "4000416eed", "bd342bcc16",
-      "dfdeb6b88c", "9ca6c0a2cb", "83462e726d"),
-     ("b:b62dfa22b6", "g:01d066f6cb", "g:8f0cc4771f", "g:3751fd935a")),
+     ("aab380a11e", "e4f063a880", "181938a9a6", "a8b1799b60", "aba66db0ba",
+      "f76ce5f62e", "2d8e1d5cb3", "7b303792da"),
+     ("b:b62dfa22b6", "g:aab380a11e", "g:e4f063a880", "g:181938a9a6",
+      "g:f76ce5f62e")),
     (("rigetti-21", 60, "qcc-x", 2, 5),
-     ("7d5044f40f", "7b5dd3e4af", "17dedc939a", "88e2a5d3b8", "60f460b855",
-      "f6873ac303", "58822acdf1", "e583e64786"),
-     ("b:47602205fb", "g:7d5044f40f", "g:7b5dd3e4af", "g:17dedc939a")),
+     ("742a3c2c04", "f334588ac2", "a8d13939ec", "7498cde77f", "5a60c0ec60",
+      "dd0c901ad7", "766263e778", "962700d8b2"),
+     ("b:47602205fb", "g:742a3c2c04", "g:f334588ac2", "g:dd0c901ad7")),
     (("rigetti-8", 4, "qcc", 1, 7),
-     ("4a2c237b9b", "0e5bde8626", "ed5961f831", "02d7bf1039", "aff62e1eb5",
-      "e2c4c8e7c1", "857d1f7aaf", "857d1f7aaf"),
-     ("b:0c8292a16f", "g:4a2c237b9b", "g:0e5bde8626")),
+     ("70fba85ab7", "23dbca0732", "b12e049d60", "23dbca0732", "058ee34223",
+      "058ee34223", "23dbca0732", "23dbca0732"),
+     ("b:0c8292a16f", "g:70fba85ab7", "g:23dbca0732")),
     (("rigetti-8", 4, "qcc", 2, 7),
-     ("a3c78159ad", "e76a213d84", "3e90f91151", "6453ea0985", "51a3888ca0",
-      "8d18a10870", "de0f5e256d", "de0f5e256d"),
-     ("b:6b24489d5e", "g:a3c78159ad", "g:e76a213d84", "g:3e90f91151")),
+     ("26bf04fa83", "897dd9cadc", "1a52c4565d", "897dd9cadc", "d7aa8ff668",
+      "d7aa8ff668", "897dd9cadc", "897dd9cadc"),
+     ("b:6b24489d5e", "g:26bf04fa83", "g:897dd9cadc")),
     (("rigetti-8", 4, "qcc-i", 1, 7),
-     ("f414259962", "ba3a06019a", "cd913af258", "7adddc7104", "1cb2a1c9ee",
-      "168ad47a8c", "b39818fc1c", "a51cd1da7e"),
-     ("b:8f8f2a197e", "g:f414259962", "g:cd913af258")),
+     ("f414259962", "a789e456b1", "79880bd97d", "5eb7135820", "1cb2a1c9ee",
+      "168ad47a8c", "5a9614991f", "b56272d23d"),
+     ("b:8f8f2a197e", "g:f414259962", "g:1cb2a1c9ee", "g:168ad47a8c")),
     (("rigetti-8", 4, "qcc-i", 2, 7),
-     ("8afa2a6fec", "f7da179fec", "72b8abfc7c", "0610b957d6", "b0c1f0f379",
-      "44ea5a0610", "fa1e497ea7", "616114724a"),
-     ("b:f44f7a1b41", "g:8afa2a6fec", "g:72b8abfc7c", "g:0610b957d6")),
+     ("c6c4ed23ff", "69c4bc4b9e", "bcff10c40d", "b68fa39611", "5d92c64fbc",
+      "44ea5a0610", "bba25e9ac9", "c237d978f4"),
+     ("b:f44f7a1b41", "g:c6c4ed23ff", "g:5d92c64fbc", "g:44ea5a0610")),
     (("rigetti-8", 4, "qcc-x", 1, 7),
-     ("0f8b0d3b84", "40ff1cb7a1", "a0af9b8759", "b7e0e28667", "dd07aa103f",
-      "a25be8ff69", "da7feb888b", "da7feb888b"),
-     ("b:0c8292a16f", "g:40ff1cb7a1", "g:a0af9b8759")),
+     ("9c8c301083", "09d0ca0e87", "446d7cc01c", "09d0ca0e87", "47aec6d6bc",
+      "47aec6d6bc", "09d0ca0e87", "09d0ca0e87"),
+     ("b:0c8292a16f", "g:09d0ca0e87")),
     (("rigetti-8", 4, "qcc-x", 2, 7),
-     ("f75485409a", "2e7325711c", "8e4151edf1", "7135ff017b", "e782bb7fb4",
-      "1bbae98170", "0c2f239fcb", "0c2f239fcb"),
-     ("b:6b24489d5e", "g:f75485409a", "g:2e7325711c", "g:8e4151edf1")),
+     ("d4d55b50f5", "932c9d24b7", "db60201f93", "307f761add", "80c6d730a9",
+      "80c6d730a9", "db4e02f74e", "307f761add"),
+     ("b:6b24489d5e", "g:d4d55b50f5", "g:932c9d24b7", "g:307f761add")),
     (("grid:3", 5, "qcc", 1, 7),
-     ("d50de22657", "9ea1b32a1c", "b83d8e136e", "d71b66e326", "5c7363160d",
-      "9da32a63ef", "661d049989", "2be604041b"),
-     ("b:51e840713d", "g:d50de22657", "g:b83d8e136e")),
+     ("c2fb94db3b", "f77c990d52", "6cf8d84ada", "0cb117eb02", "b822761378",
+      "df6e6bea6e", "1e92829bbd", "0cb117eb02"),
+     ("b:51e840713d", "g:c2fb94db3b", "g:1e92829bbd")),
     (("grid:3", 5, "qcc", 2, 7),
-     ("75c5ed26d5", "a634697712", "64cabb0711", "3037df89d0", "ccdb519d35",
-      "8966701b1a", "065bc0ae3a", "08d98a73d9"),
-     ("b:caa740448a", "g:75c5ed26d5", "g:64cabb0711", "g:3037df89d0")),
+     ("f6b1f9ae3b", "f164611aba", "de75e119d0", "0bc72f7d92", "0f98aa4ff7",
+      "03ab1d7f25", "3cc7e6a2f2", "0bc72f7d92"),
+     ("b:caa740448a", "g:f6b1f9ae3b", "g:3cc7e6a2f2")),
     (("grid:3", 5, "qcc-i", 1, 7),
-     ("5bb83a48f3", "1fec62c368", "aabf164309", "5475cc9e69", "95aa87a477",
-      "4d80b567f3", "d382a915f6", "df172f00e8"),
-     ("b:d3bb3cfec6", "g:5bb83a48f3")),
+     ("161e79d405", "1fec62c368", "038e0a1ff1", "b4bcc2fa19", "8d3a1b2962",
+      "4d80b567f3", "41879e7e7f", "df172f00e8"),
+     ("b:d3bb3cfec6", "g:161e79d405", "g:1fec62c368", "g:8d3a1b2962")),
     (("grid:3", 5, "qcc-i", 2, 7),
-     ("10f7fbaea7", "ada95c717e", "ae89d885e1", "6b36a5b1a1", "134fbffd8d",
-      "9f08c38f8f", "3d0c91eaba", "986582dd5f"),
-     ("b:c46a539bbf", "g:10f7fbaea7")),
+     ("5b47fea959", "c5b22a8fa7", "3befe32f41", "57e45e56e5", "0a52b1ecab",
+      "213cf03e1f", "b94f9c8c46", "a27fdf59ac"),
+     ("b:c46a539bbf", "g:5b47fea959", "g:c5b22a8fa7", "g:0a52b1ecab")),
     (("grid:3", 5, "qcc-x", 1, 7),
-     ("93331c809d", "e43d159921", "be1f95954d", "e63a1de3d4", "c0faecd837",
-      "986a4676c0", "28cbdbba01", "277d34b48b"),
-     ("b:51e840713d", "g:93331c809d", "g:be1f95954d")),
+     ("1a8ddd43cf", "cb2ca36be1", "91a07d8b21", "f53d7d9f5e", "db9ad9efd3",
+      "2cfab4b4ba", "e63a1de3d4", "f53d7d9f5e"),
+     ("b:51e840713d", "g:1a8ddd43cf", "g:db9ad9efd3", "g:2cfab4b4ba")),
     (("grid:3", 5, "qcc-x", 2, 7),
-     ("4a08e8571f", "c2c6e0566f", "e4dda1d95f", "5232269c34", "0f151b536a",
-      "7e5368467c", "03cbb8f633", "6629b9f22a"),
-     ("b:caa740448a", "g:4a08e8571f", "g:e4dda1d95f")),
+     ("aee1dd7b0e", "e79c6ddd89", "77e4cb588a", "579c3525bd", "e1e730ef17",
+      "5b4807adee", "3f55ce23bd", "f548165aba"),
+     ("b:caa740448a", "g:aee1dd7b0e", "g:e79c6ddd89", "g:3f55ce23bd")),
 ]
 
 

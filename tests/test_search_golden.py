@@ -17,15 +17,15 @@ from qcsched.router import solve_greedy
 
 CASES = [
     # (chip, goals, variant, stages, seed, warm, node budget), expected
-    (("rigetti-8", 2, "qcc", 1, 15, True, 5000), ("optimal", 8, 3, 901)),
+    (("rigetti-8", 2, "qcc", 1, 15, True, 5000), ("optimal", 8, 3, 365)),
     (("rigetti-8", 3, "qcc-x", 1, 22, False, 5000), ("optimal", 9, 1, 694)),
     (("rigetti-8", 2, "qcc-i", 2, 2, True, 3000), ("optimal", 7, 0, 1680)),
     (("rigetti-8", 2, "qcc", 2, 16, False, 3000),
      ("timeout", None, None, 3000)),
     (("grid:3", 2, "qcc", 1, 15, False, 10000), ("optimal", 7, 1, 519)),
-    (("grid:3", 2, "qcc-x", 1, 15, True, 5000), ("optimal", 8, 1, 38)),
+    (("grid:3", 2, "qcc-x", 1, 15, True, 5000), ("optimal", 8, 1, 63)),
     (("grid:3", 3, "qcc-i", 1, 3, False, 3000), ("timeout", 7, 0, 3000)),
-    (("grid:3", 2, "qcc-x", 2, 16, True, 3000), ("timeout", 19, 3, 3000)),
+    (("grid:3", 2, "qcc-x", 2, 16, True, 3000), ("timeout", 17, 2, 3000)),
 ]
 
 
@@ -58,7 +58,7 @@ TRACE_CASES = [
     # (chip, goals, variant, stages, seed, warm, node budget), best hash,
     # incumbent trace
     (("rigetti-8", 2, "qcc", 1, 15, True, 5000), "f7ab13f03ac69084",
-     [(9, 3, 6), (8, 3, 589)]),
+     []),
     (("rigetti-8", 3, "qcc-x", 1, 22, False, 5000), "bf2fe72682e1b0fa",
      [(11, 1, 5), (9, 1, 44)]),
     (("rigetti-8", 2, "qcc-i", 2, 2, True, 3000), "89cb5d9aaeb4be67",
@@ -68,15 +68,15 @@ TRACE_CASES = [
     (("grid:3", 2, "qcc", 1, 15, False, 10000), "04d7e41e0695fc48",
      [(7, 1, 4)]),
     (("grid:3", 2, "qcc-x", 1, 15, True, 5000), "b1135591484c405d",
-     []),
+     [(8, 1, 4)]),
     (("grid:3", 3, "qcc-i", 1, 3, False, 3000), "b6a4fb07b56ea14e",
      [(7, 0, 4)]),
-    (("grid:3", 2, "qcc-x", 2, 16, True, 3000), "ff4cef2ccac6e53b",
-     [(19, 3, 1997)]),
+    (("grid:3", 2, "qcc-x", 2, 16, True, 3000), "7f745c290351d257",
+     []),
     (("rigetti-21", 1, "qcc-x", 2, 8, False, 3000), "05383dde18157c52",
      [(7, 0, 4)]),
-    (("rigetti-21", 2, "qcc", 1, 8, True, 3000), "d7d8f70a230b0db5",
-     [(12, 6, 9)]),
+    (("rigetti-21", 2, "qcc", 1, 8, True, 3000), "0915b07929f570e8",
+     []),
 ]
 
 
@@ -100,7 +100,7 @@ def test_search_trace_is_pinned(case, best_hash, trace):
 # rigetti-21 qcc-x two-stage search with wide candidate sets and nodes
 # entered while swaps run; a budget whose last node is a child pruned at its
 # swap-rounds term, one node after an improving leaf; and a warm search in
-# which the swap tie-break decides hundreds of prunes.
+# which the swap tie-break decides over a thousand prunes.
 REACH_CASES = [
     (("grid:3", 3, "qcc-i", 1, 5, False, 3000), ("timeout", 6, 1, 3000),
      "86d5c9a9db618293",
@@ -114,8 +114,8 @@ REACH_CASES = [
     (("rigetti-8", 3, "qcc-x", 1, 22, False, 45), ("timeout", 9, 1, 45),
      "bf2fe72682e1b0fa",
      [(11, 1, 5), (9, 1, 44)]),
-    (("rigetti-8", 3, "qcc", 1, 4, True, 3000), ("timeout", 15, 3, 3000),
-     "e442fbb344aaec34",
+    (("rigetti-8", 3, "qcc", 1, 4, True, 3000), ("timeout", 14, 3, 3000),
+     "2273c9d1357424fe",
      []),
 ]
 
